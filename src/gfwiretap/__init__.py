@@ -30,7 +30,7 @@ from .codec import (
     mmse_estimate,
     random_key,
 )
-from .errors import BracketError, BudgetError, ConfigurationError
+from .errors import BracketError, BudgetError, ConfigurationError, NumericalError
 from .field import (
     FieldSpec,
     GaussianField,

@@ -31,7 +31,7 @@ from .channel import (
     secrecy_capacity,
 )
 from .codec import CodecConfig, build_binning
-from .errors import BracketError, BudgetError
+from .errors import BracketError, BudgetError, NumericalError
 from .field import FieldSpec, covariance_probe
 from .replica import locate_critical_rate, make_config, scan_rates
 from .simulate import (
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return RESOURCE_ERROR
-    except BracketError as exc:
+    except (BracketError, NumericalError) as exc:
         print(f"gfwiretap: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, RuntimeError) as exc:

@@ -10,9 +10,11 @@ model, computed as the exact normalized sum over all ``2**(k + k_tilde)``
 bipolar candidates, followed by the inverse permutation and a sign slicer on
 the message coordinates.
 
-Encoding and decoding of distinct frames are independent; a single decode
-enumerates candidates in Gray-code order so each codeword is an incremental
-update of its predecessor.
+Encoding and decoding of distinct frames are independent.  A decode walks
+the candidates in pattern-integer order, ``2**14`` at a time: each block's
+bipolar rows go through one batched ``evaluate`` call, and the block's
+max-shifted weights are folded into running sums, so memory stays bounded by
+the block rather than by ``2**(k + k_tilde)``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .channel import bin_size, key_length
 from .errors import BudgetError, ConfigurationError
-from .field import GaussianField, evaluate, evaluate_flipped
+from .field import GaussianField, evaluate
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -45,12 +47,11 @@ __all__ = [
 #: Largest total input dimension the exact decoder will enumerate (2**24).
 DEFAULT_ENUM_BUDGET = 24
 
-#: Refresh the incremental Gray-code evaluation from scratch this often,
-#: bounding floating-point drift over long enumerations.
-_REANCHOR_EVERY = 4096
+#: Candidates per batched codeword evaluation in an exact enumeration.
+_PATTERN_BLOCK = 2**14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodecConfig:
     """All scheme parameters: sizes, field order, powers, noises, seeds.
 
@@ -260,46 +261,22 @@ def encode(
     return EncodedFrame(s=s, key=key, s_tilde=s_tilde, x=x)
 
 
-def _gray_log_weights(
-    fld: GaussianField,
-    y: np.ndarray,
-    sigma_sq: float,
-    reverse: bool = False,
-    coordinate_of_bit=None,
-) -> np.ndarray:
-    """Log-weights ``-||y - V(u)||^2 / (2 sigma_sq)`` for every bipolar u.
+def _candidate_blocks(coordinate_of_bit):
+    """Yield ``(start, rows)`` covering every bipolar pattern in order.
 
-    Entry ``p`` of the result corresponds to the pattern integer ``p`` whose
-    bit ``b`` (1 meaning +1) sets coordinate ``coordinate_of_bit[b]`` of
-    ``u`` (identity by default).  Enumeration follows the Gray-code sequence,
-    forward or reversed, re-evaluating from scratch every few thousand steps
-    to bound drift.
+    ``rows[j]`` is the bipolar vector of pattern integer ``start + j``, whose
+    bit ``b`` (1 meaning +1) sets coordinate ``coordinate_of_bit[b]``.
+    Blocks hold at most ``_PATTERN_BLOCK`` patterns, so callers never hold
+    the full ``(2**dim, dim)`` sign matrix.
     """
-    dim = fld.spec.dim
-    if coordinate_of_bit is None:
-        coordinate_of_bit = np.arange(dim)
+    dim = coordinate_of_bit.size
+    bits = np.arange(dim, dtype=np.int64)
     total = 1 << dim
-    indices = range(total - 1, -1, -1) if reverse else range(total)
-
-    logw = np.empty(total)
-    u = np.empty(dim)
-    prev_code = None
-    current = None
-    for step, i in enumerate(indices):
-        code = i ^ (i >> 1)
-        if step == 0 or step % _REANCHOR_EVERY == 0:
-            for b in range(dim):
-                u[coordinate_of_bit[b]] = 1.0 if (code >> b) & 1 else -1.0
-            current = evaluate(fld, u)
-        else:
-            bit = (code ^ prev_code).bit_length() - 1
-            coord = coordinate_of_bit[bit]
-            current = evaluate_flipped(fld, u, current, coord)
-            u[coord] = -u[coord]
-        prev_code = code
-        resid = y - current
-        logw[code] = -0.5 * float(resid @ resid) / sigma_sq
-    return logw
+    for start in range(0, total, _PATTERN_BLOCK):
+        patterns = np.arange(start, min(start + _PATTERN_BLOCK, total), dtype=np.int64)
+        rows = np.empty((patterns.size, dim))
+        rows[:, coordinate_of_bit] = ((patterns[:, None] >> bits) & 1) * 2.0 - 1.0
+        yield start, rows
 
 
 def mmse_estimate(
@@ -310,9 +287,10 @@ def mmse_estimate(
 ) -> np.ndarray:
     """Exact posterior mean of the bipolar input given ``y``.
 
-    Sums over all ``2**dim`` candidates in Gray-code order with incremental
-    codeword updates; the exponents are shifted by their maximum before
-    exponentiation.  Every coordinate of the result lies in [-1, 1].
+    Sums over all ``2**dim`` candidates, one batched field evaluation per
+    block of patterns.  Weights are exponentiated against the largest
+    exponent seen so far; when a later block raises it, the running sums are
+    rescaled.  Every coordinate of the result lies in [-1, 1].
     """
     spec = fld.spec
     if not (math.isfinite(sigma_sq) and sigma_sq > 0.0):
@@ -326,15 +304,22 @@ def mmse_estimate(
     if y.shape != (spec.n_out,):
         raise ValueError(f"y must have shape ({spec.n_out},), got {y.shape}")
 
-    logw = _gray_log_weights(fld, y, sigma_sq)
-    weights = np.exp(logw - logw.max())
-    z = weights.sum()
-    patterns = np.arange(1 << spec.dim, dtype=np.uint64)
-    r = np.empty(spec.dim)
-    for b in range(spec.dim):
-        signs = ((patterns >> np.uint64(b)) & np.uint64(1)).astype(float) * 2.0 - 1.0
-        r[b] = float(weights @ signs) / z
-    return np.clip(r, -1.0, 1.0)
+    shift = -math.inf
+    z = 0.0
+    r = np.zeros(spec.dim)
+    for _, rows in _candidate_blocks(np.arange(spec.dim)):
+        resid = y - evaluate(fld, rows)
+        logw = np.einsum("ij,ij->i", resid, resid) * (-0.5 / sigma_sq)
+        top = float(logw.max())
+        if top > shift:
+            rescale = math.exp(shift - top)
+            z *= rescale
+            r *= rescale
+            shift = top
+        weights = np.exp(logw - shift)
+        z += float(weights.sum())
+        r += weights @ rows
+    return np.clip(r / z, -1.0, 1.0)
 
 
 def decode(cfg: CodecConfig, plan: BinningPlan, r_tilde) -> tuple[int, np.ndarray]:

@@ -11,3 +11,7 @@ class ConfigurationError(ValueError):
 
 class BudgetError(RuntimeError):
     """A memory or enumeration budget would be exceeded."""
+
+
+class NumericalError(RuntimeError):
+    """A numerical routine produced a non-finite value or failed a self-check."""

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from .errors import BracketError
+from .errors import BracketError, NumericalError
 
 __all__ = [
     "DEFAULT_QUADRATURE_ORDER",
@@ -108,7 +108,7 @@ def default_rule() -> QuadratureRule:
     probe = lambda w: log_cosh(10.0 + math.sqrt(10.0) * w)
     drift = abs(gauss_expectation(probe, rule) - gauss_expectation(probe, doubled))
     if drift > 1e-10:
-        raise RuntimeError(
+        raise NumericalError(
             f"default quadrature failed its startup convergence check: "
             f"doubling the order moved the probe expectation by {drift:.3e}"
         )
@@ -138,7 +138,7 @@ def gauss_expectation(g: Callable[[float], float], rule: QuadratureRule) -> floa
         vals = np.array([float(g(float(x))) for x in rule.nodes])
     if not np.all(np.isfinite(vals)):
         bad = rule.nodes[~np.isfinite(vals)][0]
-        raise ValueError(f"integrand is non-finite at quadrature node {bad!r}")
+        raise NumericalError(f"integrand is non-finite at quadrature node {bad!r}")
     return float(rule.weights @ vals)
 
 
@@ -186,7 +186,7 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol):
     vals = np.array([float(f(x)) for x in grid])
     if not np.all(np.isfinite(vals)):
         bad = grid[~np.isfinite(vals)][0]
-        raise ValueError(f"objective is non-finite at grid point {bad!r}")
+        raise NumericalError(f"objective is non-finite at grid point {bad!r}")
 
     interior = []
     for i in range(1, len(grid) - 1):

@@ -23,6 +23,8 @@ from .channel import LOG2
 from .codec import (
     BinningPlan,
     CodecConfig,
+    DEFAULT_ENUM_BUDGET,
+    _candidate_blocks,
     _check_artifacts,
     build_binning,
     decode,
@@ -31,7 +33,7 @@ from .codec import (
     random_key,
 )
 from .errors import BudgetError
-from .field import FieldSpec, GaussianField, evaluate, evaluate_flipped, sample_field
+from .field import FieldSpec, GaussianField, evaluate, sample_field
 
 __all__ = [
     "TrialRecord",
@@ -69,7 +71,7 @@ def _derived_seed(seed: int, trial_id: int, tag: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """Metrics of one encode-transmit-decode round trip.
 
@@ -118,12 +120,14 @@ class LeakageEstimate:
     chain_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimReport:
     """Aggregate of a batch of trials, plus provenance.
 
     ``wall_clock_s`` is informational and excluded from equality so that
     reports from identical configs compare equal regardless of scheduling.
+    Records and reports use slots and derive ``rng_provenance`` from the
+    config, so a caller that keeps thousands of them holds little memory.
     """
 
     config: CodecConfig
@@ -137,8 +141,16 @@ class SimReport:
     mean_overlap: float
     mean_overlap_se: float
     leakage: LeakageEstimate | None
-    rng_provenance: str
     wall_clock_s: float = dataclass_field(compare=False, default=0.0)
+
+    @property
+    def rng_provenance(self) -> str:
+        cfg = self.config
+        return (
+            "PCG64 generators seeded from SeedSequence((seed, trial_id, stream_tag)); "
+            f"seeds: field={cfg.field_seed} perm={cfg.perm_seed} "
+            f"key={cfg.key_seed} noise={cfg.noise_seed}"
+        )
 
 
 def transmit(x, sigma_sq: float, rng: np.random.Generator) -> np.ndarray:
@@ -272,11 +284,6 @@ def run_experiment(
         mean_overlap=mean_ov,
         mean_overlap_se=se_ov,
         leakage=leak,
-        rng_provenance=(
-            "PCG64 generators seeded from SeedSequence((seed, trial_id, stream_tag)); "
-            f"seeds: field={cfg.field_seed} perm={cfg.perm_seed} "
-            f"key={cfg.key_seed} noise={cfg.noise_seed}"
-        ),
         wall_clock_s=time.perf_counter() - started,
     )
 
@@ -288,25 +295,9 @@ def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
     key slots first, then message slots.  Row ``p`` holds the field output
     for the permuted vector of pattern ``p``.
     """
-    dim = fld.spec.dim
-    table = np.empty((1 << dim, fld.spec.n_out))
-    coordinate_of_bit = plan.permutation
-    u = np.empty(dim)
-    prev_code = None
-    current = None
-    for step in range(1 << dim):
-        code = step ^ (step >> 1)
-        if step == 0 or step % 4096 == 0:
-            for b in range(dim):
-                u[coordinate_of_bit[b]] = 1.0 if (code >> b) & 1 else -1.0
-            current = evaluate(fld, u)
-        else:
-            bit = (code ^ prev_code).bit_length() - 1
-            coord = coordinate_of_bit[bit]
-            current = evaluate_flipped(fld, u, current, coord)
-            u[coord] = -u[coord]
-        prev_code = code
-        table[code] = current
+    table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
+    for start, rows in _candidate_blocks(plan.permutation):
+        table[start : start + len(rows)] = evaluate(fld, rows)
     return table
 
 
@@ -315,7 +306,7 @@ def estimate_leakage(
     fld: GaussianField,
     plan: BinningPlan,
     n_samples: int,
-    budget: int = 24,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> LeakageEstimate:
     """Estimate the eavesdropper mutual informations for fixed field and plan.
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gfwiretap import numerics, replica
 from gfwiretap.cli import main
 
 
@@ -93,6 +94,32 @@ class TestCriticalRate:
         )
         assert code == 4
         assert "numerical failure" in err
+
+
+class TestNumericalFailures:
+    """Each numerical failure path exits 4, not 2 (usage)."""
+
+    def test_quadrature_self_check_failure(self, capsys, monkeypatch):
+        numerics.default_rule.cache_clear()
+        monkeypatch.setattr(numerics, "DEFAULT_QUADRATURE_ORDER", 4)
+        try:
+            code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
+        finally:
+            numerics.default_rule.cache_clear()
+        assert code == 4
+        assert "numerical failure" in err and "convergence check" in err
+
+    def test_non_finite_objective(self, capsys, monkeypatch):
+        monkeypatch.setattr(replica, "energy", lambda m, cfg: math.nan)
+        code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
+        assert code == 4
+        assert "numerical failure" in err and "objective is non-finite" in err
+
+    def test_non_finite_integrand(self, capsys, monkeypatch):
+        monkeypatch.setattr(replica, "log_cosh", lambda x: np.full_like(x, np.inf))
+        code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
+        assert code == 4
+        assert "numerical failure" in err and "integrand is non-finite" in err
 
 
 class TestSimulate:

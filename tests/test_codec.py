@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+from gfwiretap import codec
 from gfwiretap.codec import (
     BinningPlan,
     CodecConfig,
-    _gray_log_weights,
     bipolar_to_message,
     build_binning,
     decode,
@@ -251,25 +251,28 @@ class TestMmseEstimate:
             r = mmse_estimate(fld, rng.normal(size=4), float(rng.uniform(0.01, 5.0)))
             assert np.all(np.abs(r) <= 1.0)
 
-    def test_normalization_forward_vs_reversed(self):
-        spec = FieldSpec(n_out=8, dim=6, order=3, power=1.0, seed=12)
-        fld = sample_field(spec)
-        y = np.random.default_rng(13).normal(size=8)
-        fwd = logsumexp(_gray_log_weights(fld, y, 0.3, reverse=False))
-        rev = logsumexp(_gray_log_weights(fld, y, 0.3, reverse=True))
-        assert abs(fwd - rev) <= 1e-10 * abs(fwd)
+    def test_matches_brute_force_across_block_seams(self):
+        # four pattern blocks; the truth sits in the last one, so the running
+        # max-shift is raised after earlier blocks were already summed
+        dim = codec._PATTERN_BLOCK.bit_length() + 1
+        fld = sample_field(FieldSpec(n_out=3, dim=dim, order=3, power=1.0, seed=16))
+        rng = np.random.default_rng(17)
+        truth = np.concatenate([rng.integers(0, 2, size=dim - 2) * 2.0 - 1.0, [1.0, 1.0]])
+        y = evaluate(fld, truth) + rng.normal(0.0, 0.7, size=3)
+        rows = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
+        logw = np.array([-0.5 * np.sum((y - evaluate(fld, u)) ** 2) / 0.5 for u in rows])
+        weights = np.exp(logw - logsumexp(logw))
+        assert np.max(np.abs(mmse_estimate(fld, y, 0.5) - weights @ rows)) <= 1e-12
 
-    def test_split_merge_independence(self):
-        # merging contiguous sub-range reductions must reproduce the total
+    def test_split_merge_independence(self, monkeypatch):
+        # merging contiguous block reductions must reproduce the one-block total
         spec = FieldSpec(n_out=4, dim=5, order=2, power=1.0, seed=14)
         fld = sample_field(spec)
         y = np.random.default_rng(15).normal(size=4)
-        logw = _gray_log_weights(fld, y, 0.7)
-        total = logsumexp(logw)
-        for n_parts in (2, 3, 5):
-            parts = np.array_split(logw, n_parts)
-            merged = logsumexp(np.array([logsumexp(p) for p in parts]))
-            assert abs(merged - total) <= 1e-12 * max(1.0, abs(total))
+        whole = mmse_estimate(fld, y, 0.7)
+        for block in (16, 11, 7, 3, 1):
+            monkeypatch.setattr(codec, "_PATTERN_BLOCK", block)
+            assert np.max(np.abs(mmse_estimate(fld, y, 0.7) - whole)) <= 1e-12
 
     def test_budget_and_input_errors(self):
         spec = FieldSpec(n_out=2, dim=4, order=1, power=1.0, seed=0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfwiretap.errors import BudgetError
 from gfwiretap.field import (
@@ -105,6 +106,41 @@ class TestEvaluate:
         m4 = float(np.mean(vals**4))
         se4 = float(np.std(vals**4, ddof=1) / math.sqrt(n_fields))
         assert abs(m4 - 3.0 * m2**2) <= 4.0 * se4
+
+
+class TestEvaluateRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(min_value=1, max_value=4),
+        n_out=st.integers(min_value=1, max_value=9),
+        dim=st.integers(min_value=1, max_value=9),
+        n_rows=st.integers(min_value=0, max_value=70),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_block_matches_stacked_single_evaluations(self, order, n_out, dim, n_rows, seed):
+        fld = sample_field(FieldSpec(n_out=n_out, dim=dim, order=order, power=1.0, seed=seed))
+        rows = bipolar(np.random.default_rng(seed), (n_rows, dim))
+        block = evaluate(fld, rows)
+        assert block.shape == (n_rows, n_out)
+        for row, u in zip(block, rows):
+            single = evaluate(fld, u)
+            assert np.linalg.norm(row - single) <= 1e-12 * max(np.linalg.norm(single), 1e-300)
+
+    def test_rows_are_walked_in_chunks(self):
+        # n_out * dim**(order-1) = 2**12, so 8 rows per chunk and 5 chunks
+        fld = sample_field(FieldSpec(n_out=4, dim=32, order=3, power=1.0, seed=4))
+        rows = bipolar(np.random.default_rng(5), (40, 32))
+        single = np.array([evaluate(fld, u) for u in rows])
+        assert np.max(np.abs(evaluate(fld, rows) - single)) <= 1e-12 * np.max(np.abs(single))
+
+    def test_shape_errors(self):
+        fld = sample_field(FieldSpec(n_out=2, dim=3, order=2, power=1.0, seed=0))
+        with pytest.raises(ValueError):
+            evaluate(fld, np.ones((2, 2, 3)))
+        with pytest.raises(ValueError):
+            evaluate(fld, np.ones((5, 4)))
+        with pytest.raises(ValueError):
+            evaluate(fld, np.array([[1.0, -1.0, 1.0], [1.0, 0.5, -1.0]]))
 
 
 class TestCovarianceLaw:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfwiretap.errors import BracketError
+from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
     DEFAULT_QUADRATURE_ORDER,
     QuadratureRule,
@@ -95,7 +95,7 @@ class TestGaussExpectation:
 
     def test_nonfinite_integrand_reports_node(self):
         rule = gauss_hermite_rule(9)
-        with pytest.raises(ValueError, match="node"):
+        with pytest.raises(NumericalError, match="node"):
             gauss_expectation(lambda w: np.where(w > 0, np.inf, 1.0), rule)
 
     def test_doubling_changes_little_on_engine_integrands(self):
@@ -151,7 +151,7 @@ class TestMinimizeScalar:
         assert val <= min(f(x) for x in grid) + 1e-15
 
     def test_nonfinite_objective(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite"):
             minimize_scalar(lambda m: math.inf if m > 0.5 else m, 0.0, 1.0, 1e-2, 1e-8)
 
     def test_bad_arguments(self):
