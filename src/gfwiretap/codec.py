@@ -44,8 +44,9 @@ __all__ = [
     "frame_from_line",
 ]
 
-#: Largest total input dimension the exact decoder will enumerate (2**24).
-DEFAULT_ENUM_BUDGET = 24
+#: Largest total input dimension the exact decoder will enumerate (2**20
+#: candidates, seconds per decode at ~10-14 us per candidate).
+DEFAULT_ENUM_BUDGET = 20
 
 #: Candidates per batched codeword evaluation in an exact enumeration.
 _PATTERN_BLOCK = 2**14

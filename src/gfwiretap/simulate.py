@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import LOG2
 from .codec import (
@@ -58,6 +57,13 @@ _TAG_LEAK_NOISE = 6
 
 #: Memory guard for the leakage estimator's codeword table (floats).
 _TABLE_BUDGET = 2**26
+#: Caps on one leakage scoring block: log-likelihood floats held at once,
+#: and multiply-adds in its matrix product.  OpenBLAS, numpy's default BLAS,
+#: runs a product of fewer than 2**19 multiply-adds on one thread; at this
+#: size a two-thread product measured slower, and several times slower
+#: while another process held a core.
+_SCORE_FLOATS = 2**15
+_SCORE_MADDS = 2**19 - 1
 
 
 def _stream(seed: int, trial_id: int, tag: int) -> np.random.Generator:
@@ -99,7 +105,7 @@ class TrialRecord:
             raise ValueError("inconsistent record: bound_ok does not match its fields")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeakageEstimate:
     """Monte Carlo mutual-information estimates, nats per channel use.
 
@@ -301,6 +307,61 @@ def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
     return table
 
 
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(x), axis=1))`` of a 2-D array of finite entries; ``x``
+    is overwritten."""
+    top = x.max(axis=1)
+    x -= top[:, None]
+    return top + np.log(np.exp(x, out=x).sum(axis=1))
+
+
+def _score_rows(n: int, dim: int) -> int:
+    """Samples per scoring block of :func:`_leakage_terms` (at least one)."""
+    return max(1, min(_SCORE_FLOATS >> dim, _SCORE_MADDS // ((n + 2) << dim)))
+
+
+def _leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq):
+    """Per-sample log-posterior ratios over n, as ``(leak, full, genie)``.
+
+    Sample ``i`` is the observation ``ys[i]`` of pattern ``patterns[i]``;
+    ``table`` holds the codeword of every pattern ``(message << k_tilde) |
+    key``.  Each block of samples is one matrix product against every
+    codeword, so memory beyond the table and the samples is one block of
+    at most ``2**15`` floats, or one sample's row when ``2**dim`` is larger.
+    """
+    dim = k + k_tilde
+    n = table.shape[1]
+    inv = 0.5 / sigma_sq
+    # log-likelihood inv * (2 y.t - |t|^2 - |y|^2) as one product of the
+    # rows [2 inv y, -1, -inv |y|^2] against the rows [t, inv |t|^2, 1]
+    codes = np.column_stack(
+        [table, inv * np.einsum("ij,ij->i", table, table), np.ones(len(table))]
+    )
+    obs = np.column_stack(
+        [2.0 * inv * ys, np.full(len(ys), -1.0), -inv * np.einsum("ij,ij->i", ys, ys)]
+    )
+    lp_joint = np.empty(len(ys))
+    lp_given_msg = np.empty(len(ys))
+    lp_marginal = np.empty(len(ys))
+    step = _score_rows(n, dim)
+    for start in range(0, len(ys), step):
+        block = slice(start, start + step)
+        log_like = obs[block] @ codes.T
+        pattern = patterns[block]
+        rows = np.arange(len(pattern))
+        lp_joint[block] = log_like[rows, pattern]
+        by_message = log_like.reshape(-1, 1 << k, 1 << k_tilde)
+        lp_given_msg[block] = _logsumexp_rows(by_message[rows, pattern >> k_tilde])
+        lp_marginal[block] = _logsumexp_rows(log_like)
+    lp_given_msg -= k_tilde * LOG2
+    lp_marginal -= dim * LOG2
+    return (
+        (lp_given_msg - lp_marginal) / n,
+        (lp_joint - lp_marginal) / n,
+        (lp_joint - lp_given_msg) / n,
+    )
+
+
 def estimate_leakage(
     cfg: CodecConfig,
     fld: GaussianField,
@@ -332,33 +393,17 @@ def estimate_leakage(
         )
 
     table = _codeword_table(fld, plan)
-    sigma = math.sqrt(cfg.sigma_e_sq)
-    inv_two_sigma_sq = 0.5 / cfg.sigma_e_sq
-    n = cfg.n
 
+    # One draw over interleaved (message, key) bounds and one over the whole
+    # noise matrix give the same values as per-sample draws in that order.
     rng_input = _stream(cfg.key_seed, 0, _TAG_LEAK_INPUT)
     rng_noise = _stream(cfg.noise_seed, 0, _TAG_LEAK_NOISE)
-
-    leak = np.empty(n_samples)
-    full = np.empty(n_samples)
-    genie = np.empty(n_samples)
-    for i in range(n_samples):
-        msg_pattern = int(rng_input.integers(0, 1 << k))
-        key_pattern = int(rng_input.integers(0, 1 << k_tilde))
-        pattern = (msg_pattern << k_tilde) | key_pattern
-        y = table[pattern] + rng_noise.normal(0.0, sigma, size=n)
-
-        diff = table - y
-        log_like = -inv_two_sigma_sq * np.einsum("ij,ij->i", diff, diff)
-        by_message = log_like.reshape(1 << k, 1 << k_tilde)
-
-        lp_joint = log_like[pattern]
-        lp_given_msg = float(logsumexp(by_message[msg_pattern])) - k_tilde * LOG2
-        lp_marginal = float(logsumexp(log_like)) - dim * LOG2
-
-        leak[i] = (lp_given_msg - lp_marginal) / n
-        full[i] = (lp_joint - lp_marginal) / n
-        genie[i] = (lp_joint - lp_given_msg) / n
+    inputs = rng_input.integers(0, np.tile([1 << k, 1 << k_tilde], n_samples))
+    patterns = (inputs[0::2] << k_tilde) | inputs[1::2]
+    ys = table[patterns] + rng_noise.normal(
+        0.0, math.sqrt(cfg.sigma_e_sq), size=(n_samples, cfg.n)
+    )
+    leak, full, genie = _leakage_terms(table, patterns, ys, k, k_tilde, cfg.sigma_e_sq)
 
     leak_mean, leak_se = _mean_and_se(leak)
     full_mean, full_se = _mean_and_se(full)

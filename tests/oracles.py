@@ -69,3 +69,46 @@ def leakage_by_quadrature(table, k, k_tilde, n, sigma_sq, nodes_per_dim=24):
         marg = logsumexp(loglike, axis=0) - (k + k_tilde) * math.log(2.0)
         total += float(grid_w @ (cond - marg)) / n_patterns
     return total / n
+
+
+def leakage_terms_reference(cfg, table, n_samples):
+    """Per-sample ``(leak, full, genie)`` terms of the leakage estimator.
+
+    The one-sample-at-a-time loop the block scorer replaced: each sample
+    draws its message and key as scalars and its noise as one length-``n``
+    vector from the estimator's streams, then scores ``table - y`` over
+    every codeword with two ``logsumexp`` calls.
+    """
+    from scipy.special import logsumexp
+
+    from gfwiretap.simulate import _TAG_LEAK_INPUT, _TAG_LEAK_NOISE, _stream
+
+    LOG2 = math.log(2.0)
+    k, k_tilde, n = cfg.k, cfg.k_tilde, cfg.n
+    dim = k + k_tilde
+    sigma = math.sqrt(cfg.sigma_e_sq)
+    inv_two_sigma_sq = 0.5 / cfg.sigma_e_sq
+    rng_input = _stream(cfg.key_seed, 0, _TAG_LEAK_INPUT)
+    rng_noise = _stream(cfg.noise_seed, 0, _TAG_LEAK_NOISE)
+
+    leak = np.empty(n_samples)
+    full = np.empty(n_samples)
+    genie = np.empty(n_samples)
+    for i in range(n_samples):
+        msg_pattern = int(rng_input.integers(0, 1 << k))
+        key_pattern = int(rng_input.integers(0, 1 << k_tilde))
+        pattern = (msg_pattern << k_tilde) | key_pattern
+        y = table[pattern] + rng_noise.normal(0.0, sigma, size=n)
+
+        diff = table - y
+        log_like = -inv_two_sigma_sq * np.einsum("ij,ij->i", diff, diff)
+        by_message = log_like.reshape(1 << k, 1 << k_tilde)
+
+        lp_joint = log_like[pattern]
+        lp_given_msg = float(logsumexp(by_message[msg_pattern])) - k_tilde * LOG2
+        lp_marginal = float(logsumexp(log_like)) - dim * LOG2
+
+        leak[i] = (lp_given_msg - lp_marginal) / n
+        full[i] = (lp_joint - lp_marginal) / n
+        genie[i] = (lp_joint - lp_given_msg) / n
+    return leak, full, genie

@@ -184,6 +184,17 @@ class TestSimulate:
         assert code == 3
         assert "lower n, k, or k_tilde" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "leakage"])
+    def test_default_budget_refuses_dim_21(self, capsys, command):
+        # k + k_tilde = 21 is one past the default enumeration budget
+        code, _, err = run_cli(
+            capsys,
+            command, "--n", "4", "--k", "15", "--k-tilde", "6",
+            "--sigma-b-sq", "0.3", "--sigma-e-sq", "1",
+        )
+        assert code == 3
+        assert "budget is 2**20" in err
+
     def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
         args = (
             "simulate", "--n", "12", "--k", "3", "--k-tilde", "2",

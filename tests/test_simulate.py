@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from gfwiretap import codec, simulate
 from gfwiretap.codec import CodecConfig, build_binning, random_key
 from gfwiretap.errors import BudgetError
 from gfwiretap.field import FieldSpec, sample_field
 from gfwiretap.simulate import (
     _codeword_table,
+    _leakage_terms,
     _trial_field,
     _trial_plan,
     average_leakage_over_realizations,
@@ -19,6 +21,7 @@ from gfwiretap.simulate import (
     transmit,
     write_report,
 )
+from oracles import leakage_terms_reference
 
 
 def small_cfg(**kw):
@@ -183,28 +186,76 @@ class TestLeakage:
 
         rng = np.random.default_rng(123)
         n_samples = 500
-        general = np.empty(n_samples)
+        patterns = np.empty(n_samples, dtype=np.int64)
+        ys = np.empty((n_samples, cfg.n))
         direct = np.empty(n_samples)
         for i in range(n_samples):
             msg = int(rng.integers(0, 2))
             key = int(rng.integers(0, 2))
-            pattern = (msg << 1) | key
-            y = table[pattern] + rng.normal(0.0, 1.0, size=cfg.n)
-            diff = table - y
-            log_like = -0.5 * np.einsum("ij,ij->i", diff, diff)
-            row = log_like.reshape(2, 2)[msg]
-            lp_joint = log_like[pattern]
-            lp_given_msg = float(logsumexp(row)) - math.log(2.0)
-            general[i] = (lp_joint - lp_given_msg) / cfg.n
+            patterns[i] = (msg << 1) | key
+            ys[i] = table[patterns[i]] + rng.normal(0.0, 1.0, size=cfg.n)
             # conditional-only estimator: enumerate the key inside the fixed
             # message's row
+            diff = table[2 * msg : 2 * msg + 2] - ys[i]
+            row = -0.5 * np.einsum("ij,ij->i", diff, diff)
             direct[i] = (row[key] - (float(logsumexp(row)) - math.log(2.0))) / cfg.n
-        assert np.array_equal(general, direct)
+        _, _, genie = _leakage_terms(table, patterns, ys, 1, 1, 1.0)
+        # the block scorer expands |t - y|^2 into a matrix product, so it
+        # agrees with the direct differences to rounding, not bit for bit
+        assert np.max(np.abs(genie - direct)) <= 1e-12
+
+    def test_matches_per_sample_reference(self):
+        # block seams at dim 10: a partial block, exactly one block, one
+        # block plus one sample; at dim 16 every block holds a single sample
+        per_block = simulate._score_rows(8, 10)
+        cases = [
+            (small_cfg(n=8, k=6, k_tilde=4), n_samples)
+            for n_samples in (2, per_block, per_block + 1)
+        ] + [(small_cfg(n=4, k=10, k_tilde=6), 2)] + [
+            (small_cfg(n=8, k=6, k_tilde=4, sigma_e_sq=s2), 70)
+            for s2 in (1e-2, 1.0, 1e6)
+        ]
+        for cfg, n_samples in cases:
+            fld = _trial_field(cfg, 0)
+            plan = _trial_plan(cfg, 0)
+            est = estimate_leakage(cfg, fld, plan, n_samples)
+            leak, full, genie = leakage_terms_reference(
+                cfg, _codeword_table(fld, plan), n_samples
+            )
+            expected = {}
+            for name, terms in (
+                ("leakage", leak),
+                ("mi_all_symbols", full),
+                ("mi_key_given_msg", genie),
+            ):
+                expected[name] = terms.mean()
+                expected[name + "_se"] = terms.std(ddof=1) / math.sqrt(n_samples)
+            expected["chain_residual"] = abs(
+                expected["leakage"]
+                - (expected["mi_all_symbols"] - expected["mi_key_given_msg"])
+            )
+            assert est.n_samples == n_samples
+            for name, value in expected.items():
+                assert abs(getattr(est, name) - value) <= 1e-12, (cfg, n_samples, name)
 
     def test_budget_errors(self):
         cfg = small_cfg(n=8, k=20, k_tilde=5)
         with pytest.raises(BudgetError):
             estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 10, budget=10)
+
+    def test_default_budget_refuses_dim_21_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(codec, "_candidate_blocks", no_enumeration)
+        monkeypatch.setattr(simulate, "_candidate_blocks", no_enumeration)
+        cfg = small_cfg(n=4, k=15, k_tilde=6)
+        assert cfg.k_tot == codec.DEFAULT_ENUM_BUDGET + 1
+        fld = _trial_field(cfg, 0)
+        with pytest.raises(BudgetError):
+            estimate_leakage(cfg, fld, _trial_plan(cfg, 0), 10)
+        with pytest.raises(BudgetError):
+            codec.mmse_estimate(fld, np.zeros(cfg.n), 1.0)
 
     def test_sample_count_validation(self):
         cfg = small_cfg(n=8, k=2, k_tilde=2)
