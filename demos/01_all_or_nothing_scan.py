@@ -24,7 +24,7 @@ print(f"capacity C = {capacity:.6f} nats/use = {r_star:.6f} bits/use\n")
 
 for order in (1, 3):
     cfg = make_config(rate=1.0, sigma_sq=SIGMA_SQ, power=POWER, order=order)
-    rows = scan_rates(cfg, 0.6, 3.0, 0.2)
+    rows = scan_rates(cfg, [0.6 + 0.2 * i for i in range(13)])
     print(f"covariance exponent lambda = {order}")
     print(f"{'rate':>6} {'overlap':>10} {'info rate':>12} {'R log 2':>10}")
     for rate, sol in rows:

@@ -24,8 +24,6 @@ from .codec import (
     build_binning,
     decode,
     encode,
-    frame_from_line,
-    frame_to_line,
     message_to_bipolar,
     mmse_estimate,
     random_key,
@@ -37,9 +35,7 @@ from .field import (
     covariance_probe,
     evaluate,
     evaluate_flipped,
-    load_field,
     sample_field,
-    save_field,
 )
 from .numerics import (
     QuadratureRule,
@@ -48,7 +44,6 @@ from .numerics import (
     gauss_expectation,
     gauss_hermite_rule,
     log_cosh,
-    minimize_scalar,
 )
 from .replica import (
     ReplicaConfig,

@@ -7,8 +7,7 @@ reproduces the file byte-for-byte apart from the '# generated:' line.
 
 Exit statuses: 0 success, 2 usage error, 3 resource/budget error,
 4 numerical failure.  Science parameters come only from flags or the config
-file; the GFWIRETAP_THREADS environment variable sets the trial thread count
-and nothing else.
+file.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -106,19 +104,6 @@ def _unit_divisor(units: str) -> float:
     return LOG2 if units == "bits" else 1.0
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("GFWIRETAP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"GFWIRETAP_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise UsageError(f"GFWIRETAP_THREADS must be >= 1, got {threads}")
-    return threads
-
-
 def _cmd_replica_scan(args) -> int:
     rates = _parse_range(args.rates)
     if rates[0] <= 0.0:
@@ -132,9 +117,7 @@ def _cmd_replica_scan(args) -> int:
         grid_step=args.grid_step,
         refine_tol=args.refine_tol,
     )
-    rows = []
-    for rate in rates:
-        rows.extend(scan_rates(cfg, rate, rate, 1.0))
+    rows = scan_rates(cfg, rates)
     with _open_out(args.out) as fh:
         _emit_header(
             fh,
@@ -238,7 +221,6 @@ def _cmd_simulate(args) -> int:
         args.trials,
         freeze_field=args.freeze_field,
         freeze_plan=args.freeze_plan,
-        threads=_threads_from_env(),
     )
     with _open_out(args.out) as fh:
         if derivation is not None:

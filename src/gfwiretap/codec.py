@@ -40,8 +40,6 @@ __all__ = [
     "encode",
     "mmse_estimate",
     "decode",
-    "frame_to_line",
-    "frame_from_line",
 ]
 
 #: Largest total input dimension the exact decoder will enumerate (2**20
@@ -335,46 +333,3 @@ def decode(cfg: CodecConfig, plan: BinningPlan, r_tilde) -> tuple[int, np.ndarra
     s_hat = np.where(r[cfg.k_tilde :] >= 0.0, 1.0, -1.0)
     return bipolar_to_message(s_hat), s_hat
 
-
-def _bits_to_str(v) -> str:
-    return "".join("+" if x > 0 else "-" for x in v)
-
-
-def _str_to_bits(text: str) -> np.ndarray:
-    if not text or any(ch not in "+-" for ch in text):
-        raise ValueError(f"malformed bipolar string {text!r}")
-    return np.array([1.0 if ch == "+" else -1.0 for ch in text])
-
-
-def frame_to_line(cfg: CodecConfig, frame: EncodedFrame) -> str:
-    """Serialize one frame for replay and cross-run comparison."""
-    x_text = ",".join(format(v, ".17g") for v in frame.x)
-    return (
-        f"field_seed={cfg.field_seed} perm_seed={cfg.perm_seed} "
-        f"key_seed={cfg.key_seed} noise_seed={cfg.noise_seed} "
-        f"m={bipolar_to_message(frame.s)} key={_bits_to_str(frame.key)} "
-        f"s_tilde={_bits_to_str(frame.s_tilde)} x={x_text}"
-    )
-
-
-def frame_from_line(line: str) -> dict:
-    """Parse a line written by :func:`frame_to_line`."""
-    fields = {}
-    for token in line.split():
-        name, _, value = token.partition("=")
-        if not _:
-            raise ValueError(f"malformed frame token {token!r}")
-        fields[name] = value
-    try:
-        return {
-            "field_seed": int(fields["field_seed"]),
-            "perm_seed": int(fields["perm_seed"]),
-            "key_seed": int(fields["key_seed"]),
-            "noise_seed": int(fields["noise_seed"]),
-            "m": int(fields["m"]),
-            "key": _str_to_bits(fields["key"]),
-            "s_tilde": _str_to_bits(fields["s_tilde"]),
-            "x": np.array([float(v) for v in fields["x"].split(",")]),
-        }
-    except KeyError as missing:
-        raise ValueError(f"frame line is missing field {missing}") from None

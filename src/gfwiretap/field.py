@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "sample_field",
     "evaluate",
     "evaluate_flipped",
-    "save_field",
-    "load_field",
     "covariance_probe",
 ]
 
@@ -55,10 +52,6 @@ DEFAULT_COEFF_BUDGET = 2**25
 
 #: Floats in the intermediate of one chunk of a batched evaluation.
 _CHUNK_FLOATS = 2**15
-
-_MAGIC = b"GRFD"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIQQQdQ")  # magic, version, n_out, dim, order, power, seed
 
 
 @dataclass(frozen=True)
@@ -192,49 +185,6 @@ def evaluate_flipped(
     return base_output + field.scale * delta
 
 
-def save_field(field: GaussianField, path) -> None:
-    """Binary dump: spec header plus row-major little-endian float64 payload."""
-    spec = field.spec
-    header = _HEADER.pack(
-        _MAGIC,
-        _FORMAT_VERSION,
-        spec.n_out,
-        spec.dim,
-        spec.order,
-        spec.power,
-        int(spec.seed),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
-
-
-def load_field(path) -> GaussianField:
-    """Load a field written by :func:`save_field`."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated field header")
-        magic, version, n_out, dim, order, power, seed = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a field dump (bad magic {magic!r})")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        spec = FieldSpec(n_out=n_out, dim=dim, order=int(order), power=power, seed=seed)
-        payload = fh.read()
-    expected = spec.coeff_count * 8
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    coeffs = np.frombuffer(payload, dtype="<f8").astype(float).reshape(
-        (spec.n_out,) + (spec.dim,) * spec.order
-    )
-    coeffs.setflags(write=False)
-    scale = math.sqrt(spec.power / spec.dim**spec.order)
-    return GaussianField(spec=spec, coeffs=coeffs, scale=scale)
-
-
 def covariance_probe(
     spec: FieldSpec,
     s1,
@@ -255,6 +205,8 @@ def covariance_probe(
         raise ValueError(f"n_fields must be >= 2, got {n_fields}")
     s1 = _check_bipolar(s1, spec.dim)
     probes = [_check_bipolar(s2, spec.dim) for s2 in s2_list]
+    # row 0 is s1 and the probes follow, so each field takes one evaluation
+    rows = np.vstack([s1] + probes)
 
     seeds = np.random.SeedSequence(int(seed)).generate_state(n_fields, dtype=np.uint64)
     same = np.empty((len(probes), n_fields))
@@ -263,11 +215,9 @@ def covariance_probe(
         field = sample_field(
             FieldSpec(spec.n_out, spec.dim, spec.order, spec.power, int(field_seed))
         )
-        v1 = evaluate(field, s1)
-        for j, s2 in enumerate(probes):
-            v2 = evaluate(field, s2)
-            same[j, i] = v1[0] * v2[0]
-            cross[j, i] = v1[0] * v2[1]
+        v = evaluate(field, rows)
+        same[:, i] = v[0, 0] * v[1:, 0]
+        cross[:, i] = v[0, 0] * v[1:, 1]
 
     results = []
     root_n = math.sqrt(n_fields)

@@ -24,7 +24,6 @@ __all__ = [
     "default_rule",
     "gauss_expectation",
     "log_cosh",
-    "minimize_scalar",
     "bisect_transition",
 ]
 
@@ -124,18 +123,20 @@ def log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LOG2
 
 
-def gauss_expectation(g: Callable[[float], float], rule: QuadratureRule) -> float:
+def gauss_expectation(
+    g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule
+) -> float:
     """Approximate ``E[g(w)]`` for ``w ~ N(0, 1)`` as ``sum_i w_i g(x_i)``.
 
-    ``g`` may be vectorized over an ndarray of nodes; a scalar-only callable
-    is evaluated node by node.  Deterministic for a fixed rule.
+    ``g`` is called once on the whole node array and must return one value
+    per node.  Deterministic for a fixed rule.
     """
-    try:
-        vals = np.asarray(g(rule.nodes), dtype=float)
-        if vals.shape != rule.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(g(float(x))) for x in rule.nodes])
+    vals = np.asarray(g(rule.nodes), dtype=float)
+    if vals.shape != rule.nodes.shape:
+        raise ValueError(
+            f"integrand must return one value per node: expected shape "
+            f"{rule.nodes.shape}, got {vals.shape}"
+        )
     if not np.all(np.isfinite(vals)):
         bad = rule.nodes[~np.isfinite(vals)][0]
         raise NumericalError(f"integrand is non-finite at quadrature node {bad!r}")
@@ -199,24 +200,6 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol):
     arg = max(x for x, v in candidates if v - best_val <= TIE_TOL)
     val = next(v for x, v in candidates if x == arg)
     return arg, val, tuple(interior), float(vals[0]), float(vals[-1])
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_step: float = 1e-3,
-    refine_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Global minimum of ``f`` on ``[lo, hi]`` by grid scan plus refinement.
-
-    ``f`` is evaluated on the closed grid including both endpoints; each
-    interior locally-minimal bracket is refined by golden-section search to
-    width <= ``refine_tol``.  The returned minimum is taken over the refined
-    candidates and both endpoints.
-    """
-    arg, val, _, _, _ = _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol)
-    return arg, val
 
 
 def bisect_transition(

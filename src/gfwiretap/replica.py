@@ -21,6 +21,7 @@ state.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -222,27 +223,12 @@ def classify_regime(m: float) -> int | None:
 
 
 def scan_rates(
-    cfg_template: ReplicaConfig,
-    rate_lo: float,
-    rate_hi: float,
-    rate_step: float,
+    cfg_template: ReplicaConfig, rates: Iterable[float]
 ) -> list[tuple[float, ReplicaSolution]]:
-    """One solution per grid rate ``rate_lo, rate_lo + step, ... <= rate_hi``.
-
-    An empty rate range yields an empty list.
-    """
-    if rate_step <= 0.0:
-        raise ValueError(f"rate_step must be positive, got {rate_step}")
-    out = []
-    k = 0
-    while True:
-        rate = rate_lo + k * rate_step
-        if rate > rate_hi + 1e-12:
-            break
-        sol = solve_overlap(replace(cfg_template, rate=rate))
-        out.append((rate, sol))
-        k += 1
-    return out
+    """One ``(rate, solution)`` pair per rate in ``rates``, in order."""
+    return [
+        (rate, solve_overlap(replace(cfg_template, rate=rate))) for rate in rates
+    ]
 
 
 def locate_critical_rate(
@@ -272,7 +258,14 @@ def locate_critical_rate(
             f"(linear fields have none at any rate)"
         )
 
+    # the bisection re-tests both bracket ends first; answer those from the
+    # two solves above instead of solving them again
+    known = {bracket_lo: m_lo, bracket_hi: m_hi}
+
     def below_half(rate: float) -> bool:
-        return solve_overlap(replace(cfg_template, rate=rate)).m_star < 0.5
+        m = known.pop(rate, None)
+        if m is None:
+            m = solve_overlap(replace(cfg_template, rate=rate)).m_star
+        return m < 0.5
 
     return bisect_transition(below_half, bracket_lo, bracket_hi, tol)

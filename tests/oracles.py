@@ -112,3 +112,36 @@ def leakage_terms_reference(cfg, table, n_samples):
         full[i] = (lp_joint - lp_marginal) / n
         genie[i] = (lp_joint - lp_given_msg) / n
     return leak, full, genie
+
+
+def covariance_probe_reference(spec, s1, s2_list, n_fields, seed):
+    """``covariance_probe`` as one 1-D evaluation per probe and field.
+
+    The per-probe loop the block evaluation replaced: every field is drawn
+    from the same seed stream, ``s1`` and each probe are evaluated one at a
+    time, and the same-output and cross-output products are averaged.
+    """
+    from gfwiretap.field import FieldSpec, evaluate, sample_field
+
+    seeds = np.random.SeedSequence(int(seed)).generate_state(n_fields, dtype=np.uint64)
+    same = np.empty((len(s2_list), n_fields))
+    cross = np.empty((len(s2_list), n_fields))
+    for i, field_seed in enumerate(seeds):
+        field = sample_field(
+            FieldSpec(spec.n_out, spec.dim, spec.order, spec.power, int(field_seed))
+        )
+        v1 = evaluate(field, np.asarray(s1, dtype=float))
+        for j, s2 in enumerate(s2_list):
+            v2 = evaluate(field, np.asarray(s2, dtype=float))
+            same[j, i] = v1[0] * v2[0]
+            cross[j, i] = v1[0] * v2[1]
+    root_n = math.sqrt(n_fields)
+    return [
+        (
+            float(same[j].mean()),
+            float(same[j].std(ddof=1) / root_n),
+            float(cross[j].mean()),
+            float(cross[j].std(ddof=1) / root_n),
+        )
+        for j in range(len(s2_list))
+    ]

@@ -36,10 +36,29 @@ class TestReplicaScan:
         assert float(first[2]) == pytest.approx(1.07327015988218, abs=1e-5)
         assert float(last[2]) == pytest.approx(1.16293490921312, abs=1e-5)
 
+    def test_rows_are_the_parsed_grid_solved_once_each(self, capsys):
+        code, out, _ = run_cli(capsys, "replica-scan", "--rates", "1.0:1.3:0.1")
+        assert code == 0
+        rows = [r.split(",") for r in data_rows(out)[1:]]
+        assert len(rows) == 4
+        assert rows[-1][0] == "1.3"
+        for row in rows:
+            sol = replica.solve_overlap(replica.make_config(rate=float(row[0]), order=3))
+            expected = (
+                float(row[0]), sol.m_star, sol.info_rate, sol.energy_at_0,
+                sol.energy_at_1, sol.fixed_point_residual,
+            )
+            assert row == [f"{v:.17g}" for v in expected]
+
     def test_inverted_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "replica-scan", "--rates", "2:1:0.1")
         assert code == 2
         assert "inverted" in err
+
+    def test_nonpositive_step_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:2:0")
+        assert code == 2
+        assert "step must be positive" in err
 
     def test_units_bits(self, capsys):
         _, nats, _ = run_cli(capsys, "replica-scan", "--lambda", "3", "--rates", "1:1:1")
@@ -194,26 +213,6 @@ class TestSimulate:
         )
         assert code == 3
         assert "budget is 2**20" in err
-
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        args = (
-            "simulate", "--n", "12", "--k", "3", "--k-tilde", "2",
-            "--sigma-b-sq", "0.4", "--sigma-e-sq", "1", "--trials", "6",
-        )
-        _, seq, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("GFWIRETAP_THREADS", "3")
-        _, par, _ = run_cli(capsys, *args)
-        assert strip_generated(seq) == strip_generated(par)
-
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GFWIRETAP_THREADS", "many")
-        code, _, err = run_cli(
-            capsys,
-            "simulate", "--n", "8", "--k", "2", "--k-tilde", "2",
-            "--sigma-b-sq", "0.3", "--sigma-e-sq", "1", "--trials", "1",
-        )
-        assert code == 2
-        assert "GFWIRETAP_THREADS" in err
 
 
 class TestLeakageCommand:

@@ -13,8 +13,6 @@ from gfwiretap.codec import (
     build_binning,
     decode,
     encode,
-    frame_from_line,
-    frame_to_line,
     message_to_bipolar,
     mmse_estimate,
     random_key,
@@ -332,21 +330,3 @@ class TestDecode:
             overlap = float(frame.s_tilde @ r) / cfg.k_tot
             assert f <= 1.0 - overlap
 
-
-class TestFrameLines:
-    def test_round_trip(self):
-        cfg, fld, plan = make_setup()
-        frame = encode(cfg, fld, plan, 13, key=np.array([1.0, -1.0]))
-        line = frame_to_line(cfg, frame)
-        parsed = frame_from_line(line)
-        assert parsed["m"] == 13
-        assert parsed["field_seed"] == cfg.field_seed
-        assert np.array_equal(parsed["key"], frame.key)
-        assert np.array_equal(parsed["s_tilde"], frame.s_tilde)
-        assert np.array_equal(parsed["x"], frame.x)
-
-    def test_malformed_line(self):
-        with pytest.raises(ValueError):
-            frame_from_line("m=3 key=++")
-        with pytest.raises(ValueError):
-            frame_from_line("not a frame")

@@ -10,10 +10,9 @@ from gfwiretap.field import (
     covariance_probe,
     evaluate,
     evaluate_flipped,
-    load_field,
     sample_field,
-    save_field,
 )
+from oracles import covariance_probe_reference
 
 
 def bipolar(rng, dim):
@@ -162,6 +161,20 @@ class TestCovarianceLaw:
         (r_zero,) = covariance_probe(spec, s1, [s2], n_fields=10_000, seed=1)
         assert abs(r_zero[0]) <= 3.0 * r_zero[1]
 
+    @pytest.mark.parametrize(
+        "n_out,dim,order,n_probes",
+        [(2, 8, 3, 5), (3, 5, 2, 2), (2, 4, 1, 0), (4, 6, 4, 7)],
+    )
+    def test_block_probe_matches_per_probe_reference(self, n_out, dim, order, n_probes):
+        rng = np.random.default_rng(dim * 10 + order)
+        spec = FieldSpec(n_out=n_out, dim=dim, order=order, power=1.5, seed=0)
+        s1 = bipolar(rng, dim)
+        probes = [bipolar(rng, dim) for _ in range(n_probes)]
+        got = covariance_probe(spec, s1, probes, n_fields=300, seed=17)
+        want = covariance_probe_reference(spec, s1, probes, n_fields=300, seed=17)
+        assert len(got) == len(want) == n_probes
+        assert np.max(np.abs(np.array(got) - np.array(want)), initial=0.0) <= 1e-12
+
     def test_probe_validation(self):
         spec = FieldSpec(n_out=1, dim=4, order=1, power=1.0, seed=0)
         with pytest.raises(ValueError):
@@ -218,32 +231,3 @@ class TestEvaluateFlipped:
         with pytest.raises(ValueError):
             evaluate_flipped(fld, s, base[:1], 0)
 
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        spec = FieldSpec(n_out=3, dim=4, order=2, power=1.5, seed=12345)
-        fld = sample_field(spec)
-        path = tmp_path / "field.bin"
-        save_field(fld, path)
-        loaded = load_field(path)
-        assert loaded.spec == spec
-        assert loaded.scale == fld.scale
-        assert np.array_equal(loaded.coeffs, fld.coeffs)
-        s = np.array([1.0, -1.0, 1.0, 1.0])
-        assert np.array_equal(evaluate(loaded, s), evaluate(fld, s))
-
-    def test_rejects_truncated_payload(self, tmp_path):
-        spec = FieldSpec(n_out=2, dim=3, order=1, power=1.0, seed=1)
-        fld = sample_field(spec)
-        path = tmp_path / "field.bin"
-        save_field(fld, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            load_field(path)
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_field(path)

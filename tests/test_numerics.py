@@ -8,12 +8,12 @@ from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
     DEFAULT_QUADRATURE_ORDER,
     QuadratureRule,
+    _minimize_with_diagnostics,
     bisect_transition,
     default_rule,
     gauss_expectation,
     gauss_hermite_rule,
     log_cosh,
-    minimize_scalar,
 )
 
 # 1e7-sample Monte Carlo reference for E[log cosh(2 + sqrt(2) w)], w ~ N(0,1),
@@ -86,12 +86,17 @@ class TestGaussExpectation:
         assert abs(val - MC_LOGCOSH_MEAN) <= 3.0 * MC_LOGCOSH_SE
 
     def test_scalar_only_callable(self):
+        # the integrand is called once on the whole node array; one that
+        # cannot take an array, or returns one value for all nodes, is refused
         rule = gauss_hermite_rule(21)
         def g(w):
             if isinstance(w, np.ndarray):
                 raise TypeError("scalar only")
             return w * w
-        assert abs(gauss_expectation(g, rule) - 1.0) <= 1e-12
+        with pytest.raises(TypeError, match="scalar only"):
+            gauss_expectation(g, rule)
+        with pytest.raises(ValueError, match="one value per node"):
+            gauss_expectation(lambda w: 1.0, rule)
 
     def test_nonfinite_integrand_reports_node(self):
         rule = gauss_hermite_rule(9)
@@ -114,29 +119,31 @@ class TestGaussExpectation:
 
 class TestMinimizeScalar:
     def test_quadratic(self):
-        arg, val = minimize_scalar(lambda m: (m - 0.5) ** 2, 0.0, 1.0, 1e-3, 1e-10)
+        arg, val, *_ = _minimize_with_diagnostics(
+            lambda m: (m - 0.5) ** 2, 0.0, 1.0, 1e-3, 1e-10
+        )
         assert arg == pytest.approx(0.5, abs=1e-9)
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_monotone_returns_endpoint(self):
-        arg, val = minimize_scalar(lambda m: m, 0.0, 1.0, 1e-3, 1e-10)
+        arg, val, *_ = _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, 1e-10)
         assert arg == 0.0 and val == 0.0
 
     def test_two_local_minima_lower_endpoint_wins(self):
         f = lambda m: (m * (1.0 - m)) ** 2 + 0.1 * m
-        arg, _ = minimize_scalar(f, 0.0, 1.0, 1e-3, 1e-10)
+        arg, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
         assert arg == 0.0
 
     def test_exact_tie_prefers_upper_end(self):
         f = lambda m: (m * (1.0 - m)) ** 2
-        arg, val = minimize_scalar(f, 0.0, 1.0, 1e-3, 1e-10)
+        arg, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
         assert arg == 1.0 and val == 0.0
 
     def test_interior_beats_endpoints_when_lower(self):
         # cos is flat to double precision within ~3e-9 of the minimizer, so
         # no value-based search can do better than that plateau
         f = lambda m: math.cos(2 * math.pi * m)
-        arg, val = minimize_scalar(f, 0.0, 1.0, 1e-3, 1e-10)
+        arg, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
         assert arg == pytest.approx(0.5, abs=1e-8)
         assert val == pytest.approx(-1.0, abs=1e-15)
 
@@ -146,21 +153,23 @@ class TestMinimizeScalar:
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=5)
         f = lambda m: float(np.polyval(coeffs, m))
-        _, val = minimize_scalar(f, 0.0, 1.0, 1e-2, 1e-10)
+        _, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-2, 1e-10)
         grid = np.linspace(0.0, 1.0, 101)
         assert val <= min(f(x) for x in grid) + 1e-15
 
     def test_nonfinite_objective(self):
         with pytest.raises(NumericalError, match="non-finite"):
-            minimize_scalar(lambda m: math.inf if m > 0.5 else m, 0.0, 1.0, 1e-2, 1e-8)
+            _minimize_with_diagnostics(
+                lambda m: math.inf if m > 0.5 else m, 0.0, 1.0, 1e-2, 1e-8
+            )
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda m: m, 1.0, 0.0, 1e-3, 1e-10)
+            _minimize_with_diagnostics(lambda m: m, 1.0, 0.0, 1e-3, 1e-10)
         with pytest.raises(ValueError):
-            minimize_scalar(lambda m: m, 0.0, 1.0, -1e-3, 1e-10)
+            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, -1e-3, 1e-10)
         with pytest.raises(ValueError):
-            minimize_scalar(lambda m: m, 0.0, 1.0, 1e-3, 0.0)
+            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, 0.0)
 
 
 class TestBisectTransition:

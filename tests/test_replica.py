@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gfwiretap import replica
 from gfwiretap.channel import LOG2, awgn_capacity
 from gfwiretap.errors import BracketError
 from gfwiretap.numerics import bisect_transition
@@ -202,7 +203,7 @@ class TestSolveOverlap:
 class TestScanRates:
     def test_linear_curve_monotone_and_endpoint_value(self):
         cfg = make_config(rate=1.0, order=1)
-        rows = scan_rates(cfg, 0.2, 6.0, 0.2)
+        rows = scan_rates(cfg, [0.2 + 0.2 * i for i in range(30)])
         rates = [r for r, _ in rows]
         infos = [s.info_rate for _, s in rows]
         assert rates[0] == 0.2 and rates[-1] == pytest.approx(6.0, abs=1e-12)
@@ -211,7 +212,7 @@ class TestScanRates:
 
     def test_cubic_scan_is_min_envelope_with_kink(self):
         cfg = make_config(rate=1.0, order=3)
-        rows = scan_rates(cfg, 1.5, 2.0, 0.05)
+        rows = scan_rates(cfg, [1.5 + 0.05 * i for i in range(11)])
         infos = np.array([s.info_rate for _, s in rows])
         stars = np.array([s.m_star for _, s in rows])
         assert stars[0] == 1.0 and stars[-1] == 0.0
@@ -221,12 +222,7 @@ class TestScanRates:
 
     def test_empty_range(self):
         cfg = make_config(rate=1.0, order=1)
-        assert scan_rates(cfg, 2.0, 1.0, 0.1) == []
-
-    def test_bad_step(self):
-        cfg = make_config(rate=1.0, order=1)
-        with pytest.raises(ValueError):
-            scan_rates(cfg, 0.5, 1.0, 0.0)
+        assert scan_rates(cfg, []) == []
 
 
 class TestLocateCriticalRate:
@@ -248,3 +244,22 @@ class TestLocateCriticalRate:
         assert before - after > 0.4
         # recorded, not asserted against any reference value
         assert 1.5 < located < 2.0
+
+    def test_bracket_ends_are_solved_once(self, monkeypatch):
+        cfg = make_config(rate=1.0, order=3)
+        lo, hi, tol = 0.8 * RSTAR, 1.3 * RSTAR, 1e-4
+        plain = bisect_transition(
+            lambda r: solve_overlap(replace(cfg, rate=r)).m_star < 0.5, lo, hi, tol
+        )
+        rates = []
+
+        def counted(c):
+            rates.append(c.rate)
+            return solve_overlap(c)
+
+        monkeypatch.setattr(replica, "solve_overlap", counted)
+        located = locate_critical_rate(cfg, lo, hi, tol=tol)
+        steps = math.ceil(math.log2((hi - lo) / tol))
+        assert len(rates) == 2 + steps
+        assert len(set(rates)) == len(rates)
+        assert located == plain
