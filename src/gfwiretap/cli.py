@@ -225,7 +225,7 @@ def _cmd_simulate(args) -> int:
     with _open_out(args.out) as fh:
         if derivation is not None:
             fh.write(f"# derived: {derivation}\n")
-        write_report(report, fh, units=args.units)
+        write_report(report, fh)
     return 0
 
 
@@ -252,6 +252,7 @@ def _cmd_leakage(args) -> int:
                 "perm_seed": cfg.perm_seed,
                 "key_seed": cfg.key_seed,
                 "noise_seed": cfg.noise_seed,
+                "allow_low_order": cfg.allow_low_order,
                 "units": args.units,
             },
         )
@@ -382,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="derive k = floor(n * C_S / log 2) instead of --k",
     )
-    sim.add_argument("--units", choices=("nats", "bits"), default="nats")
     sim.add_argument("--out", default="-")
     _add_seed_flags(sim)
     sim.set_defaults(func=_cmd_simulate)

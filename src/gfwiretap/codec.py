@@ -132,14 +132,16 @@ class BinningPlan:
             raise ValueError("key_positions must be the sorted images of the key slots")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
-        for ell in range(k_tilde):
+        # a key past the last bin leaves an earlier bin empty, which is found first
+        per_bin = np.bincount(keys // self.width, minlength=k_tilde)
+        bad = np.flatnonzero(per_bin != 1)
+        if bad.size:
+            ell = int(bad[0])
             lo, hi = ell * self.width, min((ell + 1) * self.width, total)
-            n_keys = int(np.count_nonzero((keys >= lo) & (keys < hi)))
-            if n_keys != 1:
-                raise ValueError(
-                    f"bin {ell} (positions [{lo}, {hi})) holds {n_keys} key "
-                    f"symbols, expected exactly 1"
-                )
+            raise ValueError(
+                f"bin {ell} (positions [{lo}, {hi})) holds {per_bin[ell]} key "
+                f"symbols, expected exactly 1"
+            )
         perm.setflags(write=False)
         keys.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
@@ -209,12 +211,9 @@ def build_binning(k: int, k_tilde: int, perm_seed: int) -> BinningPlan:
             f"one key symbol per bin is unsatisfiable"
         )
     rng = np.random.default_rng(np.random.SeedSequence(int(perm_seed)))
-    key_positions = np.empty(k_tilde, dtype=np.int64)
-    for ell in range(k_tilde):
-        lo, hi = ell * width, min((ell + 1) * width, total)
-        key_positions[ell] = rng.integers(lo, hi)
-    remaining = np.setdiff1d(np.arange(total), key_positions)
-    message_positions = rng.permutation(remaining)
+    lo = np.arange(k_tilde, dtype=np.int64) * width
+    key_positions = rng.integers(lo, np.minimum(lo + width, total))
+    message_positions = rng.permutation(np.delete(np.arange(total), key_positions))
     permutation = np.concatenate([key_positions, message_positions])
     return BinningPlan(
         permutation=permutation,

@@ -135,8 +135,6 @@ def phi(u: float, power: float, order: int) -> float:
 
 def phi_prime(u: float, power: float, order: int) -> float:
     """Derivative ``power * order * u**(order-1)``; equals ``power`` at order 1."""
-    if order == 1:
-        return power
     return power * order * u ** (order - 1)
 
 
@@ -158,8 +156,6 @@ def decoupled_mi(m: float, cfg: ReplicaConfig) -> float:
     bounded by log 2 (binary input).
     """
     e = effective_snr(m, cfg)
-    if e == 0.0:
-        return 0.0
     sqrt_e = math.sqrt(e)
     val = e - gauss_expectation(lambda w: log_cosh(e + sqrt_e * w), cfg.quadrature)
     return min(max(val, 0.0), LOG2)
@@ -180,17 +176,16 @@ def cd_prime(m: float, cfg: ReplicaConfig) -> float:
 
 def energy(m: float, cfg: ReplicaConfig) -> float:
     """Energy ``rate * I_D(m) + C_D(m) + (1 - m) * C_D'(m)``, in nats."""
-    value = cfg.rate * decoupled_mi(m, cfg) + cd(m, cfg)
-    if m != 1.0:
-        value += (1.0 - m) * cd_prime(m, cfg)
-    return value
+    return (
+        cfg.rate * decoupled_mi(m, cfg)
+        + cd(m, cfg)
+        + (1.0 - m) * cd_prime(m, cfg)
+    )
 
 
 def fixed_point_map(m: float, cfg: ReplicaConfig) -> float:
     """Stationarity map ``E_w[tanh(E(m) + sqrt(E(m)) w)]``."""
     e = effective_snr(m, cfg)
-    if e == 0.0:
-        return 0.0
     sqrt_e = math.sqrt(e)
     return gauss_expectation(lambda w: np.tanh(e + sqrt_e * w), cfg.quadrature)
 

@@ -83,8 +83,7 @@ class TrialRecord:
 
     ``flip_fraction`` counts permuted coordinates whose posterior-mean sign
     disagrees with the truth; ``overlap`` is the normalized inner product
-    between the true permuted vector and the posterior mean, ``overlap_sign``
-    the same against the hard signs (identically ``1 - 2 * flip_fraction``).
+    between the true permuted vector and the posterior mean.
     """
 
     trial_id: int
@@ -93,16 +92,20 @@ class TrialRecord:
     bit_errors: int
     flip_fraction: float
     overlap: float
-    overlap_sign: float
-    bound_ok: bool
 
-    def __post_init__(self):
-        if self.overlap_sign != 1.0 - 2.0 * self.flip_fraction:
-            raise ValueError(
-                "inconsistent record: overlap_sign must equal 1 - 2*flip_fraction"
-            )
-        if self.bound_ok != (self.flip_fraction <= 1.0 - self.overlap):
-            raise ValueError("inconsistent record: bound_ok does not match its fields")
+    @property
+    def overlap_sign(self) -> float:
+        """Overlap against the hard signs, ``1 - 2 * flip_fraction``.
+
+        Equal to ``<s_tilde; sign(r_tilde)>`` up to representation rounding;
+        written this way so the identity holds bit-exactly.
+        """
+        return 1.0 - 2.0 * self.flip_fraction
+
+    @property
+    def bound_ok(self) -> bool:
+        """Whether the deterministic bound ``f <= 1 - <s; r>`` holds."""
+        return self.flip_fraction <= 1.0 - self.overlap
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,8 +131,9 @@ class LeakageEstimate:
 
 @dataclass(frozen=True, slots=True)
 class SimReport:
-    """Aggregate of a batch of trials, plus provenance.
+    """Reliability aggregate of a batch of trials, plus provenance.
 
+    Leakage is measured separately, by :func:`estimate_leakage`.
     ``wall_clock_s`` is informational and excluded from equality so that
     reports from identical configs compare equal regardless of scheduling.
     Records and reports use slots and derive ``rng_provenance`` from the
@@ -146,7 +150,6 @@ class SimReport:
     mean_flip_fraction_se: float
     mean_overlap: float
     mean_overlap_se: float
-    leakage: LeakageEstimate | None
     wall_clock_s: float = dataclass_field(compare=False, default=0.0)
 
     @property
@@ -206,21 +209,13 @@ def run_trial(
 
     signs = np.where(r_tilde >= 0.0, 1.0, -1.0)
     k_tot = cfg.k_tot
-    flips = int(np.count_nonzero(frame.s_tilde != signs))
-    flip_fraction = flips / k_tot
-    overlap = float(frame.s_tilde @ r_tilde) / k_tot
-    # identical to <s_tilde; sign(r_tilde)> up to representation rounding;
-    # written this way so the record identity holds bit-exactly
-    overlap_sign = 1.0 - 2.0 * flip_fraction
     return TrialRecord(
         trial_id=trial_id,
         message=m,
         decoded=decoded,
         bit_errors=int(np.count_nonzero(s_hat != frame.s)),
-        flip_fraction=flip_fraction,
-        overlap=overlap,
-        overlap_sign=overlap_sign,
-        bound_ok=bool(flip_fraction <= 1.0 - overlap),
+        flip_fraction=int(np.count_nonzero(frame.s_tilde != signs)) / k_tot,
+        overlap=float(frame.s_tilde @ r_tilde) / k_tot,
     )
 
 
@@ -237,14 +232,13 @@ def run_experiment(
     freeze_field: bool = False,
     freeze_plan: bool = False,
     threads: int = 1,
-    leakage_samples: int = 0,
 ) -> SimReport:
-    """Run ``n_trials`` independent trials and aggregate.
+    """Run ``n_trials`` independent trials and aggregate their reliability.
 
     By default the field and the binning permutation are resampled per trial
     (averaging over encoder realizations); the freeze flags pin them to the
-    trial-0 realization instead.  ``leakage_samples > 0`` additionally runs
-    the leakage estimator on the trial-0 field and plan.
+    trial-0 realization instead.  ``threads`` workers share the trials; the
+    report does not depend on it.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -272,12 +266,6 @@ def run_experiment(
     mean_f, se_f = _mean_and_se(flip)
     mean_ov, se_ov = _mean_and_se(overlap)
 
-    leak = None
-    if leakage_samples > 0:
-        leak = estimate_leakage(
-            cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), leakage_samples
-        )
-
     return SimReport(
         config=cfg,
         n_trials=n_trials,
@@ -289,7 +277,6 @@ def run_experiment(
         mean_flip_fraction_se=se_f,
         mean_overlap=mean_ov,
         mean_overlap_se=se_ov,
-        leakage=leak,
         wall_clock_s=time.perf_counter() - started,
     )
 
@@ -449,15 +436,12 @@ _REPORT_COLUMNS = (
 )
 
 
-def write_report(report: SimReport, fh, units: str = "nats") -> None:
+def write_report(report: SimReport, fh) -> None:
     """Emit a report as '#'-headed, comma-delimited text.
 
     Byte-identical across re-runs with the same config, except for the
     '# generated:' line.
     """
-    if units not in ("nats", "bits"):
-        raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-    unit_div = LOG2 if units == "bits" else 1.0
     cfg = report.config
     fh.write("# gfwiretap simulation report v1\n")
     for name in (
@@ -479,7 +463,6 @@ def write_report(report: SimReport, fh, units: str = "nats") -> None:
     fh.write(f"# param n_trials = {report.n_trials}\n")
     fh.write(f"# param freeze_field = {report.freeze_field}\n")
     fh.write(f"# param freeze_plan = {report.freeze_plan}\n")
-    fh.write(f"# param units = {units}\n")
     fh.write(f"# rng: {report.rng_provenance}\n")
     fh.write(
         f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')} "
@@ -501,18 +484,3 @@ def write_report(report: SimReport, fh, units: str = "nats") -> None:
         f"# summary mean_overlap = {report.mean_overlap:.17g} "
         f"se = {report.mean_overlap_se:.17g}\n"
     )
-    if report.leakage is not None:
-        le = report.leakage
-        fh.write(
-            f"# summary leakage = {le.leakage / unit_div:.17g} "
-            f"se = {le.leakage_se / unit_div:.17g}\n"
-        )
-        fh.write(
-            f"# summary mi_all_symbols = {le.mi_all_symbols / unit_div:.17g} "
-            f"se = {le.mi_all_symbols_se / unit_div:.17g}\n"
-        )
-        fh.write(
-            f"# summary mi_key_given_msg = {le.mi_key_given_msg / unit_div:.17g} "
-            f"se = {le.mi_key_given_msg_se / unit_div:.17g}\n"
-        )
-        fh.write(f"# summary chain_residual = {le.chain_residual / unit_div:.17g}\n")

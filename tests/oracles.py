@@ -145,3 +145,23 @@ def covariance_probe_reference(spec, s1, s2_list, n_fields, seed):
         )
         for j in range(len(s2_list))
     ]
+
+
+def build_binning_reference(k, k_tilde, perm_seed):
+    """``build_binning``'s permutation drawn one bin at a time.
+
+    The loop the single bounded draw replaced: each key position is one
+    scalar ``integers(lo, hi)`` call within its bin, and the message
+    positions are a permutation of the ``setdiff1d`` of the rest.
+    """
+    from gfwiretap.channel import bin_size
+
+    width = bin_size(k, k_tilde)
+    total = k + k_tilde
+    rng = np.random.default_rng(np.random.SeedSequence(int(perm_seed)))
+    key_positions = np.empty(k_tilde, dtype=np.int64)
+    for ell in range(k_tilde):
+        lo, hi = ell * width, min((ell + 1) * width, total)
+        key_positions[ell] = rng.integers(lo, hi)
+    remaining = np.setdiff1d(np.arange(total), key_positions)
+    return np.concatenate([key_positions, rng.permutation(remaining)])

@@ -203,6 +203,16 @@ class TestSimulate:
         assert code == 3
         assert "lower n, k, or k_tilde" in err
 
+    def test_units_flag_is_gone(self, capsys):
+        # the report has no nat-valued field, so simulate takes no --units
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--n", "16", "--k", "4", "--k-tilde", "2",
+                "--sigma-b-sq", "0.3", "--sigma-e-sq", "1", "--units", "bits",
+            ])
+        assert exc.value.code == 2
+        assert "--units" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "leakage"])
     def test_default_budget_refuses_dim_21(self, capsys, command):
         # k + k_tilde = 21 is one past the default enumeration budget
@@ -238,6 +248,23 @@ class TestLeakageCommand:
         assert code == 0
         row = data_rows(out)[1].split(",")
         assert abs(float(row[1])) <= 3.0 * float(row[2])
+
+    def test_units_bits(self, capsys):
+        args = (
+            "leakage", "--n", "6", "--k", "2", "--k-tilde", "2",
+            "--sigma-e-sq", "0.5", "--samples", "100", "--realizations", "2",
+        )
+        _, nats, _ = run_cli(capsys, *args)
+        _, bits, _ = run_cli(capsys, *args, "--units", "bits")
+        nats_rows = [r.split(",") for r in data_rows(nats)[1:]]
+        bits_rows = [r.split(",") for r in data_rows(bits)[1:]]
+        assert [r[0] for r in bits_rows] == [r[0] for r in nats_rows]
+        assert len(bits_rows) == 5
+        for nat_row, bit_row in zip(nats_rows, bits_rows):
+            for v_nats, v_bits in zip(nat_row[1:], bit_row[1:]):
+                assert float(v_bits) == pytest.approx(
+                    float(v_nats) / math.log(2.0), rel=1e-12, abs=0.0
+                )
 
     def test_realization_average_row(self, capsys):
         code, out, _ = run_cli(
@@ -282,6 +309,32 @@ class TestConfigFile:
         )
         assert code == 0
         assert "# param units = nats" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("replica-scan", "--rates", "1.0:1.1:0.1", "--units", "bits"),
+            ("critical-rate", "--tol", "0.02"),
+            ("leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
+             "--sigma-e-sq", "1", "--samples", "50"),
+            ("leakage", "--n", "8", "--k", "2", "--k-tilde", "2", "--sigma-e-sq", "1",
+             "--samples", "50", "--lambda", "1", "--allow-low-order", "--units", "bits"),
+            ("field-check", "--fields", "200"),
+        ],
+        ids=["replica-scan", "critical-rate", "leakage", "leakage-low-order", "field-check"],
+    )
+    def test_header_reruns_through_config(self, capsys, tmp_path, argv):
+        # the header's '# param' lines, as a config section, reproduce the run
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0
+        params = [
+            l[len("# param "):] for l in first.splitlines() if l.startswith("# param ")
+        ]
+        ini = tmp_path / "rerun.ini"
+        ini.write_text(f"[{argv[0]}]\n" + "\n".join(params) + "\n")
+        code, second, _ = run_cli(capsys, "--config", str(ini), argv[0])
+        assert code == 0
+        assert strip_generated(second) == strip_generated(first)
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.ini", "replica-scan")

@@ -19,6 +19,7 @@ from gfwiretap.codec import (
 )
 from gfwiretap.errors import BudgetError, ConfigurationError
 from gfwiretap.field import FieldSpec, evaluate, sample_field
+from oracles import build_binning_reference
 
 
 def make_setup(n=16, k=4, k_tilde=2, order=3, sigma_b=0.1, sigma_e=1.0, seeds=(0, 1, 2, 3)):
@@ -133,6 +134,14 @@ class TestBinning:
                     inside = [p for p in plan.key_positions if lo <= p < hi]
                     assert len(inside) == 1
 
+    def test_matches_per_bin_reference(self):
+        # k_tilde = 1, full last bins, and short last bins of 1, 2 and 3
+        for k, k_tilde in [(5, 1), (1, 1), (4, 2), (7, 3), (9, 4), (11, 4), (15, 6)]:
+            for seed in range(200):
+                plan = build_binning(k, k_tilde, perm_seed=seed)
+                expected = build_binning_reference(k, k_tilde, seed)
+                assert np.array_equal(plan.permutation, expected), (k, k_tilde, seed)
+
     def test_degenerate_layout_rejected(self):
         # k=2, k_tilde=4 gives width 2, so the last bin starts past the end
         with pytest.raises(ConfigurationError):
@@ -165,6 +174,20 @@ class TestBinning:
                 permutation=np.array([0, 1, 2, 3]),
                 width=2,
                 key_positions=np.array([0, 1]),
+            )
+        # the first offending bin is named, here the empty middle one
+        with pytest.raises(ValueError, match=r"^bin 1 \(positions \[2, 4\)\) holds 0 key"):
+            BinningPlan(
+                permutation=np.array([0, 4, 5, 1, 2, 3]),
+                width=2,
+                key_positions=np.array([0, 4, 5]),
+            )
+        # a key past the last bin leaves a bin empty
+        with pytest.raises(ValueError, match=r"^bin 1 \(positions \[3, 6\)\) holds 0 key"):
+            BinningPlan(
+                permutation=np.array([0, 6, 1, 2, 3, 4, 5]),
+                width=3,
+                key_positions=np.array([0, 6]),
             )
 
 

@@ -79,6 +79,11 @@ class TestDecoupledMi:
     def test_zero_snr(self):
         cfg = make_config(rate=1.0, order=3)
         assert decoupled_mi(0.0, cfg) == 0.0
+        # E(0) = 0 for lambda >= 2, and tanh(0) is exactly 0 at every node
+        for lam in (2, 3, 4):
+            cfg = make_config(rate=1.0, order=lam)
+            assert effective_snr(0.0, cfg) == 0.0
+            assert fixed_point_map(0.0, cfg) == 0.0
 
     def test_saturates_at_log_two(self):
         cfg = cfg_for_snr(50.0)

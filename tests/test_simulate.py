@@ -294,22 +294,3 @@ class TestReportWriter:
         assert "trial_id,message,decoded,bit_errors,flip_fraction,overlap,overlap_sign,bound_ok" in text
         assert "# summary message_error_rate" in text
         assert len([l for l in text.splitlines() if l and not l.startswith("#")]) == 6
-
-    def test_units_conversion_for_leakage(self):
-        cfg = small_cfg(n=8, k=2, k_tilde=2, sigma_e_sq=0.5)
-        report = run_experiment(cfg, 2, leakage_samples=50)
-        nats, bits = io.StringIO(), io.StringIO()
-        write_report(report, nats, units="nats")
-        write_report(report, bits, units="bits")
-        val_nats = float(
-            [l for l in nats.getvalue().splitlines() if l.startswith("# summary leakage")][0].split()[4]
-        )
-        val_bits = float(
-            [l for l in bits.getvalue().splitlines() if l.startswith("# summary leakage")][0].split()[4]
-        )
-        assert val_bits == pytest.approx(val_nats / math.log(2.0), rel=1e-12)
-
-    def test_bad_units(self):
-        report = run_experiment(small_cfg(), 1)
-        with pytest.raises(ValueError):
-            write_report(report, io.StringIO(), units="hartleys")

@@ -1,18 +1,24 @@
-"""Smoke tests for the demo scripts and the package's export lists.
+"""Smoke tests for the demo scripts, the README's commands and the package's
+export lists.
 
-No other test runs the demos, so an API change they depend on would
-otherwise go unnoticed; a stale ``__all__`` entry fails only on a star import.
+No other test runs the demos or the README examples, so an API change they
+depend on would otherwise go unnoticed; a stale ``__all__`` entry fails only
+on a star import.
 """
 
 import pathlib
 import pkgutil
+import re
 import runpy
+import shlex
 
 import pytest
 
 import gfwiretap
+from gfwiretap import cli
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 MODULES = ["gfwiretap"] + [
     f"gfwiretap.{info.name}" for info in pkgutil.iter_modules(gfwiretap.__path__)
 ]
@@ -28,3 +34,26 @@ def test_demo_runs(path, capsys):
 @pytest.mark.parametrize("module", MODULES)
 def test_star_import(module):
     exec(f"from {module} import *", {})
+
+
+def readme_commands() -> list[str]:
+    """The ``gfwiretap`` lines of the README's "Command line" code block,
+    with backslash continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = re.sub(r"\s*\\\n\s*", " ", block).splitlines()
+    return [line for line in lines if line.startswith("gfwiretap ")]
+
+
+def test_readme_covers_every_subcommand():
+    subcommands = {shlex.split(line)[1] for line in readme_commands()}
+    assert subcommands == {
+        "replica-scan", "critical-rate", "simulate", "leakage", "field-check"
+    }
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    # a removed or renamed flag makes argparse exit
+    cli._build_parser().parse_args(shlex.split(line)[1:])
