@@ -14,6 +14,11 @@ The ``rate`` argument is generic: callers pass K/N for plain inference,
 the genie-aided eavesdropper analysis.  This module knows nothing about keys
 or bins.
 
+``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime`` and ``energy``
+accept a float or an array of overlaps ``m`` through one code path: a float
+gives a Python float, an array gives an array of the same shape.  The
+solver evaluates the energy on row blocks of its grid this way.
+
 All operations are pure; rate scans may run concurrently without shared
 state.
 """
@@ -107,7 +112,7 @@ def make_config(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicaSolution:
     """Minimizer of the energy function and its diagnostics.
 
@@ -138,7 +143,19 @@ def phi_prime(u: float, power: float, order: int) -> float:
     return power * order * u ** (order - 1)
 
 
-def effective_snr(m: float, cfg: ReplicaConfig) -> float:
+def _as_float(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _node_expectation(g, e, cfg: ReplicaConfig):
+    """``E_w[g(e + sqrt(e) w)]`` for each effective SNR in ``e``."""
+    e_col = np.asarray(e)[..., None]
+    sqrt_col = np.sqrt(e_col)
+    return gauss_expectation(lambda w: g(e_col + sqrt_col * w), cfg.quadrature)
+
+
+def effective_snr(m, cfg: ReplicaConfig):
     """Scalar-channel SNR ``phi'(m) / (rate * (sigma_sq + phi(1) - phi(m)))``.
 
     The denominator is at least ``rate * sigma_sq``, so the value is finite
@@ -146,37 +163,36 @@ def effective_snr(m: float, cfg: ReplicaConfig) -> float:
     """
     num = phi_prime(m, cfg.power, cfg.order)
     den = cfg.rate * (cfg.sigma_sq + cfg.power - phi(m, cfg.power, cfg.order))
-    return num / den
+    return _as_float(num / den)
 
 
-def decoupled_mi(m: float, cfg: ReplicaConfig) -> float:
+def decoupled_mi(m, cfg: ReplicaConfig):
     """Mutual information of the decoupled binary-input channel, in nats.
 
     ``E - E_w[log cosh(E + sqrt(E) w)]`` with ``E = effective_snr(m)``;
     bounded by log 2 (binary input).
     """
     e = effective_snr(m, cfg)
-    sqrt_e = math.sqrt(e)
-    val = e - gauss_expectation(lambda w: log_cosh(e + sqrt_e * w), cfg.quadrature)
-    return min(max(val, 0.0), LOG2)
+    val = e - _node_expectation(log_cosh, e, cfg)
+    return _as_float(np.minimum(np.maximum(val, 0.0), LOG2))
 
 
-def cd(m: float, cfg: ReplicaConfig) -> float:
+def cd(m, cfg: ReplicaConfig):
     """Residual-power capacity term ``C((phi(1) - phi(m)) / sigma_sq)``."""
     gap = cfg.power - phi(m, cfg.power, cfg.order)
-    return 0.5 * math.log1p(gap / cfg.sigma_sq)
+    return _as_float(0.5 * np.log1p(gap / cfg.sigma_sq))
 
 
-def cd_prime(m: float, cfg: ReplicaConfig) -> float:
+def cd_prime(m, cfg: ReplicaConfig):
     """Analytic derivative ``-phi'(m) / (2 (sigma_sq + phi(1) - phi(m)))``."""
     num = phi_prime(m, cfg.power, cfg.order)
     den = 2.0 * (cfg.sigma_sq + cfg.power - phi(m, cfg.power, cfg.order))
-    return -num / den
+    return _as_float(-num / den)
 
 
-def energy(m: float, cfg: ReplicaConfig) -> float:
+def energy(m, cfg: ReplicaConfig):
     """Energy ``rate * I_D(m) + C_D(m) + (1 - m) * C_D'(m)``, in nats."""
-    return (
+    return _as_float(
         cfg.rate * decoupled_mi(m, cfg)
         + cd(m, cfg)
         + (1.0 - m) * cd_prime(m, cfg)
@@ -185,13 +201,15 @@ def energy(m: float, cfg: ReplicaConfig) -> float:
 
 def fixed_point_map(m: float, cfg: ReplicaConfig) -> float:
     """Stationarity map ``E_w[tanh(E(m) + sqrt(E(m)) w)]``."""
-    e = effective_snr(m, cfg)
-    sqrt_e = math.sqrt(e)
-    return gauss_expectation(lambda w: np.tanh(e + sqrt_e * w), cfg.quadrature)
+    return _node_expectation(np.tanh, effective_snr(m, cfg), cfg)
 
 
 def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
-    """Minimize the energy over [0, 1] and package the solution."""
+    """Minimize the energy over [0, 1] and package the solution.
+
+    The grid goes to ``energy`` in row blocks, each one array of
+    ``(rows, nodes)`` integrand values.
+    """
     obj = lambda m: energy(m, cfg)
     m_star, info_rate, interior, e0, e1 = _minimize_with_diagnostics(
         obj, 0.0, 1.0, cfg.grid_step, cfg.refine_tol

@@ -444,25 +444,28 @@ def write_report(report: SimReport, fh) -> None:
     """
     cfg = report.config
     fh.write("# gfwiretap simulation report v1\n")
-    for name in (
-        "n",
-        "k",
-        "k_tilde",
-        "order",
-        "power",
-        "sigma_b_sq",
-        "sigma_e_sq",
-        "field_seed",
-        "perm_seed",
-        "key_seed",
-        "noise_seed",
-        "allow_low_order",
-        "k_tilde_overridden",
-    ):
-        fh.write(f"# param {name} = {getattr(cfg, name)}\n")
-    fh.write(f"# param n_trials = {report.n_trials}\n")
-    fh.write(f"# param freeze_field = {report.freeze_field}\n")
-    fh.write(f"# param freeze_plan = {report.freeze_plan}\n")
+    # '# param' lines carry the `simulate` flag names, so a header written
+    # into a [simulate] config section re-runs the report
+    params = {
+        "n": cfg.n,
+        "k": cfg.k,
+        "k_tilde": cfg.k_tilde,
+        "lambda": cfg.order,
+        "power": cfg.power,
+        "sigma_b_sq": cfg.sigma_b_sq,
+        "sigma_e_sq": cfg.sigma_e_sq,
+        "field_seed": cfg.field_seed,
+        "perm_seed": cfg.perm_seed,
+        "key_seed": cfg.key_seed,
+        "noise_seed": cfg.noise_seed,
+        "allow_low_order": cfg.allow_low_order,
+        "trials": report.n_trials,
+        "freeze_field": report.freeze_field,
+        "freeze_plan": report.freeze_plan,
+    }
+    for name, value in params.items():
+        fh.write(f"# param {name} = {value}\n")
+    fh.write(f"# derived: k_tilde_overridden = {cfg.k_tilde_overridden}\n")
     fh.write(f"# rng: {report.rng_provenance}\n")
     fh.write(
         f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')} "

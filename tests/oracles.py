@@ -1,8 +1,10 @@
 """Independent reference computations shared by the test modules.
 
 Everything here deliberately avoids the library's own numerical paths:
-posterior means are summed term by term in 50-digit arithmetic, and Monte
-Carlo reference values were generated once from a fixed seed and frozen.
+posterior means are summed term by term in 50-digit arithmetic, Monte
+Carlo reference values were generated once from a fixed seed and frozen,
+and the reference solver evaluates the energy one grid point at a time on
+the unpruned quadrature rule.
 """
 
 import itertools
@@ -35,6 +37,80 @@ def exact_posterior_mean(fld, y, sigma_sq):
         for i, b in enumerate(bits):
             num[i] += b * w
     return np.array([float(v / den) for v in num])
+
+
+def full_rule(order):
+    """Gauss-Hermite rule that keeps every node whose weight is nonzero.
+
+    ``gauss_hermite_rule`` also drops the nodes whose normalised weight is
+    at most 1e-30; this rule keeps them (396 nodes at order 400).
+    """
+    from scipy.special import roots_hermitenorm
+
+    from gfwiretap.numerics import QuadratureRule
+
+    nodes, weights = roots_hermitenorm(order)
+    keep = weights > 0.0
+    nodes, weights = nodes[keep], weights[keep]
+    return QuadratureRule(order=order, nodes=nodes, weights=weights / weights.sum())
+
+
+def minimize_reference(f, lo, hi, grid_step, refine_tol):
+    """``_minimize_with_diagnostics`` as one scalar call per grid point.
+
+    The loop the row-blocked grid replaced: ``f`` is called on each grid
+    float in turn, and each interior point no higher than both neighbours is
+    refined by golden section.  Same return value.
+    """
+    from gfwiretap.errors import NumericalError
+    from gfwiretap.numerics import TIE_TOL, _golden_section
+
+    n_cells = max(1, int(math.ceil((hi - lo) / grid_step - 1e-12)))
+    grid = np.linspace(lo, hi, n_cells + 1)
+    vals = np.array([float(f(float(x))) for x in grid])
+    if not np.all(np.isfinite(vals)):
+        bad = grid[~np.isfinite(vals)][0]
+        raise NumericalError(f"objective is non-finite at grid point {float(bad)!r}")
+
+    interior = []
+    for i in range(1, len(grid) - 1):
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+            interior.append(
+                _golden_section(f, float(grid[i - 1]), float(grid[i + 1]), refine_tol)
+            )
+
+    candidates = [(float(grid[0]), float(vals[0])), (float(grid[-1]), float(vals[-1]))]
+    candidates.extend(interior)
+    best_val = min(v for _, v in candidates)
+    arg = max(x for x, v in candidates if v - best_val <= TIE_TOL)
+    val = next(v for x, v in candidates if x == arg)
+    return arg, val, tuple(interior), float(vals[0]), float(vals[-1])
+
+
+def solve_overlap_reference(cfg):
+    """``solve_overlap`` by ``minimize_reference`` on the unpruned rule.
+
+    Every energy is one float call on the 396-node rule, as before the grid
+    was evaluated in row blocks over the nodes that carry weight.
+    """
+    from dataclasses import replace
+
+    from gfwiretap.numerics import DEFAULT_QUADRATURE_ORDER
+    from gfwiretap.replica import ReplicaSolution, energy, fixed_point_map
+
+    cfg = replace(cfg, quadrature=full_rule(DEFAULT_QUADRATURE_ORDER))
+    m_star, info_rate, interior, e0, e1 = minimize_reference(
+        lambda m: energy(m, cfg), 0.0, 1.0, cfg.grid_step, cfg.refine_tol
+    )
+    return ReplicaSolution(
+        m_star=m_star,
+        info_rate=info_rate,
+        energy_at_0=e0,
+        energy_at_1=e1,
+        fixed_point_residual=abs(m_star - fixed_point_map(m_star, cfg)),
+        tie_flag=abs(e0 - e1) <= 1e-12,
+        interior_minima=interior,
+    )
 
 
 def leakage_by_quadrature(table, k, k_tilde, n, sigma_sq, nodes_per_dim=24):

@@ -129,7 +129,8 @@ class TestNumericalFailures:
         assert "numerical failure" in err and "convergence check" in err
 
     def test_non_finite_objective(self, capsys, monkeypatch):
-        monkeypatch.setattr(replica, "energy", lambda m, cfg: math.nan)
+        # the energy takes and returns arrays of overlaps; this one is NaN
+        monkeypatch.setattr(replica, "energy", lambda m, cfg: np.full(np.shape(m), np.nan))
         code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
         assert code == 4
         assert "numerical failure" in err and "objective is non-finite" in err
@@ -320,8 +321,11 @@ class TestConfigFile:
             ("leakage", "--n", "8", "--k", "2", "--k-tilde", "2", "--sigma-e-sq", "1",
              "--samples", "50", "--lambda", "1", "--allow-low-order", "--units", "bits"),
             ("field-check", "--fields", "200"),
+            ("simulate", "--n", "8", "--k", "2", "--k-tilde", "2", "--sigma-b-sq", "0.3",
+             "--sigma-e-sq", "1", "--trials", "2", "--freeze-field"),
         ],
-        ids=["replica-scan", "critical-rate", "leakage", "leakage-low-order", "field-check"],
+        ids=["replica-scan", "critical-rate", "leakage", "leakage-low-order", "field-check",
+             "simulate"],
     )
     def test_header_reruns_through_config(self, capsys, tmp_path, argv):
         # the header's '# param' lines, as a config section, reproduce the run

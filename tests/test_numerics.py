@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
     DEFAULT_QUADRATURE_ORDER,
+    GRID_BLOCK_ROWS,
+    NODE_WEIGHT_FLOOR,
     QuadratureRule,
     _minimize_with_diagnostics,
     bisect_transition,
@@ -15,6 +17,7 @@ from gfwiretap.numerics import (
     gauss_hermite_rule,
     log_cosh,
 )
+from oracles import full_rule, minimize_reference
 
 # 1e7-sample Monte Carlo reference for E[log cosh(2 + sqrt(2) w)], w ~ N(0,1),
 # generated once with numpy PCG64 seed 20260808.
@@ -73,6 +76,24 @@ class TestQuadratureRule:
         assert len(rule.nodes) < 800
         assert abs(gauss_expectation(lambda w: w**2, rule) - 1.0) < 1e-12
 
+    def test_drops_nodes_at_or_below_weight_floor(self):
+        rule, full = default_rule(), full_rule(DEFAULT_QUADRATURE_ORDER)
+        assert (rule.nodes.size, full.nodes.size) == (144, 396)
+        assert np.all(rule.weights > NODE_WEIGHT_FLOOR)
+        kept = full.weights > NODE_WEIGHT_FLOOR
+        np.testing.assert_array_equal(rule.nodes, full.nodes[kept])
+
+    @pytest.mark.parametrize("g", [log_cosh, np.tanh], ids=["log_cosh", "tanh"])
+    def test_pruned_rule_matches_unpruned_on_engine_integrands(self, g):
+        # the dropped nodes change the expectation only by the rounding of
+        # the sum; the bound is relative above 1 because E[log cosh] reaches
+        # ~49 at E = 50, where one ulp is 7e-15
+        rule, full = default_rule(), full_rule(DEFAULT_QUADRATURE_ORDER)
+        for e in np.linspace(0.0, 50.0, 401):
+            h = lambda w, e=e: g(e + math.sqrt(e) * w)
+            ref = gauss_expectation(h, full)
+            assert abs(gauss_expectation(h, rule) - ref) <= 1e-14 * max(1.0, abs(ref))
+
 
 class TestGaussExpectation:
     def test_constant(self):
@@ -102,6 +123,43 @@ class TestGaussExpectation:
         rule = gauss_hermite_rule(9)
         with pytest.raises(NumericalError, match="node"):
             gauss_expectation(lambda w: np.where(w > 0, np.inf, 1.0), rule)
+
+    def test_nonfinite_row_of_stacked_integrand_reports_its_node(self):
+        rule = gauss_hermite_rule(9)
+        bad = float(rule.nodes[6])
+        g = lambda w: np.where((np.arange(3)[:, None] == 2) & (w == bad), np.nan, w**2)
+        with pytest.raises(NumericalError, match=f"node {bad!r}"):
+            gauss_expectation(g, rule)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["log_cosh", "tanh"]),
+    )
+    def test_stacked_integrand_matches_rows(self, n_rows, seed, name):
+        g = log_cosh if name == "log_cosh" else np.tanh
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-3.0, 3.0, n_rows)
+        b = rng.uniform(0.0, 3.0, n_rows)
+        rule = default_rule()
+        stacked = gauss_expectation(lambda w: g(a[:, None] + b[:, None] * w), rule)
+        rows = [gauss_expectation(lambda w, i=i: g(a[i] + b[i] * w), rule)
+                for i in range(n_rows)]
+        assert stacked.shape == (n_rows,)
+        np.testing.assert_allclose(stacked, rows, rtol=1e-15, atol=1e-15)
+
+    def test_stacked_integrand_keeps_leading_axes(self):
+        rule = gauss_hermite_rule(20)
+        scale = np.arange(6.0).reshape(2, 3)
+        out = gauss_expectation(lambda w: scale[..., None] * w**2, rule)
+        assert out.shape == (2, 3)
+        np.testing.assert_allclose(out, scale, rtol=1e-13, atol=1e-15)
+
+    def test_wrong_last_axis_is_refused(self):
+        rule = gauss_hermite_rule(21)
+        with pytest.raises(ValueError, match="last axis"):
+            gauss_expectation(lambda w: np.ones((w.size, 2)), rule)
 
     def test_doubling_changes_little_on_engine_integrands(self):
         # convergence check across the effective-SNR range the solver visits
@@ -142,7 +200,7 @@ class TestMinimizeScalar:
     def test_interior_beats_endpoints_when_lower(self):
         # cos is flat to double precision within ~3e-9 of the minimizer, so
         # no value-based search can do better than that plateau
-        f = lambda m: math.cos(2 * math.pi * m)
+        f = lambda m: np.cos(2 * np.pi * m)
         arg, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
         assert arg == pytest.approx(0.5, abs=1e-8)
         assert val == pytest.approx(-1.0, abs=1e-15)
@@ -152,15 +210,15 @@ class TestMinimizeScalar:
     def test_never_above_grid_minimum(self, seed):
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=5)
-        f = lambda m: float(np.polyval(coeffs, m))
+        f = lambda m: np.polyval(coeffs, m)
         _, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-2, 1e-10)
         grid = np.linspace(0.0, 1.0, 101)
-        assert val <= min(f(x) for x in grid) + 1e-15
+        assert val <= f(grid).min() + 1e-15
 
     def test_nonfinite_objective(self):
         with pytest.raises(NumericalError, match="non-finite"):
             _minimize_with_diagnostics(
-                lambda m: math.inf if m > 0.5 else m, 0.0, 1.0, 1e-2, 1e-8
+                lambda m: np.where(m > 0.5, np.inf, m), 0.0, 1.0, 1e-2, 1e-8
             )
 
     def test_bad_arguments(self):
@@ -170,6 +228,62 @@ class TestMinimizeScalar:
             _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, -1e-3, 1e-10)
         with pytest.raises(ValueError):
             _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, 0.0)
+
+
+class TestGridBlocks:
+    """The row-blocked grid against the one-call-per-point reference."""
+
+    def test_blocks_cover_the_grid_once_in_order(self):
+        seen = []
+
+        def f(m):
+            if np.ndim(m):
+                seen.append(np.array(m))
+            return (m - 0.3) ** 2
+
+        _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
+        full, rest = divmod(1001, GRID_BLOCK_ROWS)
+        assert [b.size for b in seen] == [GRID_BLOCK_ROWS] * full + [rest]
+        np.testing.assert_array_equal(np.concatenate(seen), np.linspace(0.0, 1.0, 1001))
+
+    @pytest.mark.parametrize("grid_step", [1e-2, 2e-3])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda m: np.zeros_like(m),
+            lambda m: np.round(np.cos(6 * np.pi * m) * 4.0) / 4.0,
+            lambda m: np.floor(np.abs(m - 0.55) * 10.0),
+            lambda m: np.minimum(np.abs(m - 0.2), np.abs(m - 0.8)),
+            lambda m: (m * (1.0 - m)) ** 2,
+        ],
+        ids=["constant", "stepped-cosine", "stepped-vee", "two-wells", "tie"],
+    )
+    def test_plateaus_and_ties_match_reference(self, f, grid_step):
+        # runs of equal grid values make every point of the run a candidate,
+        # and the tie rule then picks among equal refined values; the finer
+        # grid spans several blocks
+        got = _minimize_with_diagnostics(f, 0.0, 1.0, grid_step, 1e-8)
+        assert got == minimize_reference(f, 0.0, 1.0, grid_step, 1e-8)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 8))
+    def test_quantised_polynomials_match_reference(self, seed, levels):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=5)
+        f = lambda m: np.round(np.polyval(coeffs, m) * levels) / levels
+        got = _minimize_with_diagnostics(f, 0.0, 1.0, 4e-3, 1e-4)
+        assert got == minimize_reference(f, 0.0, 1.0, 4e-3, 1e-4)
+
+    def test_nonfinite_value_in_a_later_block_names_its_grid_point(self):
+        grid = np.linspace(0.0, 1.0, 1001)
+        bad = float(grid[731])
+        f = lambda m: np.where(m == bad, np.nan, m)
+        with pytest.raises(NumericalError, match=f"grid point {bad!r}"):
+            _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
+
+    def test_wrong_number_of_values_is_refused(self):
+        with pytest.raises(ValueError, match="one value per grid point"):
+            _minimize_with_diagnostics(lambda m: m[:-1], 0.0, 1.0, 1e-2, 1e-8)
 
 
 class TestBisectTransition:

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfwiretap import replica
 from gfwiretap.channel import LOG2, awgn_capacity
 from gfwiretap.errors import BracketError
 from gfwiretap.numerics import bisect_transition
 from gfwiretap.replica import (
+    ReplicaSolution,
     cd,
     cd_prime,
     decoupled_mi,
@@ -22,6 +25,7 @@ from gfwiretap.replica import (
     scan_rates,
     solve_overlap,
 )
+from oracles import solve_overlap_reference
 
 # 1e7-sample Monte Carlo reference for the decoupled-channel mutual
 # information at effective SNR 2 (same stream as the numerics oracle).
@@ -139,6 +143,39 @@ class TestEnergy:
         assert energy(1.0, cfg) == pytest.approx(0.7 * LOG2, abs=1e-4)
 
 
+class TestArrayOverlaps:
+    QUANTITIES = (effective_snr, decoupled_mi, cd, cd_prime, energy)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        order=st.integers(min_value=1, max_value=4),
+        rate=st.floats(min_value=0.2, max_value=5.0),
+        sigma_sq=st.floats(min_value=0.02, max_value=2.0),
+        power=st.floats(min_value=0.2, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_array_equals_stacked_float_calls(self, order, rate, sigma_sq, power, seed):
+        cfg = make_config(rate=rate, sigma_sq=sigma_sq, power=power, order=order)
+        rng = np.random.default_rng(seed)
+        m = np.concatenate([[0.0, 1.0], rng.random(15)])
+        for f in self.QUANTITIES:
+            stacked = np.array([f(float(x), cfg) for x in m])
+            np.testing.assert_allclose(f(m, cfg), stacked, rtol=1e-13, atol=1e-13)
+
+    def test_float_in_gives_python_float_out(self):
+        for order in (1, 3):
+            cfg = make_config(rate=1.3, order=order)
+            for f in self.QUANTITIES + (fixed_point_map,):
+                for m in (0.0, 0.4, 1.0, np.float64(0.4)):
+                    assert type(f(m, cfg)) is float
+
+    def test_array_in_keeps_shape(self):
+        cfg = make_config(rate=1.3, order=3)
+        m = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        for f in self.QUANTITIES:
+            assert f(m, cfg).shape == (3, 4)
+
+
 class TestSolveOverlap:
     def test_linear_rate_two(self):
         sol = solve_overlap(make_config(rate=2.0, order=1))
@@ -203,6 +240,40 @@ class TestSolveOverlap:
         stars = [solve_overlap(make_config(rate=float(r), order=1)).m_star for r in rates]
         assert all(m > 0.01 for m in stars)
         assert all(a >= b - 1e-12 for a, b in zip(stars, stars[1:]))
+
+
+class TestReferenceSolver:
+    """``solve_overlap`` against one float energy call per grid point on the
+    unpruned 396-node rule."""
+
+    @pytest.mark.parametrize(
+        "order, rate",
+        [(1, r) for r in (0.9, 1.6, 2.0, 3.0)]
+        + [(3, r) for r in (1.2, 1.72, 1.95, 2.5)],
+    )
+    def test_matches_reference_solver(self, order, rate):
+        cfg = make_config(rate=rate, order=order)
+        got, ref = solve_overlap(cfg), solve_overlap_reference(cfg)
+        assert replica.classify_regime(got.m_star) == replica.classify_regime(ref.m_star)
+        assert got.tie_flag == ref.tie_flag
+        assert len(got.interior_minima) == len(ref.interior_minima)
+        assert abs(got.m_star - ref.m_star) <= 1e-6
+        assert abs(got.fixed_point_residual - ref.fixed_point_residual) <= 1e-6
+        for name in ("info_rate", "energy_at_0", "energy_at_1"):
+            assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-12, name
+        for (m, e), (m_ref, e_ref) in zip(got.interior_minima, ref.interior_minima):
+            assert abs(m - m_ref) <= 1e-6 and abs(e - e_ref) <= 1e-12
+
+    def test_solution_is_slotted_and_frozen(self):
+        sol = solve_overlap(make_config(rate=1.2, order=3))
+        assert not hasattr(sol, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.m_star = 0.5
+        assert sol == replace(sol)
+        assert [f.name for f in dataclasses.fields(ReplicaSolution)] == [
+            "m_star", "info_rate", "energy_at_0", "energy_at_1",
+            "fixed_point_residual", "tie_flag", "interior_minima",
+        ]
 
 
 class TestScanRates:
