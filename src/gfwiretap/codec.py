@@ -10,11 +10,13 @@ model, computed as the exact normalized sum over all ``2**(k + k_tilde)``
 bipolar candidates, followed by the inverse permutation and a sign slicer on
 the message coordinates.
 
-Encoding and decoding of distinct frames are independent.  A decode walks
-the candidates in pattern-integer order, ``2**14`` at a time: each block's
-bipolar rows go through one batched ``evaluate`` call, and the block's
-max-shifted weights are folded into running sums, so memory stays bounded by
-the block rather than by ``2**(k + k_tilde)``.
+Encoding and decoding of distinct frames are independent.  A decode
+enumerates the candidates through :func:`field.enumerate_outputs`: each
+output's values on every candidate come from one folded coefficient vector
+and one fast Walsh-Hadamard transform, the squared residuals are summed over
+outputs into one ``2**(k + k_tilde)`` array, and the weights are
+exponentiated once against its maximum, so memory is a few arrays of that
+length whatever ``n``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .channel import bin_size, key_length
 from .errors import BudgetError, ConfigurationError
-from .field import GaussianField, evaluate
+from .field import GaussianField, enumerate_outputs, evaluate
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -42,12 +44,10 @@ __all__ = [
     "decode",
 ]
 
-#: Largest total input dimension the exact decoder will enumerate (2**20
-#: candidates, seconds per decode at ~10-14 us per candidate).
+#: Largest total input dimension the exact decoder will enumerate: 2**20
+#: candidates take ~0.33-0.5 s and ~32 MiB per decode at n=16, order 3, and
+#: each further bit doubles both.
 DEFAULT_ENUM_BUDGET = 20
-
-#: Candidates per batched codeword evaluation in an exact enumeration.
-_PATTERN_BLOCK = 2**14
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,24 +259,6 @@ def encode(
     return EncodedFrame(s=s, key=key, s_tilde=s_tilde, x=x)
 
 
-def _candidate_blocks(coordinate_of_bit):
-    """Yield ``(start, rows)`` covering every bipolar pattern in order.
-
-    ``rows[j]`` is the bipolar vector of pattern integer ``start + j``, whose
-    bit ``b`` (1 meaning +1) sets coordinate ``coordinate_of_bit[b]``.
-    Blocks hold at most ``_PATTERN_BLOCK`` patterns, so callers never hold
-    the full ``(2**dim, dim)`` sign matrix.
-    """
-    dim = coordinate_of_bit.size
-    bits = np.arange(dim, dtype=np.int64)
-    total = 1 << dim
-    for start in range(0, total, _PATTERN_BLOCK):
-        patterns = np.arange(start, min(start + _PATTERN_BLOCK, total), dtype=np.int64)
-        rows = np.empty((patterns.size, dim))
-        rows[:, coordinate_of_bit] = ((patterns[:, None] >> bits) & 1) * 2.0 - 1.0
-        yield start, rows
-
-
 def mmse_estimate(
     fld: GaussianField,
     y,
@@ -285,10 +267,11 @@ def mmse_estimate(
 ) -> np.ndarray:
     """Exact posterior mean of the bipolar input given ``y``.
 
-    Sums over all ``2**dim`` candidates, one batched field evaluation per
-    block of patterns.  Weights are exponentiated against the largest
-    exponent seen so far; when a later block raises it, the running sums are
-    rescaled.  Every coordinate of the result lies in [-1, 1].
+    Sums over all ``2**dim`` candidates.  The squared residuals of every
+    candidate are accumulated output by output, then exponentiated once
+    against their maximum; coordinate ``i`` of the result is the signed sum
+    of the weights over bit ``i`` of the pattern integer, divided by their
+    total.  Every coordinate of the result lies in [-1, 1].
     """
     spec = fld.spec
     if not (math.isfinite(sigma_sq) and sigma_sq > 0.0):
@@ -302,22 +285,22 @@ def mmse_estimate(
     if y.shape != (spec.n_out,):
         raise ValueError(f"y must have shape ({spec.n_out},), got {y.shape}")
 
-    shift = -math.inf
-    z = 0.0
-    r = np.zeros(spec.dim)
-    for _, rows in _candidate_blocks(np.arange(spec.dim)):
-        resid = y - evaluate(fld, rows)
-        logw = np.einsum("ij,ij->i", resid, resid) * (-0.5 / sigma_sq)
-        top = float(logw.max())
-        if top > shift:
-            rescale = math.exp(shift - top)
-            z *= rescale
-            r *= rescale
-            shift = top
-        weights = np.exp(logw - shift)
-        z += float(weights.sum())
-        r += weights @ rows
-    return np.clip(r / z, -1.0, 1.0)
+    logw = np.zeros(1 << spec.dim)
+    for y_o, values in zip(y, enumerate_outputs(fld, np.arange(spec.dim))):
+        values -= y_o
+        values *= values
+        logw -= values
+    logw *= 0.5 / sigma_sq
+    logw -= logw.max()
+    # the top bit of the pattern integer is summed out at each step; while
+    # 2**(i+1) marginals remain, their halves have bit i clear and set
+    marginal = np.exp(logw, out=logw)
+    r = np.empty(spec.dim)
+    for i in reversed(range(spec.dim)):
+        clear, set_ = marginal.reshape(2, -1)
+        r[i] = set_.sum() - clear.sum()
+        marginal = clear + set_
+    return np.clip(r / marginal[0], -1.0, 1.0)
 
 
 def decode(cfg: CodecConfig, plan: BinningPlan, r_tilde) -> tuple[int, np.ndarray]:

@@ -23,12 +23,26 @@ own row.  Rows are walked in chunks of ``2**15 // (n_out * dim**(order-1))``
 (at least one), so the first product's intermediate stays near ``2**15``
 floats; larger chunks cost memory, smaller ones per-call overhead.
 
-Fields are immutable after sampling; ``evaluate`` and ``evaluate_flipped``
-are read-only and safe to call concurrently.
+``enumerate_outputs`` gives one output on all ``2**dim`` inputs at once.  On
+the hypercube ``s_i**2 == 1``, so each output is a multilinear polynomial:
+an index tuple's monomial reduces to the product over the indices that occur
+an odd number of times.  The coefficients are first folded onto those index
+sets (one ``np.bincount`` per output), and the folded vector is then taken to
+its values on every input by a fast Walsh-Hadamard transform, applied
+``_HADAMARD_BITS`` bits at a time as one matrix product with the Kronecker
+power of ``[[1, -1], [1, 1]]``.  Cost per output is ``O(dim**order)`` for the
+fold plus ``O(2**dim * dim)`` multiply-adds for the transform, against
+``O(2**dim * dim**order)`` for evaluating every input, and memory is a few
+``2**dim``-float arrays.  ``evaluate`` on a :class:`Hypercube` stacks the
+outputs into the ``(2**dim, n_out)`` table of every input.
+
+Fields are immutable after sampling; ``evaluate``, ``evaluate_flipped`` and
+``enumerate_outputs`` are read-only and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,9 +55,11 @@ __all__ = [
     "DEFAULT_COEFF_BUDGET",
     "FieldSpec",
     "GaussianField",
+    "Hypercube",
     "sample_field",
     "evaluate",
     "evaluate_flipped",
+    "enumerate_outputs",
     "covariance_probe",
 ]
 
@@ -52,6 +68,9 @@ DEFAULT_COEFF_BUDGET = 2**25
 
 #: Floats in the intermediate of one chunk of a batched evaluation.
 _CHUNK_FLOATS = 2**15
+
+#: Bits of the pattern integer taken by one matrix product of the transform.
+_HADAMARD_BITS = 5
 
 
 @dataclass(frozen=True)
@@ -114,13 +133,32 @@ def _check_bipolar(s, dim: int, ndim: int = 1) -> np.ndarray:
     return s
 
 
+@dataclass(frozen=True)
+class Hypercube:
+    """Every bipolar input of length ``dim``, in pattern-integer order.
+
+    Pattern ``p`` is the input ``s`` with ``s[c] = +1`` exactly where bit
+    ``bit_of_coordinate[c]`` of ``p`` is set.
+    """
+
+    bit_of_coordinate: np.ndarray
+
+
 def evaluate(field: GaussianField, s) -> np.ndarray:
     """Contract the coefficient tensor against ``s`` in every slot.
 
     ``s`` is one bipolar vector of length ``dim``, giving ``(n_out,)``, or a
     block of them with shape ``(B, dim)``, giving ``(B, n_out)`` whose row
-    ``b`` matches the single evaluation of ``s[b]`` to rounding.
+    ``b`` matches the single evaluation of ``s[b]`` to rounding.  A
+    :class:`Hypercube` gives the ``(2**dim, n_out)`` table of every input,
+    row ``p`` for pattern ``p``, filled column by column from
+    :func:`enumerate_outputs`.
     """
+    if isinstance(s, Hypercube):
+        table = np.empty((1 << field.spec.dim, field.spec.n_out))
+        for o, values in enumerate(enumerate_outputs(field, s.bit_of_coordinate)):
+            table[:, o] = values
+        return table
     s = np.asarray(s, dtype=float)
     if s.ndim == 2:
         return _evaluate_rows(field, _check_bipolar(s, field.spec.dim, ndim=2))
@@ -183,6 +221,55 @@ def evaluate_flipped(
                 sub = sub @ s
             delta = delta + coef * sub
     return base_output + field.scale * delta
+
+
+@functools.cache
+def _hadamard(bits: int) -> np.ndarray:
+    """``bits``-fold Kronecker power of ``[[1, -1], [1, 1]]``, read-only."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.kron(h, [[1.0, -1.0], [1.0, 1.0]])
+    h.setflags(write=False)
+    return h
+
+
+def enumerate_outputs(field: GaussianField, bit_of_coordinate):
+    """Yield each output on every bipolar input, in pattern-integer order.
+
+    Output ``o`` comes as a ``(2**dim,)`` array whose entry ``p`` is
+    ``evaluate(field, s)[o]`` to rounding, for the input ``s`` with
+    ``s[c] = +1`` exactly where bit ``bit_of_coordinate[c]`` of ``p`` is set.
+    ``bit_of_coordinate`` must be a permutation of ``range(dim)``.  Each
+    array is freshly allocated, so callers may overwrite it.
+    """
+    spec = field.spec
+    bit_of_coordinate = np.asarray(bit_of_coordinate, dtype=np.int64)
+    if not np.array_equal(np.sort(bit_of_coordinate), np.arange(spec.dim)):
+        raise ValueError(f"bit_of_coordinate must be a permutation of range({spec.dim})")
+    # the monomial of an index tuple is the character of the bits its
+    # indices set an odd number of times (repeated pairs square to 1)
+    single = np.left_shift(1, bit_of_coordinate)
+    masks = np.zeros((), dtype=np.int64)
+    for _ in range(spec.order):
+        masks = np.bitwise_xor.outer(masks, single)
+    masks = masks.ravel()
+    total = 1 << spec.dim
+    for coeffs in field.coeffs.reshape(spec.n_out, -1):
+        values = np.bincount(masks, weights=coeffs, minlength=total)
+        # per bit, a set holding the bit has character -1 or +1 as the
+        # pattern bit is 0 or 1, and a set without it has +1: H maps the
+        # pair (without, with) to (bit 0, bit 1).  The lowest group is one
+        # product against the rows of a 2-d view, which is faster than a
+        # batch of matrix-vector products.
+        done = min(_HADAMARD_BITS, spec.dim)
+        values = values.reshape(-1, 1 << done) @ _hadamard(done).T
+        while done < spec.dim:
+            bits = min(_HADAMARD_BITS, spec.dim - done)
+            values = np.matmul(_hadamard(bits), values.reshape(-1, 1 << bits, 1 << done))
+            done += bits
+        values = values.reshape(total)
+        values *= field.scale
+        yield values
 
 
 def covariance_probe(

@@ -23,7 +23,6 @@ from .codec import (
     BinningPlan,
     CodecConfig,
     DEFAULT_ENUM_BUDGET,
-    _candidate_blocks,
     _check_artifacts,
     build_binning,
     decode,
@@ -32,7 +31,7 @@ from .codec import (
     random_key,
 )
 from .errors import BudgetError
-from .field import FieldSpec, GaussianField, evaluate, sample_field
+from .field import FieldSpec, GaussianField, Hypercube, evaluate, sample_field
 
 __all__ = [
     "TrialRecord",
@@ -288,10 +287,7 @@ def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
     key slots first, then message slots.  Row ``p`` holds the field output
     for the permuted vector of pattern ``p``.
     """
-    table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
-    for start, rows in _candidate_blocks(plan.permutation):
-        table[start : start + len(rows)] = evaluate(fld, rows)
-    return table
+    return evaluate(fld, Hypercube(np.argsort(plan.permutation)))
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:

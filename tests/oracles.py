@@ -113,6 +113,42 @@ def solve_overlap_reference(cfg):
     )
 
 
+#: Candidates per batched codeword evaluation in ``codeword_table_reference``.
+_PATTERN_BLOCK = 2**14
+
+
+def _candidate_blocks(coordinate_of_bit):
+    """Yield ``(start, rows)`` covering every bipolar pattern in order.
+
+    ``rows[j]`` is the bipolar vector of pattern integer ``start + j``, whose
+    bit ``b`` (1 meaning +1) sets coordinate ``coordinate_of_bit[b]``.
+    Blocks hold at most ``_PATTERN_BLOCK`` patterns, so callers never hold
+    the full ``(2**dim, dim)`` sign matrix.
+    """
+    dim = coordinate_of_bit.size
+    bits = np.arange(dim, dtype=np.int64)
+    total = 1 << dim
+    for start in range(0, total, _PATTERN_BLOCK):
+        patterns = np.arange(start, min(start + _PATTERN_BLOCK, total), dtype=np.int64)
+        rows = np.empty((patterns.size, dim))
+        rows[:, coordinate_of_bit] = ((patterns[:, None] >> bits) & 1) * 2.0 - 1.0
+        yield start, rows
+
+
+def codeword_table_reference(fld, plan):
+    """``simulate._codeword_table`` by block ``evaluate`` over sign rows.
+
+    The fill the Walsh-Hadamard kernel replaced: every pattern's permuted
+    bipolar vector is built explicitly and evaluated from scratch.
+    """
+    from gfwiretap.field import evaluate
+
+    table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
+    for start, rows in _candidate_blocks(plan.permutation):
+        table[start : start + len(rows)] = evaluate(fld, rows)
+    return table
+
+
 def leakage_by_quadrature(table, k, k_tilde, n, sigma_sq, nodes_per_dim=24):
     """Message leakage by dense tensor-grid integration over the observation.
 

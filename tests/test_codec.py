@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from gfwiretap import codec
+from gfwiretap import field
 from gfwiretap.codec import (
     BinningPlan,
     CodecConfig,
@@ -272,27 +272,27 @@ class TestMmseEstimate:
             r = mmse_estimate(fld, rng.normal(size=4), float(rng.uniform(0.01, 5.0)))
             assert np.all(np.abs(r) <= 1.0)
 
-    def test_matches_brute_force_across_block_seams(self):
-        # four pattern blocks; the truth sits in the last one, so the running
-        # max-shift is raised after earlier blocks were already summed
-        dim = codec._PATTERN_BLOCK.bit_length() + 1
+    @pytest.mark.parametrize("dim", [11, 13])
+    def test_matches_brute_force_with_partial_hadamard_groups(self, dim):
+        # 11 and 13 bits leave a partial last transform group; the truth is
+        # the top pattern, so the heaviest weights come from the last entries
         fld = sample_field(FieldSpec(n_out=3, dim=dim, order=3, power=1.0, seed=16))
         rng = np.random.default_rng(17)
-        truth = np.concatenate([rng.integers(0, 2, size=dim - 2) * 2.0 - 1.0, [1.0, 1.0]])
-        y = evaluate(fld, truth) + rng.normal(0.0, 0.7, size=3)
+        y = evaluate(fld, np.ones(dim)) + rng.normal(0.0, 0.7, size=3)
         rows = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
-        logw = np.array([-0.5 * np.sum((y - evaluate(fld, u)) ** 2) / 0.5 for u in rows])
+        resid = y - evaluate(fld, rows)
+        logw = -0.5 * np.einsum("ij,ij->i", resid, resid) / 0.5
         weights = np.exp(logw - logsumexp(logw))
         assert np.max(np.abs(mmse_estimate(fld, y, 0.5) - weights @ rows)) <= 1e-12
 
-    def test_split_merge_independence(self, monkeypatch):
-        # merging contiguous block reductions must reproduce the one-block total
-        spec = FieldSpec(n_out=4, dim=5, order=2, power=1.0, seed=14)
+    def test_hadamard_group_size_invariance(self, monkeypatch):
+        # the transform's group size changes only the order of the sums
+        spec = FieldSpec(n_out=4, dim=7, order=2, power=1.0, seed=14)
         fld = sample_field(spec)
         y = np.random.default_rng(15).normal(size=4)
         whole = mmse_estimate(fld, y, 0.7)
-        for block in (16, 11, 7, 3, 1):
-            monkeypatch.setattr(codec, "_PATTERN_BLOCK", block)
+        for bits in (1, 2, 3, 5):
+            monkeypatch.setattr(field, "_HADAMARD_BITS", bits)
             assert np.max(np.abs(mmse_estimate(fld, y, 0.7) - whole)) <= 1e-12
 
     def test_budget_and_input_errors(self):

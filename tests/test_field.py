@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gfwiretap.errors import BudgetError
 from gfwiretap.field import (
     FieldSpec,
     covariance_probe,
+    enumerate_outputs,
     evaluate,
     evaluate_flipped,
     sample_field,
@@ -179,6 +180,40 @@ class TestCovarianceLaw:
         spec = FieldSpec(n_out=1, dim=4, order=1, power=1.0, seed=0)
         with pytest.raises(ValueError):
             covariance_probe(spec, np.ones(4), [np.ones(4)], 100, 0)
+
+
+class TestEnumerateOutputs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(min_value=1, max_value=4),
+        n_out=st.integers(min_value=1, max_value=4),
+        dim=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # 1, 6 and 11 bits leave a partial last transform group
+    @example(order=4, n_out=1, dim=1, seed=1)
+    @example(order=3, n_out=4, dim=6, seed=6)
+    @example(order=4, n_out=2, dim=11, seed=11)
+    @example(order=2, n_out=3, dim=12, seed=12)
+    def test_matches_block_evaluate_on_every_pattern(self, order, n_out, dim, seed):
+        fld = sample_field(FieldSpec(n_out=n_out, dim=dim, order=order, power=1.0, seed=seed))
+        bit_of_coordinate = np.random.default_rng(seed).permutation(dim)
+        patterns = np.arange(1 << dim)
+        rows = ((patterns[:, None] >> bit_of_coordinate) & 1) * 2.0 - 1.0
+        expected = evaluate(fld, rows)
+        outputs = list(enumerate_outputs(fld, bit_of_coordinate))
+        assert len(outputs) == n_out
+        for o, values in enumerate(outputs):
+            assert values.shape == (1 << dim,)
+            assert np.all(
+                np.abs(values - expected[:, o]) <= 1e-12 * np.maximum(1.0, np.abs(expected[:, o]))
+            )
+
+    def test_permutation_validation(self):
+        fld = sample_field(FieldSpec(n_out=2, dim=3, order=2, power=1.0, seed=0))
+        for bad in ([0, 1], [0, 1, 1], [1, 2, 3]):
+            with pytest.raises(ValueError):
+                next(enumerate_outputs(fld, bad))
 
 
 class TestEvaluateFlipped:

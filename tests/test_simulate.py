@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gfwiretap import codec, simulate
+from gfwiretap import codec, field, simulate
 from gfwiretap.codec import CodecConfig, build_binning, random_key
 from gfwiretap.errors import BudgetError
 from gfwiretap.field import FieldSpec, sample_field
@@ -21,7 +21,7 @@ from gfwiretap.simulate import (
     transmit,
     write_report,
 )
-from oracles import leakage_terms_reference
+from oracles import codeword_table_reference, leakage_terms_reference
 
 
 def small_cfg(**kw):
@@ -157,6 +157,19 @@ class TestLeakage:
                 pattern = (m << 2) | key_pattern
                 assert np.max(np.abs(table[pattern] - frame.x)) <= 1e-9
 
+    def test_codeword_table_matches_block_reference(self):
+        # non-identity permutations, one of them with a single key symbol
+        for k, k_tilde, seed in ((2, 2, 0), (5, 1, 1), (6, 4, 2), (9, 3, 3)):
+            cfg = small_cfg(n=5, k=k, k_tilde=k_tilde)
+            fld = _trial_field(cfg, seed)
+            plan = _trial_plan(cfg, seed)
+            assert not np.array_equal(plan.permutation, np.arange(cfg.k_tot))
+            reference = codeword_table_reference(fld, plan)
+            table = _codeword_table(fld, plan)
+            assert np.max(np.abs(table - reference)) <= 1e-12 * max(
+                1.0, np.max(np.abs(reference))
+            )
+
     def test_chain_identity_is_exact_on_shared_samples(self):
         cfg = small_cfg(n=8, k=2, k_tilde=2)
         est = estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 400)
@@ -247,8 +260,9 @@ class TestLeakage:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(codec, "_candidate_blocks", no_enumeration)
-        monkeypatch.setattr(simulate, "_candidate_blocks", no_enumeration)
+        # simulate reaches the kernel through field.evaluate
+        for module in (field, codec):
+            monkeypatch.setattr(module, "enumerate_outputs", no_enumeration)
         cfg = small_cfg(n=4, k=15, k_tilde=6)
         assert cfg.k_tot == codec.DEFAULT_ENUM_BUDGET + 1
         fld = _trial_field(cfg, 0)
