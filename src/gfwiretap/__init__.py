@@ -7,6 +7,7 @@ scheme at desk scale with an exact posterior-mean decoder, cross-validating
 prediction against simulation.
 """
 
+from ._version import __version__
 from .channel import (
     LOG2,
     WiretapParams,
@@ -72,5 +73,3 @@ from .simulate import (
     transmit,
     write_report,
 )
-
-__version__ = "0.1.0"

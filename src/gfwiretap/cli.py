@@ -2,7 +2,8 @@
 
 Subcommands: replica-scan, critical-rate, simulate, leakage, field-check.
 Output is plain comma-delimited text with '#'-prefixed header lines carrying
-the full effective configuration, so re-running with the header's values
+the full effective configuration and a '# versions:' line (package, numpy and
+scipy), so re-running with the header's values under those versions
 reproduces the file byte-for-byte apart from the '# generated:' line.
 
 Exit statuses: 0 success, 2 usage error, 3 resource/budget error,
@@ -21,6 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._version import versions_line
 from .channel import (
     LOG2,
     WiretapParams,
@@ -95,6 +97,7 @@ def _open_out(path: str):
 
 def _emit_header(fh, subcommand: str, params: dict) -> None:
     fh.write(f"# gfwiretap {subcommand} v1\n")
+    fh.write(versions_line())
     for name in sorted(params):
         fh.write(f"# param {name} = {params[name]}\n")
     fh.write(f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
@@ -464,11 +467,12 @@ def main(argv=None) -> int:
         print(f"gfwiretap: usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetError as exc:
-        print(
-            f"gfwiretap: resource budget exceeded: {exc} "
-            f"(lower n, k, or k_tilde)",
-            file=sys.stderr,
-        )
+        # name the size flags of the subcommand that ran
+        if args.subcommand == "field-check":
+            hint = "lower --k-tot, --lambda or --n-out"
+        else:
+            hint = "lower n, k, or k_tilde"
+        print(f"gfwiretap: resource budget exceeded: {exc} ({hint})", file=sys.stderr)
         return RESOURCE_ERROR
     except (BracketError, NumericalError) as exc:
         print(f"gfwiretap: numerical failure: {exc}", file=sys.stderr)

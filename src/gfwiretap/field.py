@@ -36,6 +36,17 @@ fold plus ``O(2**dim * dim)`` multiply-adds for the transform, against
 ``2**dim``-float arrays.  ``evaluate`` on a :class:`Hypercube` stacks the
 outputs into the ``(2**dim, n_out)`` table of every input.
 
+``covariance_probe`` samples its fields without building them.  One
+generator, seeded from the probe's ``seed``, supplies every field: field
+``i``'s coefficient tensor is the ``i``-th run of ``n_out * dim**order``
+standard normals, with the same law, shape and ``scale`` as a
+:func:`sample_field` tensor.  Fields are drawn in chunks of
+``_CHUNK_FLOATS // (n_out * dim**order)`` (at least one), one
+``(fields * n_out, dim**order)`` draw each, and a chunk is contracted in one
+matrix product against the order-fold Kronecker powers of ``s1`` and the
+probes.  Chunking does not change the stream, so the result does not depend
+on the chunk size beyond rounding; the normal draws are most of the cost.
+
 Fields are immutable after sampling; ``evaluate``, ``evaluate_flipped`` and
 ``enumerate_outputs`` are read-only and safe to call concurrently.
 """
@@ -66,7 +77,8 @@ __all__ = [
 #: Maximum number of materialized coefficients (~256 MiB of float64).
 DEFAULT_COEFF_BUDGET = 2**25
 
-#: Floats in the intermediate of one chunk of a batched evaluation.
+#: Floats in the intermediate of one chunk of a batched evaluation, and in
+#: the coefficients of one chunk of fields drawn by ``covariance_probe``.
 _CHUNK_FLOATS = 2**15
 
 #: Bits of the pattern integer taken by one matrix product of the transform.
@@ -107,8 +119,7 @@ class GaussianField:
     scale: float
 
 
-def sample_field(spec: FieldSpec, budget: int = DEFAULT_COEFF_BUDGET) -> GaussianField:
-    """Draw the coefficient tensor for ``spec``; deterministic per seed."""
+def _check_budget(spec: FieldSpec, budget: int) -> None:
     count = spec.coeff_count
     if count > budget:
         raise BudgetError(
@@ -116,6 +127,11 @@ def sample_field(spec: FieldSpec, budget: int = DEFAULT_COEFF_BUDGET) -> Gaussia
             f"(n_out={spec.n_out}, dim={spec.dim}, order={spec.order}); "
             f"budget is {budget}"
         )
+
+
+def sample_field(spec: FieldSpec, budget: int = DEFAULT_COEFF_BUDGET) -> GaussianField:
+    """Draw the coefficient tensor for ``spec``; deterministic per seed."""
+    _check_budget(spec, budget)
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
     shape = (spec.n_out,) + (spec.dim,) * spec.order
     coeffs = rng.standard_normal(shape)
@@ -284,27 +300,37 @@ def covariance_probe(
     For each probe vector in ``s2_list`` this accumulates the same-output
     product ``V_0(s1) V_0(s2)`` and the cross-output product
     ``V_0(s1) V_1(s2)`` (hence ``spec.n_out`` must be >= 2), and returns a
-    list of ``(mean_same, se_same, mean_cross, se_cross)`` tuples.
+    list of ``(mean_same, se_same, mean_cross, se_cross)`` tuples.  The
+    fields come from one standard-normal stream of ``seed``: field ``i``'s
+    coefficient tensor is the ``i``-th run of ``spec.coeff_count`` draws.
     """
     if spec.n_out < 2:
         raise ValueError("covariance_probe needs n_out >= 2 for the cross term")
     if n_fields < 2:
         raise ValueError(f"n_fields must be >= 2, got {n_fields}")
+    _check_budget(spec, DEFAULT_COEFF_BUDGET)
     s1 = _check_bipolar(s1, spec.dim)
     probes = [_check_bipolar(s2, spec.dim) for s2 in s2_list]
-    # row 0 is s1 and the probes follow, so each field takes one evaluation
+    # row r of `powers` is the order-fold Kronecker power of input r (s1
+    # first, the probes after), so a flattened coefficient row dotted with
+    # it is that output's full contraction at input r
     rows = np.vstack([s1] + probes)
+    powers = np.ones((len(rows), 1))
+    for _ in range(spec.order):
+        powers = (powers[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    scale = math.sqrt(spec.power / spec.dim**spec.order)
 
-    seeds = np.random.SeedSequence(int(seed)).generate_state(n_fields, dtype=np.uint64)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    chunk = max(1, _CHUNK_FLOATS // spec.coeff_count)
     same = np.empty((len(probes), n_fields))
     cross = np.empty((len(probes), n_fields))
-    for i, field_seed in enumerate(seeds):
-        field = sample_field(
-            FieldSpec(spec.n_out, spec.dim, spec.order, spec.power, int(field_seed))
-        )
-        v = evaluate(field, rows)
-        same[:, i] = v[0, 0] * v[1:, 0]
-        cross[:, i] = v[0, 0] * v[1:, 1]
+    for lo in range(0, n_fields, chunk):
+        m = min(chunk, n_fields - lo)
+        coeffs = rng.standard_normal((m * spec.n_out, powers.shape[1]))
+        v = (coeffs @ powers.T).reshape(m, spec.n_out, -1)
+        v *= scale
+        same[:, lo : lo + m] = (v[:, 0, :1] * v[:, 0, 1:]).T
+        cross[:, lo : lo + m] = (v[:, 0, :1] * v[:, 1, 1:]).T
 
     results = []
     root_n = math.sqrt(n_fields)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from ._version import versions_line
 from .channel import LOG2
 from .codec import (
     BinningPlan,
@@ -440,6 +441,7 @@ def write_report(report: SimReport, fh) -> None:
     """
     cfg = report.config
     fh.write("# gfwiretap simulation report v1\n")
+    fh.write(versions_line())
     # '# param' lines carry the `simulate` flag names, so a header written
     # into a [simulate] config section re-runs the report
     params = {

@@ -229,19 +229,21 @@ def leakage_terms_reference(cfg, table, n_samples):
 def covariance_probe_reference(spec, s1, s2_list, n_fields, seed):
     """``covariance_probe`` as one 1-D evaluation per probe and field.
 
-    The per-probe loop the block evaluation replaced: every field is drawn
-    from the same seed stream, ``s1`` and each probe are evaluated one at a
-    time, and the same-output and cross-output products are averaged.
+    The per-field loop the chunked draw replaced: each field's coefficient
+    tensor is drawn on its own from the probe's single stream of ``seed``,
+    wrapped as a :class:`GaussianField`, and ``s1`` and each probe are
+    evaluated one at a time before the same-output and cross-output
+    products are averaged.
     """
-    from gfwiretap.field import FieldSpec, evaluate, sample_field
+    from gfwiretap.field import GaussianField, evaluate
 
-    seeds = np.random.SeedSequence(int(seed)).generate_state(n_fields, dtype=np.uint64)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    scale = math.sqrt(spec.power / spec.dim**spec.order)
     same = np.empty((len(s2_list), n_fields))
     cross = np.empty((len(s2_list), n_fields))
-    for i, field_seed in enumerate(seeds):
-        field = sample_field(
-            FieldSpec(spec.n_out, spec.dim, spec.order, spec.power, int(field_seed))
-        )
+    for i in range(n_fields):
+        coeffs = rng.standard_normal((spec.n_out,) + (spec.dim,) * spec.order)
+        field = GaussianField(spec=spec, coeffs=coeffs, scale=scale)
         v1 = evaluate(field, np.asarray(s1, dtype=float))
         for j, s2 in enumerate(s2_list):
             v2 = evaluate(field, np.asarray(s2, dtype=float))

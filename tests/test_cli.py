@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
+import gfwiretap
 from gfwiretap import numerics, replica
 from gfwiretap.cli import main
 
@@ -290,10 +292,43 @@ class TestFieldCheck:
             assert abs(emp - theory) <= 3.0 * se
             assert abs(cross) <= 3.0 * cross_se
 
+    def test_budget_exceeded_names_field_check_flags(self, capsys, monkeypatch):
+        # 2 * 64**5 = 2**31 coefficients per field: refused before any draw
+        def no_draws(*args, **kwargs):
+            raise AssertionError("field-check drew before its budget check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        code, _, err = run_cli(capsys, "field-check", "--k-tot", "64", "--lambda", "5")
+        assert code == 3
+        assert "(lower --k-tot, --lambda or --n-out)" in err
+
     def test_k_tot_must_fit_overlap_grid(self, capsys):
         code, _, err = run_cli(capsys, "field-check", "--k-tot", "6")
         assert code == 2
         assert "multiple of 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("replica-scan", "--rates", "1.0:1.0:1.0"),
+        ("critical-rate", "--tol", "0.05"),
+        ("simulate", "--n", "8", "--k", "2", "--k-tilde", "2", "--sigma-b-sq", "0.3",
+         "--sigma-e-sq", "1", "--trials", "1"),
+        ("leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
+         "--sigma-e-sq", "1", "--samples", "20"),
+        ("field-check", "--fields", "20"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_header_records_versions(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    versions = (
+        f"# versions: gfwiretap {gfwiretap.__version__}, numpy {np.__version__}, "
+        f"scipy {scipy.__version__}"
+    )
+    assert out.splitlines().count(versions) == 1
 
 
 class TestConfigFile:

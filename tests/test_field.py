@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gfwiretap import field as field_module
 from gfwiretap.errors import BudgetError
 from gfwiretap.field import (
     FieldSpec,
@@ -175,6 +176,41 @@ class TestCovarianceLaw:
         want = covariance_probe_reference(spec, s1, probes, n_fields=300, seed=17)
         assert len(got) == len(want) == n_probes
         assert np.max(np.abs(np.array(got) - np.array(want)), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("fields_per_chunk", [1, 7, 100])
+    def test_probe_is_chunk_invariant(self, monkeypatch, fields_per_chunk):
+        # 100 fields: 1 and 7 per chunk leave a short last chunk, 100 is one
+        spec = FieldSpec(n_out=3, dim=5, order=2, power=1.5, seed=0)
+        rng = np.random.default_rng(3)
+        s1 = bipolar(rng, 5)
+        probes = [bipolar(rng, 5) for _ in range(4)]
+        want = covariance_probe(spec, s1, probes, n_fields=100, seed=8)
+        monkeypatch.setattr(
+            field_module, "_CHUNK_FLOATS", fields_per_chunk * spec.coeff_count
+        )
+        got = covariance_probe(spec, s1, probes, n_fields=100, seed=8)
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+    def test_probe_repeats_bit_for_bit(self):
+        spec = FieldSpec(n_out=2, dim=8, order=3, power=1.0, seed=0)
+        rng = np.random.default_rng(11)
+        s1 = bipolar(rng, 8)
+        probes = [bipolar(rng, 8) for _ in range(3)]
+        first = covariance_probe(spec, s1, probes, n_fields=500, seed=4)
+        assert covariance_probe(spec, s1, probes, n_fields=500, seed=4) == first
+
+    def test_probe_checks_budget_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("covariance_probe drew before its budget check")
+
+        monkeypatch.setattr(field_module.np.random, "default_rng", no_draws)
+        # 2 * 64**5 = 2**31 coefficients per field, over the 2**25 budget
+        spec = FieldSpec(n_out=2, dim=64, order=5, power=1.0, seed=0)
+        with pytest.raises(BudgetError) as want:
+            sample_field(spec)
+        with pytest.raises(BudgetError) as got:
+            covariance_probe(spec, np.ones(64), [np.ones(64)], 100, 0)
+        assert str(got.value) == str(want.value)
 
     def test_probe_validation(self):
         spec = FieldSpec(n_out=1, dim=4, order=1, power=1.0, seed=0)
