@@ -1,6 +1,6 @@
 """Wiretap coding over strictly nonlinear Gaussian random fields.
 
-A numpy/scipy toolkit that (1) solves the decoupled-setting energy
+A numpy toolkit that (1) solves the decoupled-setting energy
 minimization predicting the all-or-nothing collapse of exact Bayesian
 decoding under random-field encoders, and (2) runs the full keyed coding
 scheme at desk scale with an exact posterior-mean decoder, cross-validating

@@ -305,7 +305,7 @@ def _cmd_field_check(args) -> int:
         n_flip = round((1.0 - u) / 2.0 * args.k_tot)
         s2[:n_flip] = -1.0
         probes.append(s2)
-    results = covariance_probe(spec, s1, probes, args.fields, args.field_seed)
+    results = covariance_probe(spec, s1, probes, args.fields)
     with _open_out(args.out) as fh:
         _emit_header(
             fh,

@@ -293,7 +293,7 @@ def covariance_probe(
     s1,
     s2_list,
     n_fields: int,
-    seed: int,
+    seed: int | None = None,
 ):
     """Empirical output covariances over ``n_fields`` resampled fields.
 
@@ -303,6 +303,7 @@ def covariance_probe(
     list of ``(mean_same, se_same, mean_cross, se_cross)`` tuples.  The
     fields come from one standard-normal stream of ``seed``: field ``i``'s
     coefficient tensor is the ``i``-th run of ``spec.coeff_count`` draws.
+    ``seed`` defaults to ``spec.seed``; when both are given, ``seed`` wins.
     """
     if spec.n_out < 2:
         raise ValueError("covariance_probe needs n_out >= 2 for the cross term")
@@ -320,6 +321,7 @@ def covariance_probe(
         powers = (powers[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
     scale = math.sqrt(spec.power / spec.dim**spec.order)
 
+    seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     chunk = max(1, _CHUNK_FLOATS // spec.coeff_count)
     same = np.empty((len(probes), n_fields))

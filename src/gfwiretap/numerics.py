@@ -1,6 +1,10 @@
 """Numerics kernel: standard-normal expectations by quadrature, bracketed
 one-dimensional minimization, and transition bisection.
 
+The Gauss-Hermite rules are built here with numpy alone: Tricomi's
+asymptotic formula places the nodes and Newton's method on the Hermite-
+function recurrence polishes them, so no scipy module is loaded.
+
 Quadrature integrands and minimization objectives are array-shaped: an
 integrand may return a stack of node values, and an objective is evaluated
 on row blocks of its grid.
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .errors import BracketError, NumericalError
 
@@ -47,6 +50,12 @@ NODE_WEIGHT_FLOOR = 1e-30
 #: (128 KiB), so its intermediates stay in cache; the whole 1001-point grid
 #: at once is over twice as slow.
 GRID_BLOCK_ROWS = 113
+
+#: Newton sweeps that polish the Gauss-Hermite nodes stop once every step is
+#: below this share of its node (or of 1 below |x| = 1); from Tricomi's
+#: starting points that takes at most four sweeps at orders 1 to 4000.
+_NEWTON_RTOL = 1e-14
+_NEWTON_MAX_SWEEPS = 20
 
 _LOG2 = math.log(2.0)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -93,19 +102,84 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+def _hermite_functions(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(q_n(x), q_{n-1}(x))`` of the Hermite functions
+    ``q_k = He_k(x) exp(-x**2 / 4) / sqrt(k!)``.
+
+    The recurrence ``q_{k+1} = (x q_k - sqrt(k) q_{k-1}) / sqrt(k + 1)`` from
+    ``q_0 = exp(-x**2 / 4)`` stays bounded, so it cannot overflow; far in the
+    tail it underflows to zero instead.
+    """
+    k = np.arange(n)
+    a = np.sqrt(k / (k + 1.0)).tolist()
+    b = (1.0 / np.sqrt(k + 1.0)).tolist()
+    q_prev, q = np.zeros_like(x), np.exp(-0.25 * x * x)
+    for j in range(n):
+        q_prev, q = q, b[j] * x * q - a[j] * q_prev
+    return q, q_prev
+
+
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and unnormalised weights of the probabilists'
+    Gauss-Hermite rule of ``order``, every node kept.
+
+    Initial positive nodes come from Tricomi's formula (Townsend, Trogdon &
+    Olver, IMA J. Numer. Anal. 2016, lemma 3.1), Newton sweeps on
+    ``q_order`` polish them (``q_order' = sqrt(order) q_{order-1}`` at a
+    root), and each weight is ``exp(-x**2 / 2) / (order q_{order-1}(x)**2)``.
+    Both halves are mirrored from the nonnegative one; a tail node whose
+    ``q_{order-1}`` underflows to zero stops moving and gets weight 0.
+    """
+    n, m = order, order // 2
+    # tau_k solves tau - sin(tau) = c_k, by Newton's method from pi/2
+    nu = 4.0 * m + 2.0 * (n % 2) + 1.0
+    c = (4.0 * m - 4.0 * np.arange(1, m + 1) + 3.0) * math.pi / nu
+    tau = np.full(m, 0.5 * math.pi)
+    for _ in range(_NEWTON_MAX_SWEEPS):
+        step = (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+        tau -= step
+        if np.all(np.abs(step) <= _NEWTON_RTOL * tau):
+            break
+    sigma = np.cos(0.5 * tau) ** 2
+    x_sq = nu * sigma - (
+        5.0 / (4.0 * (1.0 - sigma) ** 2) - 1.0 / (1.0 - sigma) - 0.25
+    ) / (3.0 * nu)
+    # the formula is for the physicists' H_n; He_n's roots are sqrt(2) times
+    x = np.sqrt(2.0 * x_sq)
+    if n % 2:
+        x = np.concatenate(([0.0], x))
+
+    root_n = math.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_SWEEPS):
+            q, q_prev = _hermite_functions(x, n)
+            step = np.where(q_prev != 0.0, q / (root_n * q_prev), 0.0)
+            x = x - step
+            if np.all(np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, x)):
+                break
+        _, q_prev = _hermite_functions(x, n)
+        w = np.where(q_prev != 0.0, np.exp(-0.5 * x * x) / (n * q_prev * q_prev), 0.0)
+    lo = n % 2  # an odd order's zero node is not mirrored
+    return (
+        np.concatenate((-x[::-1], x[lo:])),
+        np.concatenate((w[::-1], w[lo:])),
+    )
+
+
 @functools.lru_cache(maxsize=32)
 def gauss_hermite_rule(order: int = DEFAULT_QUADRATURE_ORDER) -> QuadratureRule:
     """Probabilists' Gauss-Hermite rule normalized for a N(0,1) expectation.
 
     Nodes whose normalised weight is at most ``NODE_WEIGHT_FLOOR`` (1e-30)
-    are dropped, including those whose weights underflow to zero above
-    order ~320.  The retained weights stay strictly positive, the node set
-    stays symmetric, and at the default order 144 of 396 nodes remain, which
-    is what every quadrature and every row of the solver's energy grid costs.
+    are dropped, including the far-tail nodes whose Hermite functions
+    underflow and whose weights are therefore exactly zero.  The retained
+    weights stay strictly positive, the node set stays symmetric, and at the
+    default order 144 of 400 nodes remain, which is what every quadrature
+    and every row of the solver's energy grid costs.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    nodes, weights = roots_hermitenorm(order)
+    nodes, weights = _hermite_rule(order)
     weights = weights / weights.sum()
     keep = weights > NODE_WEIGHT_FLOOR
     return QuadratureRule(order=order, nodes=nodes[keep], weights=weights[keep])

@@ -43,7 +43,8 @@ def full_rule(order):
     """Gauss-Hermite rule that keeps every node whose weight is nonzero.
 
     ``gauss_hermite_rule`` also drops the nodes whose normalised weight is
-    at most 1e-30; this rule keeps them (396 nodes at order 400).
+    at most 1e-30; this rule keeps them (396 nodes at order 400).  It is
+    scipy's rule, so it shares no code with the package's own builder.
     """
     from scipy.special import roots_hermitenorm
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,18 @@ class TestCovarianceLaw:
         probes = [bipolar(rng, 8) for _ in range(3)]
         first = covariance_probe(spec, s1, probes, n_fields=500, seed=4)
         assert covariance_probe(spec, s1, probes, n_fields=500, seed=4) == first
+
+    def test_probe_seed_defaults_to_spec_seed(self):
+        spec = FieldSpec(n_out=2, dim=6, order=2, power=1.0, seed=23)
+        rng = np.random.default_rng(5)
+        s1 = bipolar(rng, 6)
+        probes = [bipolar(rng, 6) for _ in range(2)]
+        got = covariance_probe(spec, s1, probes, n_fields=200)
+        assert got == covariance_probe(spec, s1, probes, n_fields=200, seed=23)
+        reseeded = dataclasses.replace(spec, seed=24)
+        assert covariance_probe(reseeded, s1, probes, n_fields=200) != got
+        # an explicit seed wins over the spec's
+        assert covariance_probe(reseeded, s1, probes, n_fields=200, seed=23) == got
 
     def test_probe_checks_budget_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):

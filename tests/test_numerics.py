@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_hermitenorm
 
 from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
@@ -10,6 +11,7 @@ from gfwiretap.numerics import (
     GRID_BLOCK_ROWS,
     NODE_WEIGHT_FLOOR,
     QuadratureRule,
+    _hermite_rule,
     _minimize_with_diagnostics,
     bisect_transition,
     default_rule,
@@ -80,8 +82,23 @@ class TestQuadratureRule:
         rule, full = default_rule(), full_rule(DEFAULT_QUADRATURE_ORDER)
         assert (rule.nodes.size, full.nodes.size) == (144, 396)
         assert np.all(rule.weights > NODE_WEIGHT_FLOOR)
-        kept = full.weights > NODE_WEIGHT_FLOOR
-        np.testing.assert_array_equal(rule.nodes, full.nodes[kept])
+        nodes, weights = _hermite_rule(DEFAULT_QUADRATURE_ORDER)
+        kept = weights / weights.sum() > NODE_WEIGHT_FLOOR
+        np.testing.assert_array_equal(rule.nodes, nodes[kept])
+
+    @pytest.mark.parametrize("order", list(range(1, 161)) + [399, 400, 401, 800, 1000])
+    def test_matches_scipy_rule(self, order):
+        # scipy builds its rule by Golub-Welsch up to order 150 and by an
+        # asymptotic expansion above; normalised and floored like ours, it
+        # keeps the same nodes
+        want_nodes, want_weights = roots_hermitenorm(order)
+        want_weights = want_weights / want_weights.sum()
+        kept = want_weights > NODE_WEIGHT_FLOOR
+        _, weights = _hermite_rule(order)
+        np.testing.assert_array_equal(weights / weights.sum() > NODE_WEIGHT_FLOOR, kept)
+        rule = gauss_hermite_rule(order)
+        np.testing.assert_allclose(rule.nodes, want_nodes[kept], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(rule.weights, want_weights[kept], rtol=1e-11, atol=0.0)
 
     @pytest.mark.parametrize("g", [log_cosh, np.tanh], ids=["log_cosh", "tanh"])
     def test_pruned_rule_matches_unpruned_on_engine_integrands(self, g):

@@ -1,16 +1,19 @@
-"""Smoke tests for the demo scripts, the README's commands and the package's
-export lists.
+"""Smoke tests for the demo scripts, the README's commands, the package's
+export lists and its import footprint.
 
 No other test runs the demos or the README examples, so an API change they
 depend on would otherwise go unnoticed; a stale ``__all__`` entry fails only
 on a star import.
 """
 
+import os
 import pathlib
 import pkgutil
 import re
 import runpy
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -57,3 +60,25 @@ def test_readme_covers_every_subcommand():
 def test_readme_command_parses(line):
     # a removed or renamed flag makes argparse exit
     cli._build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_package_import_loads_no_scipy():
+    # scipy.special alone would about double the package's start-up time;
+    # only the ``# versions:`` header line may import scipy, and only then
+    code = (
+        "import sys\n"
+        "import gfwiretap, gfwiretap.cli\n"
+        "from gfwiretap import numerics\n"
+        "numerics.default_rule()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(pathlib.Path(gfwiretap.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
