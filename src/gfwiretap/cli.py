@@ -5,6 +5,10 @@ Output is plain comma-delimited text with '#'-prefixed header lines carrying
 the full effective configuration and a '# versions:' line (package, numpy and
 scipy), so re-running with the header's values under those versions
 reproduces the file byte-for-byte apart from the '# generated:' line.
+Every flag of the subcommand but --out is echoed as one '# param' line,
+sorted by name, with the value the run used: critical-rate's default bracket
+as lo:hi, the resolved k_tilde, and a k derived by simulate's
+--at-secrecy-capacity as k with at_secrecy_capacity = False.
 
 Exit statuses: 0 success, 2 usage error, 3 resource/budget error,
 4 numerical failure.  Science parameters come only from flags or the config
@@ -95,11 +99,29 @@ def _open_out(path: str):
             yield fh
 
 
-def _emit_header(fh, subcommand: str, params: dict) -> None:
-    fh.write(f"# gfwiretap {subcommand} v1\n")
+def _params(args, **resolved) -> dict:
+    """The '# param' values of a run, sorted by name.
+
+    Every flag of the subcommand is named after its long option (``lambda``
+    for ``--lambda``, whose dest is ``order``).  ``resolved`` replaces the
+    parsed value of a flag whose effective value the command worked out
+    itself, so the header re-runs exactly what ran.
+    """
+    values = {
+        dest: value
+        for dest, value in vars(args).items()
+        if dest not in ("func", "out", "config", "subcommand")
+    }
+    values.update(resolved)
+    named = {("lambda" if dest == "order" else dest): v for dest, v in values.items()}
+    return dict(sorted(named.items()))
+
+
+def _emit_header(fh, args, **resolved) -> None:
+    fh.write(f"# gfwiretap {args.subcommand} v1\n")
     fh.write(versions_line())
-    for name in sorted(params):
-        fh.write(f"# param {name} = {params[name]}\n")
+    for name, value in _params(args, **resolved).items():
+        fh.write(f"# param {name} = {value}\n")
     fh.write(f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
 
 
@@ -122,19 +144,7 @@ def _cmd_replica_scan(args) -> int:
     )
     rows = scan_rates(cfg, rates)
     with _open_out(args.out) as fh:
-        _emit_header(
-            fh,
-            "replica-scan",
-            {
-                "lambda": args.order,
-                "power": args.power,
-                "sigma_sq": args.sigma_sq,
-                "rates": args.rates,
-                "grid_step": args.grid_step,
-                "refine_tol": args.refine_tol,
-                "units": args.units,
-            },
-        )
+        _emit_header(fh, args)
         fh.write("rate,m_star,info_rate,energy_at_0,energy_at_1,fixed_point_residual\n")
         for rate, sol in rows:
             fh.write(
@@ -162,17 +172,7 @@ def _cmd_critical_rate(args) -> int:
     )
     located = locate_critical_rate(cfg, lo, hi, tol=args.tol)
     with _open_out(args.out) as fh:
-        _emit_header(
-            fh,
-            "critical-rate",
-            {
-                "lambda": args.order,
-                "power": args.power,
-                "sigma_sq": args.sigma_sq,
-                "bracket": f"{lo}:{hi}",
-                "tol": args.tol,
-            },
-        )
+        _emit_header(fh, args, bracket=f"{lo}:{hi}")
         fh.write("located,heuristic,difference\n")
         fh.write(f"{located:.17g},{heuristic:.17g},{located - heuristic:.17g}\n")
     return 0
@@ -228,37 +228,22 @@ def _cmd_simulate(args) -> int:
     with _open_out(args.out) as fh:
         if derivation is not None:
             fh.write(f"# derived: {derivation}\n")
-        write_report(report, fh)
+        # the derived k is recorded as --k, so a re-run takes it as given
+        params = _params(args, k=k, k_tilde=cfg.k_tilde, at_secrecy_capacity=False)
+        write_report(report, fh, params)
     return 0
 
 
 def _cmd_leakage(args) -> int:
+    if args.realizations < 1:
+        raise UsageError(f"--realizations must be >= 1, got {args.realizations}")
     cfg = _codec_config(args, args.k)
     fld = _trial_field(cfg, 0)
     plan = _trial_plan(cfg, 0)
     estimate = estimate_leakage(cfg, fld, plan, args.samples)
     div = _unit_divisor(args.units)
     with _open_out(args.out) as fh:
-        _emit_header(
-            fh,
-            "leakage",
-            {
-                "n": cfg.n,
-                "k": cfg.k,
-                "k_tilde": cfg.k_tilde,
-                "lambda": cfg.order,
-                "power": cfg.power,
-                "sigma_e_sq": cfg.sigma_e_sq,
-                "samples": args.samples,
-                "realizations": args.realizations,
-                "field_seed": cfg.field_seed,
-                "perm_seed": cfg.perm_seed,
-                "key_seed": cfg.key_seed,
-                "noise_seed": cfg.noise_seed,
-                "allow_low_order": cfg.allow_low_order,
-                "units": args.units,
-            },
-        )
+        _emit_header(fh, args, k_tilde=cfg.k_tilde)
         fh.write("quantity,estimate,standard_error\n")
         fh.write(
             f"leakage,{estimate.leakage / div:.17g},{estimate.leakage_se / div:.17g}\n"
@@ -307,18 +292,7 @@ def _cmd_field_check(args) -> int:
         probes.append(s2)
     results = covariance_probe(spec, s1, probes, args.fields)
     with _open_out(args.out) as fh:
-        _emit_header(
-            fh,
-            "field-check",
-            {
-                "k_tot": args.k_tot,
-                "lambda": args.order,
-                "power": args.power,
-                "n_out": spec.n_out,
-                "fields": args.fields,
-                "field_seed": args.field_seed,
-            },
-        )
+        _emit_header(fh, args)
         fh.write("overlap,theory,empirical,se,cross_empirical,cross_se\n")
         for u, (mean_same, se_same, mean_cross, se_cross) in zip(overlaps, results):
             theory = args.power * u**args.order

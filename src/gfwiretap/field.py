@@ -15,14 +15,6 @@ where ``<s1;s2> = s1.s2 / dim`` is the normalized inner product.  The
 coefficient tensor is deliberately not symmetrized; the covariance law holds
 either way and the full tensor avoids multinomial bookkeeping.
 
-``evaluate`` takes one input or a block of ``B`` inputs.  A block is
-contracted slot by slot: one matrix product of the rows against the
-coefficient tensor flattened to ``(n_out * dim**(order-1), dim)``, then
-``order - 1`` batched matrix-vector contractions, each with the pattern's
-own row.  Rows are walked in chunks of ``2**15 // (n_out * dim**(order-1))``
-(at least one), so the first product's intermediate stays near ``2**15``
-floats; larger chunks cost memory, smaller ones per-call overhead.
-
 ``enumerate_outputs`` gives one output on all ``2**dim`` inputs at once.  On
 the hypercube ``s_i**2 == 1``, so each output is a multilinear polynomial:
 an index tuple's monomial reduces to the product over the indices that occur
@@ -77,8 +69,8 @@ __all__ = [
 #: Maximum number of materialized coefficients (~256 MiB of float64).
 DEFAULT_COEFF_BUDGET = 2**25
 
-#: Floats in the intermediate of one chunk of a batched evaluation, and in
-#: the coefficients of one chunk of fields drawn by ``covariance_probe``.
+#: Floats in the coefficients of one chunk of fields drawn by
+#: ``covariance_probe``.
 _CHUNK_FLOATS = 2**15
 
 #: Bits of the pattern integer taken by one matrix product of the transform.
@@ -140,9 +132,9 @@ def sample_field(spec: FieldSpec, budget: int = DEFAULT_COEFF_BUDGET) -> Gaussia
     return GaussianField(spec=spec, coeffs=coeffs, scale=scale)
 
 
-def _check_bipolar(s, dim: int, ndim: int = 1) -> np.ndarray:
+def _check_bipolar(s, dim: int) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if s.ndim != ndim or s.shape[-1] != dim:
+    if s.shape != (dim,):
         raise ValueError(f"input must have length {dim}, got shape {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise ValueError("input entries must be exactly +1 or -1")
@@ -163,9 +155,7 @@ class Hypercube:
 def evaluate(field: GaussianField, s) -> np.ndarray:
     """Contract the coefficient tensor against ``s`` in every slot.
 
-    ``s`` is one bipolar vector of length ``dim``, giving ``(n_out,)``, or a
-    block of them with shape ``(B, dim)``, giving ``(B, n_out)`` whose row
-    ``b`` matches the single evaluation of ``s[b]`` to rounding.  A
+    ``s`` is one bipolar vector of length ``dim``, giving ``(n_out,)``.  A
     :class:`Hypercube` gives the ``(2**dim, n_out)`` table of every input,
     row ``p`` for pattern ``p``, filled column by column from
     :func:`enumerate_outputs`.
@@ -175,27 +165,10 @@ def evaluate(field: GaussianField, s) -> np.ndarray:
         for o, values in enumerate(enumerate_outputs(field, s.bit_of_coordinate)):
             table[:, o] = values
         return table
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 2:
-        return _evaluate_rows(field, _check_bipolar(s, field.spec.dim, ndim=2))
     s = _check_bipolar(s, field.spec.dim)
     out = field.coeffs
     for _ in range(field.spec.order):
         out = out @ s
-    return field.scale * out
-
-
-def _evaluate_rows(field: GaussianField, rows: np.ndarray) -> np.ndarray:
-    dim = field.spec.dim
-    flat = field.coeffs.reshape(-1, dim)
-    chunk = max(1, _CHUNK_FLOATS // flat.shape[0])
-    out = np.empty((rows.shape[0], field.spec.n_out))
-    for lo in range(0, rows.shape[0], chunk):
-        block = rows[lo : lo + chunk]
-        t = block @ flat.T
-        for _ in range(field.spec.order - 1):
-            t = np.matmul(t.reshape(len(block), -1, dim), block[:, :, None])[..., 0]
-        out[lo : lo + chunk] = t
     return field.scale * out
 
 

@@ -433,34 +433,16 @@ _REPORT_COLUMNS = (
 )
 
 
-def write_report(report: SimReport, fh) -> None:
+def write_report(report: SimReport, fh, params) -> None:
     """Emit a report as '#'-headed, comma-delimited text.
 
-    Byte-identical across re-runs with the same config, except for the
-    '# generated:' line.
+    ``params`` maps each name to its value, one '# param' line each in the
+    mapping's order.  Byte-identical across re-runs with the same config
+    and params, except for the '# generated:' line.
     """
     cfg = report.config
     fh.write("# gfwiretap simulation report v1\n")
     fh.write(versions_line())
-    # '# param' lines carry the `simulate` flag names, so a header written
-    # into a [simulate] config section re-runs the report
-    params = {
-        "n": cfg.n,
-        "k": cfg.k,
-        "k_tilde": cfg.k_tilde,
-        "lambda": cfg.order,
-        "power": cfg.power,
-        "sigma_b_sq": cfg.sigma_b_sq,
-        "sigma_e_sq": cfg.sigma_e_sq,
-        "field_seed": cfg.field_seed,
-        "perm_seed": cfg.perm_seed,
-        "key_seed": cfg.key_seed,
-        "noise_seed": cfg.noise_seed,
-        "allow_low_order": cfg.allow_low_order,
-        "trials": report.n_trials,
-        "freeze_field": report.freeze_field,
-        "freeze_plan": report.freeze_plan,
-    }
     for name, value in params.items():
         fh.write(f"# param {name} = {value}\n")
     fh.write(f"# derived: k_tilde_overridden = {cfg.k_tilde_overridden}\n")

@@ -114,8 +114,35 @@ def solve_overlap_reference(cfg):
     )
 
 
-#: Candidates per batched codeword evaluation in ``codeword_table_reference``.
+#: Candidates per block of sign rows in ``codeword_table_reference``.
 _PATTERN_BLOCK = 2**14
+
+#: Floats in the first product's intermediate for one chunk of rows in
+#: ``evaluate_rows_reference``.
+_ROW_CHUNK_FLOATS = 2**15
+
+
+def evaluate_rows_reference(fld, rows):
+    """``field.evaluate`` of every row of a ``(B, dim)`` block, as ``(B, n_out)``.
+
+    Contracts slot by slot, sharing no code with the Walsh-Hadamard
+    enumeration: one matrix product of the rows against the coefficients
+    flattened to ``(n_out * dim**(order-1), dim)``, then ``order - 1``
+    batched matrix-vector products, each with the row's own input.  Rows
+    are walked in chunks so the intermediate stays near
+    ``_ROW_CHUNK_FLOATS`` floats.
+    """
+    dim = fld.spec.dim
+    flat = fld.coeffs.reshape(-1, dim)
+    chunk = max(1, _ROW_CHUNK_FLOATS // flat.shape[0])
+    out = np.empty((len(rows), fld.spec.n_out))
+    for lo in range(0, len(rows), chunk):
+        block = rows[lo : lo + chunk]
+        t = block @ flat.T
+        for _ in range(fld.spec.order - 1):
+            t = np.matmul(t.reshape(len(block), -1, dim), block[:, :, None])[..., 0]
+        out[lo : lo + chunk] = t
+    return fld.scale * out
 
 
 def _candidate_blocks(coordinate_of_bit):
@@ -137,16 +164,14 @@ def _candidate_blocks(coordinate_of_bit):
 
 
 def codeword_table_reference(fld, plan):
-    """``simulate._codeword_table`` by block ``evaluate`` over sign rows.
+    """``simulate._codeword_table`` by ``evaluate_rows_reference`` over sign rows.
 
     The fill the Walsh-Hadamard kernel replaced: every pattern's permuted
     bipolar vector is built explicitly and evaluated from scratch.
     """
-    from gfwiretap.field import evaluate
-
     table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
     for start, rows in _candidate_blocks(plan.permutation):
-        table[start : start + len(rows)] = evaluate(fld, rows)
+        table[start : start + len(rows)] = evaluate_rows_reference(fld, rows)
     return table
 
 

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy
 
 import gfwiretap
 from gfwiretap import numerics, replica
-from gfwiretap.cli import main
+from gfwiretap.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +270,17 @@ class TestLeakageCommand:
                     float(v_nats) / math.log(2.0), rel=1e-12, abs=0.0
                 )
 
+    @pytest.mark.parametrize("realizations", ["0", "-3"])
+    def test_realizations_below_one_is_usage_error(self, capsys, realizations):
+        code, out, err = run_cli(
+            capsys,
+            "leakage", "--n", "6", "--k", "2", "--k-tilde", "2",
+            "--sigma-e-sq", "1", "--samples", "100", "--realizations", realizations,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--realizations must be >= 1" in err
+
     def test_realization_average_row(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -308,19 +320,19 @@ class TestFieldCheck:
         assert "multiple of 4" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("replica-scan", "--rates", "1.0:1.0:1.0"),
-        ("critical-rate", "--tol", "0.05"),
-        ("simulate", "--n", "8", "--k", "2", "--k-tilde", "2", "--sigma-b-sq", "0.3",
-         "--sigma-e-sq", "1", "--trials", "1"),
-        ("leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
-         "--sigma-e-sq", "1", "--samples", "20"),
-        ("field-check", "--fields", "20"),
-    ],
-    ids=lambda argv: argv[0],
-)
+# one small run of each subcommand
+SMOKE_RUNS = [
+    ("replica-scan", "--rates", "1.0:1.0:1.0"),
+    ("critical-rate", "--tol", "0.05"),
+    ("simulate", "--n", "8", "--k", "2", "--k-tilde", "2", "--sigma-b-sq", "0.3",
+     "--sigma-e-sq", "1", "--trials", "1"),
+    ("leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
+     "--sigma-e-sq", "1", "--samples", "20"),
+    ("field-check", "--fields", "20"),
+]
+
+
+@pytest.mark.parametrize("argv", SMOKE_RUNS, ids=lambda argv: argv[0])
 def test_header_records_versions(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -329,6 +341,31 @@ def test_header_records_versions(capsys, argv):
         f"scipy {scipy.__version__}"
     )
     assert out.splitlines().count(versions) == 1
+
+
+def _subcommand_flags(name):
+    """Long flags of one subcommand, from the parser itself."""
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        next(o for o in action.option_strings if o.startswith("--"))
+        for action in subparsers.choices[name]._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+@pytest.mark.parametrize("argv", SMOKE_RUNS, ids=lambda argv: argv[0])
+def test_header_echoes_every_flag_once_sorted(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    names = [
+        l[len("# param "):].split(" = ")[0]
+        for l in out.splitlines()
+        if l.startswith("# param ")
+    ]
+    flags = [f[2:].replace("-", "_") for f in _subcommand_flags(argv[0]) if f != "--out"]
+    assert len(flags) >= 5
+    assert names == sorted(flags)
 
 
 class TestConfigFile:

@@ -19,7 +19,7 @@ from gfwiretap.codec import (
 )
 from gfwiretap.errors import BudgetError, ConfigurationError
 from gfwiretap.field import FieldSpec, evaluate, sample_field
-from oracles import build_binning_reference
+from oracles import build_binning_reference, evaluate_rows_reference
 
 
 def make_setup(n=16, k=4, k_tilde=2, order=3, sigma_b=0.1, sigma_e=1.0, seeds=(0, 1, 2, 3)):
@@ -280,7 +280,7 @@ class TestMmseEstimate:
         rng = np.random.default_rng(17)
         y = evaluate(fld, np.ones(dim)) + rng.normal(0.0, 0.7, size=3)
         rows = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
-        resid = y - evaluate(fld, rows)
+        resid = y - evaluate_rows_reference(fld, rows)
         logw = -0.5 * np.einsum("ij,ij->i", resid, resid) / 0.5
         weights = np.exp(logw - logsumexp(logw))
         assert np.max(np.abs(mmse_estimate(fld, y, 0.5) - weights @ rows)) <= 1e-12

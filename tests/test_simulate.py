@@ -292,10 +292,11 @@ class TestReportWriter:
     def test_report_format_and_determinism(self):
         cfg = small_cfg(sigma_b_sq=0.3)
         report = run_experiment(cfg, 5)
+        params = {"n": cfg.n, "trials": 5}
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_report(report, buf)
+            write_report(report, buf, params)
             bufs.append(buf.getvalue())
         stable = [
             "\n".join(l for l in b.splitlines() if not l.startswith("# generated:"))
