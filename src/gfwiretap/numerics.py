@@ -1,5 +1,5 @@
 """Numerics kernel: standard-normal expectations by quadrature, bracketed
-one-dimensional minimization, and transition bisection.
+one-dimensional minimization, Brent root finding, and transition bisection.
 
 The Gauss-Hermite rules are built here with numpy alone: Tricomi's
 asymptotic formula places the nodes and Newton's method on the Hermite-
@@ -59,6 +59,10 @@ _NEWTON_MAX_SWEEPS = 20
 
 _LOG2 = math.log(2.0)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Relative part of ``_brent_root``'s tolerance: four machine epsilons.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAX_ITER = 100
 
 #: Tolerance for treating two candidate minima as a tie (coexistence).
 TIE_TOL = 1e-12
@@ -269,17 +273,98 @@ def _golden_section(f, a, b, tol):
     return (mid, f_mid) if f_mid <= f_best else (best, f_best)
 
 
-def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol):
-    """Grid-then-golden minimization returning interior candidates as well.
+def _brent_root(f, a, b, xtol, fa=None, fb=None):
+    """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+
+    Requires ``f(a)`` and ``f(b)`` of opposite signs; either may be passed
+    in as ``fa``/``fb`` when already known.  Each step takes an inverse
+    quadratic (or secant) step when it stays well inside the bracket and
+    shrinks it fast enough, and bisects otherwise, so the bracket always
+    holds a sign change.  Returns the end with the smaller ``|f|`` once the
+    bracket is narrower than ``xtol + _BRENT_RTOL * |x|``, or a point where
+    ``f`` is exactly 0.
+    """
+    if not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol}")
+    fa = float(f(a)) if fa is None else fa
+    fb = float(f(b)) if fb is None else fb
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        raise BracketError(f"f does not change sign on [{a}, {b}]: {fa!r}, {fb!r}")
+    # x: best estimate; prev: the point before it; blk: the far end of the
+    # bracket [x, blk] that holds the sign change; step, step_prev: the last
+    # two steps taken
+    prev, f_prev, x, fx = a, fa, b, fb
+    blk = f_blk = step = step_prev = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if f_prev != 0.0 and fx != 0.0 and (f_prev < 0.0) != (fx < 0.0):
+            blk, f_blk = prev, f_prev
+            step = step_prev = x - prev
+        if abs(f_blk) < abs(fx):
+            prev, x, blk = x, blk, x
+            f_prev, fx, f_blk = fx, f_blk, fx
+        delta = 0.5 * (xtol + _BRENT_RTOL * abs(x))
+        half = 0.5 * (blk - x)
+        if fx == 0.0 or abs(half) < delta:
+            return x
+        if abs(step_prev) > delta and abs(fx) < abs(f_prev):
+            if prev == blk:  # secant
+                trial = -fx * (x - prev) / (fx - f_prev)
+            else:  # inverse quadratic interpolation
+                d_prev = (f_prev - fx) / (prev - x)
+                d_blk = (f_blk - fx) / (blk - x)
+                trial = -fx * (f_blk * d_blk - f_prev * d_prev) / (
+                    d_blk * d_prev * (f_blk - f_prev)
+                )
+            if 2.0 * abs(trial) < min(abs(step_prev), 3.0 * abs(half) - delta):
+                step_prev, step = step, trial
+            else:
+                step_prev = step = half
+        else:
+            step_prev = step = half
+        prev, f_prev = x, fx
+        x += step if abs(step) > delta else math.copysign(delta, half)
+        fx = float(f(x))
+    raise NumericalError(
+        f"Brent root finding did not converge in {_BRENT_MAX_ITER} steps on [{a}, {b}]"
+    )
+
+
+def _refine_minimum(f, stationary, a, b, tol):
+    """``(x, f(x))`` at the minimum of ``f`` inside the grid bracket ``[a, b]``.
+
+    When ``stationary`` turns strictly from negative at ``a`` to positive at
+    ``b``, ``x`` is its Brent root to ``tol``; otherwise golden section on
+    ``f`` finds it.
+    """
+    if stationary is not None:
+        g_a, g_b = float(stationary(a)), float(stationary(b))
+        if g_a < 0.0 < g_b:
+            x = _brent_root(stationary, a, b, tol, fa=g_a, fb=g_b)
+            return x, float(f(x))
+    return _golden_section(f, a, b, tol)
+
+
+def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None):
+    """Grid-then-refine minimization returning interior candidates as well.
 
     ``f`` takes an array of abscissae and returns one value each; the grid
-    goes to it in blocks of ``GRID_BLOCK_ROWS`` points.  Golden refinement
-    calls ``f`` on single floats.
+    goes to it in blocks of ``GRID_BLOCK_ROWS`` points.  Each interior grid
+    point no higher than both neighbours is refined on the bracket of its
+    two neighbours.  ``stationary``, if given, is a scalar function that is
+    negative where ``f`` falls and positive where it rises (a positive
+    multiple of ``f'``); where it changes sign strictly from negative to
+    positive across the bracket, the minimum is its Brent root, with one
+    more ``f`` call there.  Everywhere else, golden section refines, with
+    scalar ``f`` calls.
 
     Returns ``(argmin, min_value, interior, f_lo, f_hi)`` where ``interior``
-    is a tuple of refined ``(x, f(x))`` pairs, one per interior grid point
-    that is no higher than both neighbours.  Endpoints always compete as raw
-    candidates.  Ties within ``TIE_TOL`` resolve to the largest argmin.
+    is a tuple of refined ``(x, f(x))`` pairs, one per interior grid minimum.
+    Endpoints always compete as raw candidates.  Ties within ``TIE_TOL``
+    resolve to the largest argmin.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -307,7 +392,9 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol):
     inner = vals[1:-1]
     minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
     interior = tuple(
-        _golden_section(f, float(grid[i - 1]), float(grid[i + 1]), refine_tol)
+        _refine_minimum(
+            f, stationary, float(grid[i - 1]), float(grid[i + 1]), refine_tol
+        )
         for i in minima
     )
 
@@ -317,6 +404,24 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol):
     arg = max(x for x, v in candidates if v - best_val <= TIE_TOL)
     val = next(v for x, v in candidates if x == arg)
     return arg, val, interior, f_lo, f_hi
+
+
+def _dyadic_bracket(
+    flipped: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """The bracket of width <= ``tol`` that bisection of ``[lo, hi]`` ends on.
+
+    Each step halves the bracket at its midpoint and keeps the lower half
+    when ``flipped(mid)`` is true, the upper half otherwise.  Requires
+    ``tol > 0``: the halving would never end otherwise.
+    """
+    while (hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if flipped(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def bisect_transition(
@@ -339,10 +444,5 @@ def bisect_transition(
         raise BracketError(
             f"indicator does not flip across [{lo}, {hi}] (both {flag_lo})"
         )
-    while (hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if bool(indicator(mid)) == flag_lo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _dyadic_bracket(lambda x: bool(indicator(x)) != flag_lo, lo, hi, tol)
     return 0.5 * (lo + hi)

@@ -35,6 +35,8 @@ from .channel import LOG2
 from .errors import BracketError
 from .numerics import (
     QuadratureRule,
+    _brent_root,
+    _dyadic_bracket,
     _minimize_with_diagnostics,
     bisect_transition,
     default_rule,
@@ -119,6 +121,8 @@ class ReplicaSolution:
     ``info_rate`` equals the energy at ``m_star`` (nats per channel use).
     ``fixed_point_residual`` is ``|m* - E_w[tanh(E(m*) + sqrt(E(m*)) w)]|``,
     the stationarity defect; it is only meaningful for interior minimizers.
+    An interior minimum refined at the root of ``m - F(m)`` has a residual
+    near 1e-11; one refined by golden section (the fallback) near 1e-8.
     ``interior_minima`` lists every refined interior local minimum as
     ``(m, energy)`` pairs, even when an endpoint wins.  ``tie_flag`` marks
     endpoint-energy coexistence ``|L(0) - L(1)| <= 1e-12``.
@@ -208,11 +212,16 @@ def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
     """Minimize the energy over [0, 1] and package the solution.
 
     The grid goes to ``energy`` in row blocks, each one array of
-    ``(rows, nodes)`` integrand values.
+    ``(rows, nodes)`` integrand values.  Interior minima are refined at the
+    root of ``m - F(m)``, ``F = fixed_point_map``: by the I-MMSE identity
+    (Guo, Shamai & Verdu 2005), ``dE/dm = C_D''(m) (F(m) - m)`` with
+    ``C_D'' < 0`` on (0, 1], so the energy falls where ``m - F(m) < 0`` and
+    rises where it is positive.
     """
     obj = lambda m: energy(m, cfg)
     m_star, info_rate, interior, e0, e1 = _minimize_with_diagnostics(
-        obj, 0.0, 1.0, cfg.grid_step, cfg.refine_tol
+        obj, 0.0, 1.0, cfg.grid_step, cfg.refine_tol,
+        stationary=lambda m: m - fixed_point_map(m, cfg),
     )
     residual = abs(m_star - fixed_point_map(m_star, cfg))
     return ReplicaSolution(
@@ -250,35 +259,60 @@ def locate_critical_rate(
     bracket_hi: float,
     tol: float = 1e-4,
 ) -> float:
-    """Bisect for the rate at which the overlap collapses to zero.
+    """The rate at which the overlap collapses to zero, as bisection finds it.
 
     Requires the bracket to straddle the regime change: the overlap must sit
     in the all-recovered regime (m* ~ 1) at ``bracket_lo`` and in the
-    zero-overlap regime at ``bracket_hi``.  Bisects the indicator
-    ``m* < 1/2`` to a bracket of width <= ``tol``.
+    zero-overlap regime at ``bracket_hi``.  The answer is the midpoint of
+    the final bracket, of width <= ``tol``, of bisecting the indicator
+    ``m* < 1/2``.
+
+    The collapse is usually where the endpoint energies cross,
+    ``energy(1) = energy(0)``.  When ``energy(1) - energy(0)`` turns from
+    negative to positive across the bracket, its Brent root picks the
+    bisection's final bracket without a solve, and two solves verify it:
+    if ``m* >= 1/2`` at its lower end and ``m* < 1/2`` at its upper end, it
+    is the bracket a bisection of a monotone indicator ends on.  Otherwise,
+    as when an interior minimum wins near the crossing, the plain bisection
+    runs, reusing every solve already made.
     """
-    m_lo = solve_overlap(replace(cfg_template, rate=bracket_lo)).m_star
-    m_hi = solve_overlap(replace(cfg_template, rate=bracket_hi)).m_star
-    if m_lo < 0.9:
+    if not bracket_lo < bracket_hi:
+        raise BracketError(f"degenerate bracket [{bracket_lo}, {bracket_hi}]")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    sol_lo = solve_overlap(replace(cfg_template, rate=bracket_lo))
+    sol_hi = solve_overlap(replace(cfg_template, rate=bracket_hi))
+    if sol_lo.m_star < 0.9:
         raise BracketError(
-            f"overlap at rate {bracket_lo} is {m_lo:.6f}, not in the "
+            f"overlap at rate {bracket_lo} is {sol_lo.m_star:.6f}, not in the "
             f"recovered regime; widen the bracket downward"
         )
-    if classify_regime(m_hi) != 0:
+    if classify_regime(sol_hi.m_star) != 0:
         raise BracketError(
-            f"overlap at rate {bracket_hi} is {m_hi:.6g}, never reaching the "
-            f"zero regime; no collapse transition exists on this bracket "
+            f"overlap at rate {bracket_hi} is {sol_hi.m_star:.6g}, never reaching "
+            f"the zero regime; no collapse transition exists on this bracket "
             f"(linear fields have none at any rate)"
         )
 
-    # the bisection re-tests both bracket ends first; answer those from the
-    # two solves above instead of solving them again
-    known = {bracket_lo: m_lo, bracket_hi: m_hi}
+    known = {bracket_lo: sol_lo.m_star, bracket_hi: sol_hi.m_star}
 
     def below_half(rate: float) -> bool:
-        m = known.pop(rate, None)
+        m = known.get(rate)
         if m is None:
-            m = solve_overlap(replace(cfg_template, rate=rate)).m_star
+            m = known[rate] = solve_overlap(replace(cfg_template, rate=rate)).m_star
         return m < 0.5
 
+    def crossing(rate: float) -> float:
+        cfg = replace(cfg_template, rate=rate)
+        return energy(1.0, cfg) - energy(0.0, cfg)
+
+    d_lo = sol_lo.energy_at_1 - sol_lo.energy_at_0
+    d_hi = sol_hi.energy_at_1 - sol_hi.energy_at_0
+    if d_lo < 0.0 < d_hi:
+        root = _brent_root(
+            crossing, bracket_lo, bracket_hi, 1e-6 * tol, fa=d_lo, fb=d_hi
+        )
+        a, b = _dyadic_bracket(lambda r: r > root, bracket_lo, bracket_hi, tol)
+        if not below_half(a) and below_half(b):
+            return 0.5 * (a + b)
     return bisect_transition(below_half, bracket_lo, bracket_hi, tol)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.special import roots_hermitenorm
 
 from gfwiretap.errors import BracketError, NumericalError
@@ -11,6 +12,7 @@ from gfwiretap.numerics import (
     GRID_BLOCK_ROWS,
     NODE_WEIGHT_FLOOR,
     QuadratureRule,
+    _brent_root,
     _hermite_rule,
     _minimize_with_diagnostics,
     bisect_transition,
@@ -245,6 +247,116 @@ class TestMinimizeScalar:
             _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, -1e-3, 1e-10)
         with pytest.raises(ValueError):
             _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, 0.0)
+
+
+class TestStationaryRefinement:
+    """Interior minima refined at the root of a sign-changing ``stationary``,
+    with golden section as the fallback."""
+
+    # one interior minimum at 0.3, where f' = 4 (m - 0.3)**3 + 2 (m - 0.3)
+    # changes sign; f is flat enough there that golden section stops short
+    f = staticmethod(lambda m: (m - 0.3) ** 4 + (m - 0.3) ** 2)
+    fprime = staticmethod(lambda m: 4.0 * (m - 0.3) ** 3 + 2.0 * (m - 0.3))
+
+    @staticmethod
+    def _scalar_calls(f):
+        calls = []
+
+        def counted(m):
+            if np.ndim(m) == 0:
+                calls.append(m)
+            return f(m)
+
+        return counted, calls
+
+    def test_sign_change_takes_the_root(self):
+        f, calls = self._scalar_calls(self.f)
+        arg, val, interior, *_ = _minimize_with_diagnostics(
+            f, 0.0, 1.0, 1e-3, 1e-12, stationary=self.fprime
+        )
+        root = _brent_root(self.fprime, 0.299, 0.301, 1e-12)
+        assert arg == root and interior == ((root, self.f(root)),)
+        assert calls == [root]
+        assert abs(arg - 0.3) <= 1e-12
+
+    # the ends of the minimum's grid bracket
+    A, B = (float(x) for x in np.linspace(0.0, 1.0, 1001)[[299, 301]])
+
+    @pytest.mark.parametrize(
+        "stationary",
+        [
+            lambda m: 1.0,
+            lambda m: -4.0 * (m - 0.3) ** 3 - 2.0 * (m - 0.3),
+            lambda m: min(m - TestStationaryRefinement.B, 0.0),
+            lambda m: max(m - TestStationaryRefinement.A, 0.0),
+        ],
+        ids=["no-sign-change", "wrong-direction", "zero-at-upper-end", "zero-at-lower-end"],
+    )
+    def test_no_strict_sign_change_falls_back_to_golden(self, stationary):
+        got = _minimize_with_diagnostics(
+            self.f, 0.0, 1.0, 1e-3, 1e-12, stationary=stationary
+        )
+        assert got == _minimize_with_diagnostics(self.f, 0.0, 1.0, 1e-3, 1e-12)
+
+    def test_zero_at_the_origin_falls_back_to_golden(self):
+        # a minimum on the grid point next to m = 0, where the stationarity
+        # function vanishes, as m - F(m) does for lambda >= 2
+        f = lambda m: (m - 0.0011) ** 2
+        g = lambda m: 2.0 * m * (m - 0.0011)
+        assert g(0.0) == 0.0
+        got = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12, stationary=g)
+        assert got == _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12)
+        assert len(got[2]) == 1
+
+
+class TestBrentRoot:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        root=st.floats(min_value=-2.0, max_value=2.0),
+        left=st.floats(min_value=1e-3, max_value=3.0),
+        right=st.floats(min_value=1e-3, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+        xtol=st.sampled_from([1e-6, 1e-10, 2e-12]),
+    )
+    def test_matches_scipy_brentq(self, root, left, right, seed, xtol):
+        # (x - root) times a polynomial positive on the real line: one
+        # simple sign change inside [root - left, root + right]
+        rng = np.random.default_rng(seed)
+        poly = np.poly1d([rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])])
+        for _ in range(rng.integers(0, 3)):
+            c, d = rng.normal(scale=2.0), rng.uniform(0.1, 2.0)
+            poly = poly * np.poly1d([1.0, -2.0 * c, c * c + d * d])
+        poly = poly * np.poly1d([1.0, -root])
+        f = lambda x: float(poly(x))
+        a, b = root - left, root + right
+        want = brentq(f, a, b, xtol=xtol)
+        got = _brent_root(f, a, b, xtol)
+        assert abs(got - want) <= xtol
+        assert abs(got - root) <= xtol + 1e-14 * max(1.0, abs(root))
+
+    def test_known_end_values_are_not_recomputed(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        x = _brent_root(f, 0.0, 2.0, 1e-14, fa=-2.0, fb=2.0)
+        assert abs(x - math.sqrt(2.0)) <= 1e-14
+        assert 0.0 not in calls and 2.0 not in calls
+
+    def test_root_at_an_end(self):
+        assert _brent_root(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
+        assert _brent_root(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0
+
+    def test_no_sign_change(self):
+        with pytest.raises(BracketError):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_bad_tolerance(self):
+        for xtol in (0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError):
+                _brent_root(lambda x: x, -1.0, 1.0, xtol)
 
 
 class TestGridBlocks:

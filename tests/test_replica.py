@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfwiretap import replica
-from gfwiretap.channel import LOG2, awgn_capacity
+from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.errors import BracketError
 from gfwiretap.numerics import bisect_transition
 from gfwiretap.replica import (
@@ -210,6 +210,39 @@ class TestSolveOverlap:
             assert cfg.grid_step < sol.m_star < 1.0 - cfg.grid_step
             assert sol.fixed_point_residual <= 1e-6
 
+    def test_energy_slope_is_cd_curvature_times_fixed_point_gap(self):
+        # the identity behind the root refinement: dE/dm = C_D''(m) (F(m) - m),
+        # against a fourth-order central difference of the energy
+        def cd_second(m, cfg):
+            p, lam = cfg.power, cfg.order
+            gap = cfg.sigma_sq + p - phi(m, p, lam)
+            curv = p * lam * (lam - 1) * m ** (lam - 2) if lam >= 2 else 0.0
+            slope = phi_prime(m, p, lam)
+            return -(curv * gap + slope * slope) / (2.0 * gap * gap)
+
+        h, m = 1e-4, np.linspace(0.05, 0.95, 37)
+        for lam in (1, 2, 3):
+            for rate in (0.8, 1.5, 2.5, 3.0):
+                cfg = make_config(rate=rate, order=lam)
+                diff = (
+                    8.0 * (energy(m + h, cfg) - energy(m - h, cfg))
+                    - (energy(m + 2 * h, cfg) - energy(m - 2 * h, cfg))
+                ) / (12.0 * h)
+                slope = cd_second(m, cfg) * (fixed_point_map(m, cfg) - m)
+                assert np.all(np.abs(diff - slope) <= 1e-7 * np.abs(slope)), (lam, rate)
+
+    def test_interior_minima_sit_at_the_fixed_point(self):
+        # refined at the root of m - F(m), not on the flat energy: golden
+        # section leaves residuals up to ~2e-8 on this scan
+        checked = 0
+        for rate in np.arange(0.7, 3.0 + 1e-9, 0.1):
+            cfg = make_config(rate=float(rate), order=1)
+            sol = solve_overlap(cfg)
+            if cfg.grid_step < sol.m_star < 1.0 - cfg.grid_step:
+                assert sol.fixed_point_residual <= 1e-9, rate
+                checked += 1
+        assert checked > 10
+
     def test_interior_minima_reported_even_when_endpoint_wins(self):
         # above the collapse the metastable basin near m=1 persists for a
         # while; the endpoint wins but the diagnostic list still carries the
@@ -321,21 +354,74 @@ class TestLocateCriticalRate:
         # recorded, not asserted against any reference value
         assert 1.5 < located < 2.0
 
-    def test_bracket_ends_are_solved_once(self, monkeypatch):
-        cfg = make_config(rate=1.0, order=3)
-        lo, hi, tol = 0.8 * RSTAR, 1.3 * RSTAR, 1e-4
-        plain = bisect_transition(
-            lambda r: solve_overlap(replace(cfg, rate=r)).m_star < 0.5, lo, hi, tol
-        )
+    @staticmethod
+    def _counted_locate(monkeypatch, cfg, lo, hi, tol):
+        """``locate_critical_rate`` and the rates it solved, in order."""
         rates = []
 
         def counted(c):
             rates.append(c.rate)
             return solve_overlap(c)
 
-        monkeypatch.setattr(replica, "solve_overlap", counted)
-        located = locate_critical_rate(cfg, lo, hi, tol=tol)
-        steps = math.ceil(math.log2((hi - lo) / tol))
-        assert len(rates) == 2 + steps
+        with monkeypatch.context() as patch:
+            patch.setattr(replica, "solve_overlap", counted)
+            located = locate_critical_rate(cfg, lo, hi, tol=tol)
+        return located, rates
+
+    @staticmethod
+    def _plain_bisection(cfg, lo, hi, tol):
+        return bisect_transition(
+            lambda r: solve_overlap(replace(cfg, rate=r)).m_star < 0.5, lo, hi, tol
+        )
+
+    def test_bracket_ends_are_solved_once(self, monkeypatch):
+        # the endpoint energies cross inside the bisection's final bracket:
+        # two bracket-end solves and two that verify the final bracket
+        cfg = make_config(rate=1.0, order=3)
+        lo, hi, tol = 0.8 * RSTAR, 1.3 * RSTAR, 1e-4
+        plain = self._plain_bisection(cfg, lo, hi, tol)
+        located, rates = self._counted_locate(monkeypatch, cfg, lo, hi, tol)
+        assert len(rates) == 4
         assert len(set(rates)) == len(rates)
         assert located == plain
+
+    def test_fallback_bisection_reuses_every_solve(self, monkeypatch):
+        # at sigma^2 0.3 an interior minimum wins near the endpoint-energy
+        # crossing, so the verification fails and the plain bisection runs
+        cfg = make_config(rate=1.0, sigma_sq=0.3, power=1.0, order=3)
+        heuristic = critical_rate_heuristic(1.0, 0.3)
+        lo, hi, tol = 0.8 * heuristic, 1.3 * heuristic, 1e-4
+        plain = self._plain_bisection(cfg, lo, hi, tol)
+        located, rates = self._counted_locate(monkeypatch, cfg, lo, hi, tol)
+        steps = math.ceil(math.log2((hi - lo) / tol))
+        assert 4 < len(rates) <= 2 + steps + 2
+        assert len(set(rates)) == len(rates)
+        assert located == plain
+
+    def test_bad_bracket_or_tol_is_refused_before_any_solve(self, monkeypatch):
+        cfg = make_config(rate=1.0, order=3)
+        monkeypatch.setattr(replica, "solve_overlap", lambda c: pytest.fail("solved"))
+        for tol in (0.0, -1e-4, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                locate_critical_rate(cfg, 0.8 * RSTAR, 1.3 * RSTAR, tol=tol)
+        for lo, hi in ((2.0, 1.5), (1.7, 1.7)):
+            with pytest.raises(BracketError, match="degenerate bracket"):
+                locate_critical_rate(cfg, lo, hi, tol=1e-4)
+
+    def test_same_float_as_plain_bisection(self, monkeypatch):
+        tol, paths = 1e-4, set()
+        for lam in (2, 3, 4):
+            for sigma_sq in (0.05, 0.1, 0.3):
+                for power in (1.0, 1.7):
+                    cfg = make_config(rate=1.0, sigma_sq=sigma_sq, power=power, order=lam)
+                    heuristic = critical_rate_heuristic(power, sigma_sq)
+                    lo, hi = 0.8 * heuristic, 1.3 * heuristic
+                    try:
+                        located, rates = self._counted_locate(monkeypatch, cfg, lo, hi, tol)
+                    except BracketError:
+                        continue
+                    case = (lam, sigma_sq, power)
+                    assert located == self._plain_bisection(cfg, lo, hi, tol), case
+                    assert len(set(rates)) == len(rates), case
+                    paths.add("crossing" if len(rates) == 4 else "fallback")
+        assert paths == {"crossing", "fallback"}
