@@ -71,5 +71,4 @@ from .simulate import (
     run_experiment,
     run_trial,
     transmit,
-    write_report,
 )

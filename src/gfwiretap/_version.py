@@ -6,14 +6,11 @@ __version__ = "0.1.0"
 
 
 def versions_line() -> str:
-    """The ``# versions:`` header line: this package's, numpy's and scipy's.
-
-    scipy is imported here, not at module level: nothing else in the package
-    uses it, and importing it would double the package's start-up time.
-    """
-    import scipy
+    """The text of the ``# versions:`` header line.  scipy's version is read
+    from its installed metadata: nothing in the package imports scipy."""
+    from importlib.metadata import version  # only the CLI needs it
 
     return (
-        f"# versions: gfwiretap {__version__}, numpy {np.__version__}, "
-        f"scipy {scipy.__version__}\n"
+        f"versions: gfwiretap {__version__}, numpy {np.__version__}, "
+        f"scipy {version('scipy')}"
     )

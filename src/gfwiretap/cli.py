@@ -1,10 +1,12 @@
-"""Command-line entry point.
+"""Command-line entry point, and the one writer of its output files.
 
 Subcommands: replica-scan, critical-rate, simulate, leakage, field-check.
 Output is plain comma-delimited text with '#'-prefixed header lines carrying
 the full effective configuration and a '# versions:' line (package, numpy and
 scipy), so re-running with the header's values under those versions
 reproduces the file byte-for-byte apart from the '# generated:' line.
+Every subcommand writes its file through ``_write_output``: floats to 17
+significant digits, any other cell as ``str``.
 Every flag of the subcommand but --out is echoed as one '# param' line,
 sorted by name, with the value the run used: critical-rate's default bracket
 as lo:hi, the resolved k_tilde, and a k derived by simulate's
@@ -19,22 +21,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import sys
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
 from ._version import versions_line
-from .channel import (
-    LOG2,
-    WiretapParams,
-    awgn_capacity,
-    critical_rate_heuristic,
-    secrecy_capacity,
-)
-from .codec import CodecConfig, build_binning
+from .channel import LOG2, WiretapParams, critical_rate_heuristic, secrecy_capacity
+from .codec import CodecConfig
 from .errors import BracketError, BudgetError, NumericalError
 from .field import FieldSpec, covariance_probe
 from .replica import locate_critical_rate, make_config, scan_rates
@@ -44,7 +40,6 @@ from .simulate import (
     average_leakage_over_realizations,
     estimate_leakage,
     run_experiment,
-    write_report,
 )
 
 USAGE_ERROR = 2
@@ -56,16 +51,21 @@ class UsageError(Exception):
     pass
 
 
+def _split_floats(text: str, what: str, form: str) -> list[float]:
+    """Parse ``text`` as the colon-separated floats of ``form``."""
+    parts = text.split(":")
+    if len(parts) != form.count(":") + 1:
+        raise UsageError(f"{what} must be {form}, got {text!r}")
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise UsageError(f"{what} values must be numeric, got {text!r}") from None
+
+
 def _parse_range(text: str) -> list[float]:
     """Parse 'lo:hi:step' into a grid, inclusive of both ends when step
     divides the span within 1e-12."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"range must be lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"range values must be numeric, got {text!r}") from None
+    lo, hi, step = _split_floats(text, "range", "lo:hi:step")
     if step <= 0.0:
         raise UsageError(f"range step must be positive, got {step}")
     if lo > hi:
@@ -78,25 +78,10 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _parse_bracket(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"bracket must be lo:hi, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"bracket values must be numeric, got {text!r}") from None
+    lo, hi = _split_floats(text, "bracket", "lo:hi")
     if not lo < hi:
         raise UsageError(f"bracket is inverted or degenerate: {text!r}")
     return lo, hi
-
-
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
 
 
 def _params(args, **resolved) -> dict:
@@ -117,23 +102,45 @@ def _params(args, **resolved) -> dict:
     return dict(sorted(named.items()))
 
 
-def _emit_header(fh, args, **resolved) -> None:
-    fh.write(f"# gfwiretap {args.subcommand} v1\n")
-    fh.write(versions_line())
-    for name, value in _params(args, **resolved).items():
-        fh.write(f"# param {name} = {value}\n")
-    fh.write(f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
+def _cell(value) -> str:
+    """One output cell: a float to 17 significant digits, anything else as str."""
+    return f"{value:.17g}" if isinstance(value, (float, np.floating)) else str(value)
 
 
-def _unit_divisor(units: str) -> float:
-    return LOG2 if units == "bits" else 1.0
+def _write_output(
+    args, columns: str, rows, *, title=None, resolved=None,
+    preface=(), notes=(), generated=(), footer=(),
+) -> None:
+    """Write a subcommand's output file to ``args.out`` ('-' for stdout).
+
+    The header is the ``preface`` lines, the title (``gfwiretap <title> v1``,
+    the subcommand's name unless given), the ``versions:`` line, the
+    ``param`` lines of :func:`_params`, the ``notes`` and the ``generated:``
+    timestamp followed by the ``generated`` fields.  Then come the column
+    line, one line of :func:`_cell` values per row, and the ``footer``
+    lines.  Header and footer lines are written as '#' comments.
+    """
+    params = _params(args, **(resolved or {}))
+    stamp = " ".join([time.strftime("%Y-%m-%dT%H:%M:%S%z"), *generated])
+    header = [*preface, f"gfwiretap {title or args.subcommand} v1", versions_line()]
+    header += [f"param {name} = {value}" for name, value in params.items()]
+    header += [*notes, f"generated: {stamp}"]
+    lines = [f"# {line}" for line in header] + [columns]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    lines += [f"# {line}" for line in footer]
+    text = "".join(line + "\n" for line in lines)
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
 
 
 def _cmd_replica_scan(args) -> int:
     rates = _parse_range(args.rates)
     if rates[0] <= 0.0:
         raise UsageError(f"rates must be positive, got {rates[0]}")
-    div = _unit_divisor(args.units)
+    div = LOG2 if args.units == "bits" else 1.0
     cfg = make_config(
         rate=rates[0],
         sigma_sq=args.sigma_sq,
@@ -142,16 +149,14 @@ def _cmd_replica_scan(args) -> int:
         grid_step=args.grid_step,
         refine_tol=args.refine_tol,
     )
-    rows = scan_rates(cfg, rates)
-    with _open_out(args.out) as fh:
-        _emit_header(fh, args)
-        fh.write("rate,m_star,info_rate,energy_at_0,energy_at_1,fixed_point_residual\n")
-        for rate, sol in rows:
-            fh.write(
-                f"{rate:.17g},{sol.m_star:.17g},{sol.info_rate / div:.17g},"
-                f"{sol.energy_at_0 / div:.17g},{sol.energy_at_1 / div:.17g},"
-                f"{sol.fixed_point_residual:.17g}\n"
-            )
+    rows = [
+        (rate, sol.m_star, sol.info_rate / div, sol.energy_at_0 / div,
+         sol.energy_at_1 / div, sol.fixed_point_residual)
+        for rate, sol in scan_rates(cfg, rates)
+    ]
+    _write_output(
+        args, "rate,m_star,info_rate,energy_at_0,energy_at_1,fixed_point_residual", rows
+    )
     return 0
 
 
@@ -171,28 +176,21 @@ def _cmd_critical_rate(args) -> int:
         rate=1.0, sigma_sq=args.sigma_sq, power=args.power, order=args.order
     )
     located = locate_critical_rate(cfg, lo, hi, tol=args.tol)
-    with _open_out(args.out) as fh:
-        _emit_header(fh, args, bracket=f"{lo}:{hi}")
-        fh.write("located,heuristic,difference\n")
-        fh.write(f"{located:.17g},{heuristic:.17g},{located - heuristic:.17g}\n")
+    _write_output(
+        args,
+        "located,heuristic,difference",
+        [(located, heuristic, located - heuristic)],
+        resolved={"bracket": f"{lo}:{hi}"},
+    )
     return 0
 
 
 def _codec_config(args, k: int) -> CodecConfig:
-    return CodecConfig(
-        n=args.n,
-        k=k,
-        k_tilde=args.k_tilde,
-        order=args.order,
-        power=args.power,
-        sigma_b_sq=args.sigma_b_sq,
-        sigma_e_sq=args.sigma_e_sq,
-        field_seed=args.field_seed,
-        perm_seed=args.perm_seed,
-        key_seed=args.key_seed,
-        noise_seed=args.noise_seed,
-        allow_low_order=args.allow_low_order,
-    )
+    """The config of simulate's and leakage's flags, one flag per field of
+    the same name (``order`` is --lambda), with ``k`` as given."""
+    names = [f.name for f in dataclasses.fields(CodecConfig) if f.init]
+    values = {name: getattr(args, name) for name in names}
+    return CodecConfig(**{**values, "k": k})
 
 
 def _cmd_simulate(args) -> int:
@@ -210,11 +208,12 @@ def _cmd_simulate(args) -> int:
             raise UsageError(
                 f"derived k = floor(n * C_S / log 2) = {k}; increase n"
             )
-        derivation = (
-            f"k = floor(n * C_S / log 2) = floor({args.n} * {cap:.12g} / log 2) = {k}"
-        )
+        derivation = [
+            f"derived: k = floor(n * C_S / log 2) = "
+            f"floor({args.n} * {cap:.12g} / log 2) = {k}"
+        ]
     elif args.k is not None:
-        k, derivation = args.k, None
+        k, derivation = args.k, []
     else:
         raise UsageError("one of --k or --at-secrecy-capacity is required")
 
@@ -225,12 +224,32 @@ def _cmd_simulate(args) -> int:
         freeze_field=args.freeze_field,
         freeze_plan=args.freeze_plan,
     )
-    with _open_out(args.out) as fh:
-        if derivation is not None:
-            fh.write(f"# derived: {derivation}\n")
+    columns = "trial_id,message,decoded,bit_errors,flip_fraction,overlap,overlap_sign"
+    rows = [
+        [getattr(t, name) for name in columns.split(",")] + [int(t.bound_ok)]
+        for t in report.trials
+    ]
+    _write_output(
+        args,
+        columns + ",bound_ok",
+        rows,
+        title="simulation report",
         # the derived k is recorded as --k, so a re-run takes it as given
-        params = _params(args, k=k, k_tilde=cfg.k_tilde, at_secrecy_capacity=False)
-        write_report(report, fh, params)
+        resolved={"k": k, "k_tilde": cfg.k_tilde, "at_secrecy_capacity": False},
+        preface=derivation,
+        notes=[
+            f"derived: k_tilde_overridden = {cfg.k_tilde_overridden}",
+            f"rng: {report.rng_provenance}",
+        ],
+        generated=[f"wall_clock_s={report.wall_clock_s:.3f}"],
+        footer=[
+            f"summary message_error_rate = {_cell(report.message_error_rate)}",
+            f"summary mean_flip_fraction = {_cell(report.mean_flip_fraction)} "
+            f"se = {_cell(report.mean_flip_fraction_se)}",
+            f"summary mean_overlap = {_cell(report.mean_overlap)} "
+            f"se = {_cell(report.mean_overlap_se)}",
+        ],
+    )
     return 0
 
 
@@ -241,29 +260,24 @@ def _cmd_leakage(args) -> int:
     fld = _trial_field(cfg, 0)
     plan = _trial_plan(cfg, 0)
     estimate = estimate_leakage(cfg, fld, plan, args.samples)
-    div = _unit_divisor(args.units)
-    with _open_out(args.out) as fh:
-        _emit_header(fh, args, k_tilde=cfg.k_tilde)
-        fh.write("quantity,estimate,standard_error\n")
-        fh.write(
-            f"leakage,{estimate.leakage / div:.17g},{estimate.leakage_se / div:.17g}\n"
+    rows = [
+        ("leakage", estimate.leakage, estimate.leakage_se),
+        ("mi_all_symbols", estimate.mi_all_symbols, estimate.mi_all_symbols_se),
+        ("mi_key_given_msg", estimate.mi_key_given_msg, estimate.mi_key_given_msg_se),
+        ("chain_residual", estimate.chain_residual, 0),
+    ]
+    if args.realizations > 1:
+        mean, se = average_leakage_over_realizations(
+            cfg, args.samples, args.realizations
         )
-        fh.write(
-            f"mi_all_symbols,{estimate.mi_all_symbols / div:.17g},"
-            f"{estimate.mi_all_symbols_se / div:.17g}\n"
-        )
-        fh.write(
-            f"mi_key_given_msg,{estimate.mi_key_given_msg / div:.17g},"
-            f"{estimate.mi_key_given_msg_se / div:.17g}\n"
-        )
-        fh.write(f"chain_residual,{estimate.chain_residual / div:.17g},0\n")
-        if args.realizations > 1:
-            mean, se = average_leakage_over_realizations(
-                cfg, args.samples, args.realizations
-            )
-            fh.write(
-                f"leakage_avg_over_realizations,{mean / div:.17g},{se / div:.17g}\n"
-            )
+        rows.append(("leakage_avg_over_realizations", mean, se))
+    div = LOG2 if args.units == "bits" else 1.0
+    _write_output(
+        args,
+        "quantity,estimate,standard_error",
+        [(name, value / div, se / div) for name, value, se in rows],
+        resolved={"k_tilde": cfg.k_tilde},
+    )
     return 0
 
 
@@ -291,23 +305,36 @@ def _cmd_field_check(args) -> int:
         s2[:n_flip] = -1.0
         probes.append(s2)
     results = covariance_probe(spec, s1, probes, args.fields)
-    with _open_out(args.out) as fh:
-        _emit_header(fh, args)
-        fh.write("overlap,theory,empirical,se,cross_empirical,cross_se\n")
-        for u, (mean_same, se_same, mean_cross, se_cross) in zip(overlaps, results):
-            theory = args.power * u**args.order
-            fh.write(
-                f"{u:.17g},{theory:.17g},{mean_same:.17g},{se_same:.17g},"
-                f"{mean_cross:.17g},{se_cross:.17g}\n"
-            )
+    rows = [
+        (u, args.power * u**args.order, *stats) for u, stats in zip(overlaps, results)
+    ]
+    _write_output(args, "overlap,theory,empirical,se,cross_empirical,cross_se", rows)
     return 0
 
 
-def _add_seed_flags(parser) -> None:
-    parser.add_argument("--field-seed", type=int, default=0)
-    parser.add_argument("--perm-seed", type=int, default=1)
-    parser.add_argument("--key-seed", type=int, default=2)
-    parser.add_argument("--noise-seed", type=int, default=3)
+def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the flags every subcommand takes."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--lambda", dest="order", type=int, default=3)
+    parser.add_argument("--power", type=float, default=1.0)
+    parser.add_argument("--out", default="-")
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _add_codec_flags(parser, k_required: bool, sigma_b_sq: float | None) -> None:
+    """The code and channel flags of simulate and leakage; ``--sigma-b-sq``
+    is required when ``sigma_b_sq`` is None."""
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--k", type=int, required=k_required, default=None)
+    parser.add_argument("--k-tilde", type=int, default=None)
+    parser.add_argument(
+        "--sigma-b-sq", type=float, required=sigma_b_sq is None, default=sigma_b_sq
+    )
+    parser.add_argument("--sigma-e-sq", type=float, required=True)
+    parser.add_argument("--allow-low-order", action="store_true")
+    for stream, seed in (("field", 0), ("perm", 1), ("key", 2), ("noise", 3)):
+        parser.add_argument(f"--{stream}-seed", type=int, default=seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,55 +350,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    scan = sub.add_parser("replica-scan", help="overlap and info rate vs rate")
-    scan.add_argument("--lambda", dest="order", type=int, default=3)
-    scan.add_argument("--power", type=float, default=1.0)
+    scan = _subcommand(
+        sub, "replica-scan", _cmd_replica_scan, "overlap and info rate vs rate"
+    )
     scan.add_argument("--sigma-sq", type=float, default=0.1)
     scan.add_argument("--rates", required=True, help="lo:hi:step")
     scan.add_argument("--grid-step", type=float, default=1e-3)
     scan.add_argument("--refine-tol", type=float, default=1e-10)
     scan.add_argument("--units", choices=("nats", "bits"), default="nats")
-    scan.add_argument("--out", default="-")
-    scan.set_defaults(func=_cmd_replica_scan)
 
-    crit = sub.add_parser("critical-rate", help="locate the overlap collapse rate")
-    crit.add_argument("--lambda", dest="order", type=int, default=3)
-    crit.add_argument("--power", type=float, default=1.0)
+    crit = _subcommand(
+        sub, "critical-rate", _cmd_critical_rate, "locate the overlap collapse rate"
+    )
     crit.add_argument("--sigma-sq", type=float, default=0.1)
     crit.add_argument("--bracket", default=None, help="lo:hi (default around heuristic)")
     crit.add_argument("--tol", type=float, default=1e-4)
-    crit.add_argument("--out", default="-")
-    crit.set_defaults(func=_cmd_critical_rate)
 
-    sim = sub.add_parser("simulate", help="end-to-end Monte Carlo trials")
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--k", type=int, default=None)
-    sim.add_argument("--k-tilde", type=int, default=None)
-    sim.add_argument("--lambda", dest="order", type=int, default=3)
-    sim.add_argument("--power", type=float, default=1.0)
-    sim.add_argument("--sigma-b-sq", type=float, required=True)
-    sim.add_argument("--sigma-e-sq", type=float, required=True)
+    sim = _subcommand(sub, "simulate", _cmd_simulate, "end-to-end Monte Carlo trials")
+    _add_codec_flags(sim, k_required=False, sigma_b_sq=None)
     sim.add_argument("--trials", type=int, default=100)
     sim.add_argument("--freeze-field", action="store_true")
     sim.add_argument("--freeze-plan", action="store_true")
-    sim.add_argument("--allow-low-order", action="store_true")
     sim.add_argument(
         "--at-secrecy-capacity",
         action="store_true",
         help="derive k = floor(n * C_S / log 2) instead of --k",
     )
-    sim.add_argument("--out", default="-")
-    _add_seed_flags(sim)
-    sim.set_defaults(func=_cmd_simulate)
 
-    leak = sub.add_parser("leakage", help="eavesdropper mutual-information estimates")
-    leak.add_argument("--n", type=int, required=True)
-    leak.add_argument("--k", type=int, required=True)
-    leak.add_argument("--k-tilde", type=int, default=None)
-    leak.add_argument("--lambda", dest="order", type=int, default=3)
-    leak.add_argument("--power", type=float, default=1.0)
-    leak.add_argument("--sigma-b-sq", type=float, default=0.1)
-    leak.add_argument("--sigma-e-sq", type=float, required=True)
+    leak = _subcommand(
+        sub, "leakage", _cmd_leakage, "eavesdropper mutual-information estimates"
+    )
+    _add_codec_flags(leak, k_required=True, sigma_b_sq=0.1)
     leak.add_argument("--samples", type=int, default=2000)
     leak.add_argument(
         "--realizations",
@@ -379,26 +388,20 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="also average the leakage over this many resampled (field, plan) pairs",
     )
-    leak.add_argument("--allow-low-order", action="store_true")
     leak.add_argument("--units", choices=("nats", "bits"), default="nats")
-    leak.add_argument("--out", default="-")
-    _add_seed_flags(leak)
-    leak.set_defaults(func=_cmd_leakage)
 
-    check = sub.add_parser("field-check", help="empirical vs theoretical covariance")
+    check = _subcommand(
+        sub, "field-check", _cmd_field_check, "empirical vs theoretical covariance"
+    )
     check.add_argument("--k-tot", type=int, default=8)
-    check.add_argument("--lambda", dest="order", type=int, default=3)
-    check.add_argument("--power", type=float, default=1.0)
     check.add_argument("--n-out", type=int, default=2)
     check.add_argument("--fields", type=int, default=20000)
     check.add_argument("--field-seed", type=int, default=0)
-    check.add_argument("--out", default="-")
-    check.set_defaults(func=_cmd_field_check)
 
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
     """Merge config-file values under the subcommand's section; explicit
     flags override them."""
     if "--config" not in argv:
@@ -434,7 +437,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -263,7 +263,6 @@ def mmse_estimate(
     fld: GaussianField,
     y,
     sigma_sq: float,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> np.ndarray:
     """Exact posterior mean of the bipolar input given ``y``.
 
@@ -276,10 +275,10 @@ def mmse_estimate(
     spec = fld.spec
     if not (math.isfinite(sigma_sq) and sigma_sq > 0.0):
         raise ValueError(f"sigma_sq must be finite and > 0, got {sigma_sq}")
-    if spec.dim > budget:
+    if spec.dim > DEFAULT_ENUM_BUDGET:
         raise BudgetError(
             f"exact posterior needs 2**{spec.dim} codeword evaluations; "
-            f"enumeration budget is 2**{budget}"
+            f"enumeration budget is 2**{DEFAULT_ENUM_BUDGET}"
         )
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.n_out,):

@@ -111,19 +111,19 @@ class GaussianField:
     scale: float
 
 
-def _check_budget(spec: FieldSpec, budget: int) -> None:
+def _check_budget(spec: FieldSpec) -> None:
     count = spec.coeff_count
-    if count > budget:
+    if count > DEFAULT_COEFF_BUDGET:
         raise BudgetError(
             f"field would need {count} coefficients "
             f"(n_out={spec.n_out}, dim={spec.dim}, order={spec.order}); "
-            f"budget is {budget}"
+            f"budget is {DEFAULT_COEFF_BUDGET}"
         )
 
 
-def sample_field(spec: FieldSpec, budget: int = DEFAULT_COEFF_BUDGET) -> GaussianField:
+def sample_field(spec: FieldSpec) -> GaussianField:
     """Draw the coefficient tensor for ``spec``; deterministic per seed."""
-    _check_budget(spec, budget)
+    _check_budget(spec)
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
     shape = (spec.n_out,) + (spec.dim,) * spec.order
     coeffs = rng.standard_normal(shape)
@@ -282,7 +282,7 @@ def covariance_probe(
         raise ValueError("covariance_probe needs n_out >= 2 for the cross term")
     if n_fields < 2:
         raise ValueError(f"n_fields must be >= 2, got {n_fields}")
-    _check_budget(spec, DEFAULT_COEFF_BUDGET)
+    _check_budget(spec)
     s1 = _check_bipolar(s1, spec.dim)
     probes = [_check_bipolar(s2, spec.dim) for s2 in s2_list]
     # row r of `powers` is the order-fold Kronecker power of input r (s1

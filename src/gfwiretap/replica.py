@@ -98,7 +98,6 @@ def make_config(
     sigma_sq: float = 0.1,
     power: float = 1.0,
     order: int = 3,
-    quadrature: QuadratureRule | None = None,
     grid_step: float = 1e-3,
     refine_tol: float = 1e-10,
 ) -> ReplicaConfig:
@@ -108,7 +107,7 @@ def make_config(
         sigma_sq=sigma_sq,
         power=power,
         order=order,
-        quadrature=quadrature if quadrature is not None else default_rule(),
+        quadrature=default_rule(),
         grid_step=grid_step,
         refine_tol=refine_tol,
     )

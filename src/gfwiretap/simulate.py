@@ -1,5 +1,6 @@
 """Monte Carlo harness: AWGN transmission, end-to-end decoding metrics, and
-exact-posterior leakage estimation at enumerable sizes.
+exact-posterior leakage estimation at enumerable sizes, returned as values
+(the ``simulate`` and ``leakage`` subcommands of ``cli`` write them out).
 
 Per-trial randomness is derived by seeding a fresh generator from
 ``(seed, trial_id, stream_tag)``, so trials are independent units of work
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ._version import versions_line
 from .channel import LOG2
 from .codec import (
     BinningPlan,
@@ -43,7 +43,6 @@ __all__ = [
     "run_experiment",
     "estimate_leakage",
     "average_leakage_over_realizations",
-    "write_report",
 ]
 
 # Stream tags feeding the per-trial generator derivation.
@@ -351,7 +350,6 @@ def estimate_leakage(
     fld: GaussianField,
     plan: BinningPlan,
     n_samples: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> LeakageEstimate:
     """Estimate the eavesdropper mutual informations for fixed field and plan.
 
@@ -366,9 +364,10 @@ def estimate_leakage(
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     k, k_tilde = cfg.k, cfg.k_tilde
     dim = k + k_tilde
-    if dim > budget:
+    if dim > DEFAULT_ENUM_BUDGET:
         raise BudgetError(
-            f"exact posteriors need 2**{dim} enumeration; budget is 2**{budget}"
+            f"exact posteriors need 2**{dim} enumeration; "
+            f"budget is 2**{DEFAULT_ENUM_BUDGET}"
         )
     if (1 << dim) * cfg.n > _TABLE_BUDGET:
         raise BudgetError(
@@ -427,43 +426,3 @@ def average_leakage_over_realizations(
     )
     return _mean_and_se(values)
 
-
-_REPORT_COLUMNS = (
-    "trial_id,message,decoded,bit_errors,flip_fraction,overlap,overlap_sign,bound_ok"
-)
-
-
-def write_report(report: SimReport, fh, params) -> None:
-    """Emit a report as '#'-headed, comma-delimited text.
-
-    ``params`` maps each name to its value, one '# param' line each in the
-    mapping's order.  Byte-identical across re-runs with the same config
-    and params, except for the '# generated:' line.
-    """
-    cfg = report.config
-    fh.write("# gfwiretap simulation report v1\n")
-    fh.write(versions_line())
-    for name, value in params.items():
-        fh.write(f"# param {name} = {value}\n")
-    fh.write(f"# derived: k_tilde_overridden = {cfg.k_tilde_overridden}\n")
-    fh.write(f"# rng: {report.rng_provenance}\n")
-    fh.write(
-        f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')} "
-        f"wall_clock_s={report.wall_clock_s:.3f}\n"
-    )
-    fh.write(_REPORT_COLUMNS + "\n")
-    for t in report.trials:
-        fh.write(
-            f"{t.trial_id},{t.message},{t.decoded},{t.bit_errors},"
-            f"{t.flip_fraction:.17g},{t.overlap:.17g},{t.overlap_sign:.17g},"
-            f"{int(t.bound_ok)}\n"
-        )
-    fh.write(f"# summary message_error_rate = {report.message_error_rate:.17g}\n")
-    fh.write(
-        f"# summary mean_flip_fraction = {report.mean_flip_fraction:.17g} "
-        f"se = {report.mean_flip_fraction_se:.17g}\n"
-    )
-    fh.write(
-        f"# summary mean_overlap = {report.mean_overlap:.17g} "
-        f"se = {report.mean_overlap_se:.17g}\n"
-    )

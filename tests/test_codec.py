@@ -298,8 +298,6 @@ class TestMmseEstimate:
     def test_budget_and_input_errors(self):
         spec = FieldSpec(n_out=2, dim=4, order=1, power=1.0, seed=0)
         fld = sample_field(spec)
-        with pytest.raises(BudgetError):
-            mmse_estimate(fld, np.zeros(2), 1.0, budget=3)
         with pytest.raises(ValueError):
             mmse_estimate(fld, np.zeros(2), 0.0)
         with pytest.raises(ValueError):

@@ -1,11 +1,10 @@
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gfwiretap import codec, field, simulate
+from gfwiretap import cli, codec, field, simulate
 from gfwiretap.codec import CodecConfig, build_binning, random_key
 from gfwiretap.errors import BudgetError
 from gfwiretap.field import FieldSpec, sample_field
@@ -19,7 +18,6 @@ from gfwiretap.simulate import (
     run_experiment,
     run_trial,
     transmit,
-    write_report,
 )
 from oracles import codeword_table_reference, leakage_terms_reference
 
@@ -254,7 +252,7 @@ class TestLeakage:
     def test_budget_errors(self):
         cfg = small_cfg(n=8, k=20, k_tilde=5)
         with pytest.raises(BudgetError):
-            estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 10, budget=10)
+            estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 10)
 
     def test_default_budget_refuses_dim_21_before_enumerating(self, monkeypatch):
         def no_enumeration(*args, **kwargs):
@@ -289,15 +287,20 @@ class TestLeakage:
 
 
 class TestReportWriter:
-    def test_report_format_and_determinism(self):
+    def test_report_format_and_determinism(self, capsys):
+        # the simulate subcommand writes the report; run it at small_cfg
         cfg = small_cfg(sigma_b_sq=0.3)
-        report = run_experiment(cfg, 5)
-        params = {"n": cfg.n, "trials": 5}
+        argv = ["simulate", "--trials", "5", f"--lambda={cfg.order}"] + [
+            f"--{name.replace('_', '-')}={getattr(cfg, name)}"
+            for name in (
+                "n", "k", "k_tilde", "power", "sigma_b_sq", "sigma_e_sq",
+                "field_seed", "perm_seed", "key_seed", "noise_seed",
+            )
+        ]
         bufs = []
         for _ in range(2):
-            buf = io.StringIO()
-            write_report(report, buf, params)
-            bufs.append(buf.getvalue())
+            assert cli.main(argv) == 0
+            bufs.append(capsys.readouterr().out)
         stable = [
             "\n".join(l for l in b.splitlines() if not l.startswith("# generated:"))
             for b in bufs

@@ -1,5 +1,5 @@
 """Smoke tests for the demo scripts, the README's commands, the package's
-export lists and its import footprint.
+export lists, its version and its import footprint.
 
 No other test runs the demos or the README examples, so an API change they
 depend on would otherwise go unnoticed; a stale ``__all__`` entry fails only
@@ -57,19 +57,29 @@ def test_readme_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("line", readme_commands())
-def test_readme_command_parses(line):
-    # a removed or renamed flag makes argparse exit
-    cli._build_parser().parse_args(shlex.split(line)[1:])
+def test_readme_command_parses(line, tmp_path):
+    # runs the command: a removed or renamed flag makes argparse exit, and
+    # a row that drifts from its column line shows in the cell count
+    out = tmp_path / "out.txt"
+    assert cli.main(shlex.split(line)[1:] + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert sum(l.startswith("# versions: ") for l in lines) == 1
+    columns, *rows = [l for l in lines if not l.startswith("#")]
+    assert rows
+    assert {len(row.split(",")) for row in rows} == {len(columns.split(","))}
 
 
-def test_package_import_loads_no_scipy():
+def test_package_import_loads_no_scipy(tmp_path):
     # scipy.special alone would about double the package's start-up time;
-    # only the ``# versions:`` header line may import scipy, and only then
+    # neither the import nor a subcommand, header included, may load scipy
     code = (
         "import sys\n"
         "import gfwiretap, gfwiretap.cli\n"
         "from gfwiretap import numerics\n"
         "numerics.default_rule()\n"
+        "assert gfwiretap.cli.main(\n"
+        f"    ['field-check', '--fields', '20', '--out', {str(tmp_path / 'out.txt')!r}]\n"
+        ") == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(pathlib.Path(gfwiretap.__file__).parents[1])
@@ -82,3 +92,10 @@ def test_package_import_loads_no_scipy():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_pyproject_version_matches_package():
+    # every header reports ``__version__``; pyproject.toml repeats it by hand
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == gfwiretap.__version__
