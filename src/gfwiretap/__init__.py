@@ -66,7 +66,6 @@ from .simulate import (
     LeakageEstimate,
     SimReport,
     TrialRecord,
-    average_leakage_over_realizations,
     estimate_leakage,
     run_experiment,
     run_trial,

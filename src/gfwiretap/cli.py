@@ -35,9 +35,9 @@ from .errors import BracketError, BudgetError, NumericalError
 from .field import FieldSpec, covariance_probe
 from .replica import locate_critical_rate, make_config, scan_rates
 from .simulate import (
+    _mean_and_se,
     _trial_field,
     _trial_plan,
-    average_leakage_over_realizations,
     estimate_leakage,
     run_experiment,
 )
@@ -52,14 +52,17 @@ class UsageError(Exception):
 
 
 def _split_floats(text: str, what: str, form: str) -> list[float]:
-    """Parse ``text`` as the colon-separated floats of ``form``."""
+    """Parse ``text`` as the colon-separated finite floats of ``form``."""
     parts = text.split(":")
     if len(parts) != form.count(":") + 1:
         raise UsageError(f"{what} must be {form}, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"{what} values must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{what} values must be finite, got {text!r}")
+    return values
 
 
 def _parse_range(text: str) -> list[float]:
@@ -146,8 +149,6 @@ def _cmd_replica_scan(args) -> int:
         sigma_sq=args.sigma_sq,
         power=args.power,
         order=args.order,
-        grid_step=args.grid_step,
-        refine_tol=args.refine_tol,
     )
     rows = [
         (rate, sol.m_star, sol.info_rate / div, sol.energy_at_0 / div,
@@ -188,7 +189,7 @@ def _cmd_critical_rate(args) -> int:
 def _codec_config(args, k: int) -> CodecConfig:
     """The config of simulate's and leakage's flags, one flag per field of
     the same name (``order`` is --lambda), with ``k`` as given."""
-    names = [f.name for f in dataclasses.fields(CodecConfig) if f.init]
+    names = [f.name for f in dataclasses.fields(CodecConfig)]
     values = {name: getattr(args, name) for name in names}
     return CodecConfig(**{**values, "k": k})
 
@@ -257,9 +258,11 @@ def _cmd_leakage(args) -> int:
     if args.realizations < 1:
         raise UsageError(f"--realizations must be >= 1, got {args.realizations}")
     cfg = _codec_config(args, args.k)
-    fld = _trial_field(cfg, 0)
-    plan = _trial_plan(cfg, 0)
-    estimate = estimate_leakage(cfg, fld, plan, args.samples)
+    estimates = [
+        estimate_leakage(cfg, _trial_field(cfg, r), _trial_plan(cfg, r), args.samples)
+        for r in range(args.realizations)
+    ]
+    estimate = estimates[0]
     rows = [
         ("leakage", estimate.leakage, estimate.leakage_se),
         ("mi_all_symbols", estimate.mi_all_symbols, estimate.mi_all_symbols_se),
@@ -267,9 +270,9 @@ def _cmd_leakage(args) -> int:
         ("chain_residual", estimate.chain_residual, 0),
     ]
     if args.realizations > 1:
-        mean, se = average_leakage_over_realizations(
-            cfg, args.samples, args.realizations
-        )
+        # the leakage of each public (field, plan) realization, averaged with
+        # its between-realization standard error
+        mean, se = _mean_and_se(np.array([e.leakage for e in estimates]))
         rows.append(("leakage_avg_over_realizations", mean, se))
     div = LOG2 if args.units == "bits" else 1.0
     _write_output(
@@ -355,8 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument("--sigma-sq", type=float, default=0.1)
     scan.add_argument("--rates", required=True, help="lo:hi:step")
-    scan.add_argument("--grid-step", type=float, default=1e-3)
-    scan.add_argument("--refine-tol", type=float, default=1e-10)
     scan.add_argument("--units", choices=("nats", "bits"), default="nats")
 
     crit = _subcommand(

@@ -22,7 +22,7 @@ length whatever ``n``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,9 @@ class CodecConfig:
     """All scheme parameters: sizes, field order, powers, noises, seeds.
 
     ``k_tilde`` defaults to the key budget ``key_length(n, power,
-    sigma_e_sq)``; passing any other value is recorded in
-    ``k_tilde_overridden``.  Field orders below 3 leak through their linear
-    component and are only admitted with ``allow_low_order`` set (ablations).
+    sigma_e_sq)``; ``k_tilde_overridden`` tells whether it differs from it.
+    Field orders below 3 leak through their linear component and are only
+    admitted with ``allow_low_order`` set (ablations).
     """
 
     n: int
@@ -72,7 +72,6 @@ class CodecConfig:
     key_seed: int = 2
     noise_seed: int = 3
     allow_low_order: bool = False
-    k_tilde_overridden: bool = dataclass_field(init=False, default=False)
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -92,13 +91,15 @@ class CodecConfig:
             value = getattr(self, name)
             if not (0 <= int(value) < 2**64):
                 raise ValueError(f"{name} must be a 64-bit unsigned integer")
-        derived = key_length(self.n, self.power, self.sigma_e_sq)
+        budget = key_length(self.n, self.power, self.sigma_e_sq)
         if self.k_tilde is None:
-            object.__setattr__(self, "k_tilde", derived)
+            object.__setattr__(self, "k_tilde", budget)
         elif self.k_tilde < 1:
             raise ValueError(f"k_tilde must be >= 1, got {self.k_tilde}")
-        elif self.k_tilde != derived:
-            object.__setattr__(self, "k_tilde_overridden", True)
+
+    @property
+    def k_tilde_overridden(self) -> bool:
+        return self.k_tilde != key_length(self.n, self.power, self.sigma_e_sq)
 
     @property
     def k_tot(self) -> int:

@@ -413,10 +413,13 @@ def _dyadic_bracket(
 
     Each step halves the bracket at its midpoint and keeps the lower half
     when ``flipped(mid)`` is true, the upper half otherwise.  Requires
-    ``tol > 0``: the halving would never end otherwise.
+    ``tol > 0``.  A ``tol`` below float resolution ends the halving at two
+    adjacent floats, whose midpoint rounds to one of them.
     """
     while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if flipped(mid):
             hi = mid
         else:

@@ -17,7 +17,8 @@ or bins.
 ``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime`` and ``energy``
 accept a float or an array of overlaps ``m`` through one code path: a float
 gives a Python float, an array gives an array of the same shape.  The
-solver evaluates the energy on row blocks of its grid this way.
+solver evaluates the energy on row blocks of its grid this way.  It works at
+one resolution, the module constants ``GRID_STEP`` and ``REFINE_TOL``.
 
 All operations are pure; rate scans may run concurrently without shared
 state.
@@ -65,13 +66,19 @@ __all__ = [
 #: Classification only; raw minimizers are always reported.
 REGIME_CLAMP = 1e-9
 
+#: Spacing of the solver's energy grid on [0, 1] (1001 points).
+GRID_STEP = 1e-3
+#: Tolerance to which an interior minimum is refined.
+REFINE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ReplicaConfig:
     """Parameters of one decoupled-setting evaluation.
 
     ``rate`` is the number of input symbols per channel use, ``order`` the
-    exponent of the covariance function ``power * u**order``.
+    exponent of the covariance function ``power * u**order``.  The solver's
+    resolution is fixed: ``GRID_STEP`` and ``REFINE_TOL``.
     """
 
     rate: float
@@ -79,13 +86,11 @@ class ReplicaConfig:
     power: float
     order: int
     quadrature: QuadratureRule
-    grid_step: float = 1e-3
-    refine_tol: float = 1e-10
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-        for name in ("sigma_sq", "power", "grid_step", "refine_tol"):
+        for name in ("sigma_sq", "power"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -98,8 +103,6 @@ def make_config(
     sigma_sq: float = 0.1,
     power: float = 1.0,
     order: int = 3,
-    grid_step: float = 1e-3,
-    refine_tol: float = 1e-10,
 ) -> ReplicaConfig:
     """ReplicaConfig with the validated default quadrature rule."""
     return ReplicaConfig(
@@ -108,8 +111,6 @@ def make_config(
         power=power,
         order=order,
         quadrature=default_rule(),
-        grid_step=grid_step,
-        refine_tol=refine_tol,
     )
 
 
@@ -210,16 +211,16 @@ def fixed_point_map(m: float, cfg: ReplicaConfig) -> float:
 def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
     """Minimize the energy over [0, 1] and package the solution.
 
-    The grid goes to ``energy`` in row blocks, each one array of
+    The ``GRID_STEP`` grid goes to ``energy`` in row blocks, each one array of
     ``(rows, nodes)`` integrand values.  Interior minima are refined at the
     root of ``m - F(m)``, ``F = fixed_point_map``: by the I-MMSE identity
     (Guo, Shamai & Verdu 2005), ``dE/dm = C_D''(m) (F(m) - m)`` with
     ``C_D'' < 0`` on (0, 1], so the energy falls where ``m - F(m) < 0`` and
-    rises where it is positive.
+    rises where it is positive.  Refinement stops at ``REFINE_TOL``.
     """
     obj = lambda m: energy(m, cfg)
     m_star, info_rate, interior, e0, e1 = _minimize_with_diagnostics(
-        obj, 0.0, 1.0, cfg.grid_step, cfg.refine_tol,
+        obj, 0.0, 1.0, GRID_STEP, REFINE_TOL,
         stationary=lambda m: m - fixed_point_map(m, cfg),
     )
     residual = abs(m_star - fixed_point_map(m_star, cfg))

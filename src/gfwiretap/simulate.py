@@ -42,7 +42,6 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "estimate_leakage",
-    "average_leakage_over_realizations",
 ]
 
 # Stream tags feeding the per-trial generator derivation.
@@ -383,9 +382,7 @@ def estimate_leakage(
     rng_noise = _stream(cfg.noise_seed, 0, _TAG_LEAK_NOISE)
     inputs = rng_input.integers(0, np.tile([1 << k, 1 << k_tilde], n_samples))
     patterns = (inputs[0::2] << k_tilde) | inputs[1::2]
-    ys = table[patterns] + rng_noise.normal(
-        0.0, math.sqrt(cfg.sigma_e_sq), size=(n_samples, cfg.n)
-    )
+    ys = transmit(table[patterns], cfg.sigma_e_sq, rng_noise)
     leak, full, genie = _leakage_terms(table, patterns, ys, k, k_tilde, cfg.sigma_e_sq)
 
     leak_mean, leak_se = _mean_and_se(leak)
@@ -401,28 +398,3 @@ def estimate_leakage(
         mi_key_given_msg_se=genie_se,
         chain_residual=abs(leak_mean - (full_mean - genie_mean)),
     )
-
-
-def average_leakage_over_realizations(
-    cfg: CodecConfig,
-    n_samples: int,
-    n_realizations: int,
-) -> tuple[float, float]:
-    """Message leakage averaged over resampled (field, plan) realizations.
-
-    Complements :func:`estimate_leakage`, which conditions on one public
-    realization; this reports the mean across ``n_realizations`` independent
-    draws with its between-realization standard error.
-    """
-    if n_realizations < 2:
-        raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
-    values = np.array(
-        [
-            estimate_leakage(
-                cfg, _trial_field(cfg, r), _trial_plan(cfg, r), n_samples
-            ).leakage
-            for r in range(n_realizations)
-        ]
-    )
-    return _mean_and_se(values)
-

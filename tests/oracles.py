@@ -102,11 +102,17 @@ def solve_overlap_reference(cfg):
     from dataclasses import replace
 
     from gfwiretap.numerics import DEFAULT_QUADRATURE_ORDER
-    from gfwiretap.replica import ReplicaSolution, energy, fixed_point_map
+    from gfwiretap.replica import (
+        GRID_STEP,
+        REFINE_TOL,
+        ReplicaSolution,
+        energy,
+        fixed_point_map,
+    )
 
     cfg = replace(cfg, quadrature=full_rule(DEFAULT_QUADRATURE_ORDER))
     m_star, info_rate, interior, e0, e1 = minimize_reference(
-        lambda m: energy(m, cfg), 0.0, 1.0, cfg.grid_step, cfg.refine_tol
+        lambda m: energy(m, cfg), 0.0, 1.0, GRID_STEP, REFINE_TOL
     )
     return ReplicaSolution(
         m_star=m_star,

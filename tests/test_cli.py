@@ -6,8 +6,9 @@ import pytest
 import scipy
 
 import gfwiretap
-from gfwiretap import numerics, replica
+from gfwiretap import cli, numerics, replica
 from gfwiretap.cli import _build_parser, main
+from gfwiretap.simulate import estimate_leakage
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,14 @@ class TestReplicaScan:
         assert code == 2
         assert "step must be positive" in err
 
+    @pytest.mark.parametrize("flag", ["--grid-step", "--refine-tol"])
+    def test_solver_resolution_flags_are_gone(self, capsys, flag):
+        # every result is computed at replica.GRID_STEP and REFINE_TOL
+        with pytest.raises(SystemExit) as exc:
+            main(["replica-scan", "--rates", "1:1:1", flag, "1e-3"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_units_bits(self, capsys):
         _, nats, _ = run_cli(capsys, "replica-scan", "--lambda", "3", "--rates", "1:1:1")
         _, bits, _ = run_cli(
@@ -87,6 +96,26 @@ class TestReplicaScan:
         assert out_path.read_text().startswith("# gfwiretap replica-scan v1")
 
 
+NON_FINITE_RANGES = [
+    (command, f"{flag}=" + ":".join(value if i == slot else v for i, v in enumerate(vals)))
+    for command, flag, vals in (
+        ("replica-scan", "--rates", ("0.5", "1.0", "0.1")),
+        ("critical-rate", "--bracket", ("1.5", "2.0")),
+    )
+    for slot in range(len(vals))
+    for value in ("inf", "-inf", "nan")
+]
+
+
+@pytest.mark.parametrize("command, arg", NON_FINITE_RANGES)
+def test_non_finite_range_value_is_usage_error(capsys, command, arg):
+    code, out, err = run_cli(capsys, command, arg)
+    assert code == 2
+    assert out == ""
+    assert "values must be finite" in err
+    assert "Traceback" not in err
+
+
 class TestCriticalRate:
     def test_cubic_location(self, capsys):
         code, out, _ = run_cli(capsys, "critical-rate", "--lambda", "3")
@@ -108,6 +137,17 @@ class TestCriticalRate:
         assert code == 0
         located = float(data_rows(out)[1].split(",")[0])
         assert 1.5 < located < 2.0
+
+    def test_tolerance_below_float_resolution(self, capsys):
+        # the bracket halves down to two adjacent floats and stops there
+        located = {}
+        for tol in ("1e-4", "1e-20"):
+            code, out, _ = run_cli(
+                capsys, "critical-rate", "--bracket", "1.5:2.0", "--tol", tol
+            )
+            assert code == 0
+            located[tol] = float(data_rows(out)[1].split(",")[0])
+        assert abs(located["1e-20"] - located["1e-4"]) <= 1e-4
 
     def test_bracket_without_transition_is_numerical_failure(self, capsys):
         # both endpoints are past the collapse, so no regime change exists
@@ -288,8 +328,34 @@ class TestLeakageCommand:
             "--sigma-e-sq", "1", "--samples", "100", "--realizations", "3",
         )
         assert code == 0
-        rows = data_rows(out)
-        assert rows[-1].startswith("leakage_avg_over_realizations,")
+        rows = {
+            name: (float(value), float(se))
+            for name, value, se in (r.split(",") for r in data_rows(out)[1:])
+        }
+        assert list(rows)[-1] == "leakage_avg_over_realizations"
+        fixed, fixed_se = rows["leakage"]
+        mean, se = rows["leakage_avg_over_realizations"]
+        # the realization average is a different number from the fixed-pair
+        # estimate but lives on the same scale
+        assert se > 0.0
+        assert abs(mean - fixed) <= 5.0 * (se + fixed_se)
+
+    def test_each_realization_estimated_once(self, capsys, monkeypatch):
+        seen = []
+
+        def counting(cfg, fld, plan, n_samples):
+            seen.append((fld.spec.seed, tuple(plan.permutation)))
+            return estimate_leakage(cfg, fld, plan, n_samples)
+
+        monkeypatch.setattr(cli, "estimate_leakage", counting)
+        code, _, _ = run_cli(
+            capsys,
+            "leakage", "--n", "6", "--k", "2", "--k-tilde", "2",
+            "--sigma-e-sq", "1", "--samples", "50", "--realizations", "3",
+        )
+        assert code == 0
+        assert len(seen) == 3
+        assert len(set(seen)) == 3
 
 
 class TestFieldCheck:

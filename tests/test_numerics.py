@@ -428,6 +428,20 @@ class TestBisectTransition:
         with pytest.raises(BracketError):
             bisect_transition(lambda t: True, 0.0, 1.0, 1e-4)
 
+    def test_tolerance_below_float_resolution_ends(self):
+        # halving stops at two adjacent floats; an unbounded loop would raise
+        calls = []
+
+        def flipped(t):
+            calls.append(t)
+            if len(calls) > 200:
+                raise AssertionError("bisection does not end")
+            return t > 1.7
+
+        x = bisect_transition(flipped, 1.5, 2.0, 1e-20)
+        assert x in (1.7, math.nextafter(1.7, 2.0))
+        assert len(calls) < 70
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.01, max_value=0.99))
     def test_recovers_arbitrary_threshold(self, threshold):

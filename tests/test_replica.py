@@ -11,6 +11,7 @@ from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.errors import BracketError
 from gfwiretap.numerics import bisect_transition
 from gfwiretap.replica import (
+    GRID_STEP,
     ReplicaSolution,
     cd,
     cd_prime,
@@ -207,7 +208,7 @@ class TestSolveOverlap:
         for rate in (1.8, 2.0, 3.0, 6.0):
             cfg = make_config(rate=rate, order=1)
             sol = solve_overlap(cfg)
-            assert cfg.grid_step < sol.m_star < 1.0 - cfg.grid_step
+            assert GRID_STEP < sol.m_star < 1.0 - GRID_STEP
             assert sol.fixed_point_residual <= 1e-6
 
     def test_energy_slope_is_cd_curvature_times_fixed_point_gap(self):
@@ -238,7 +239,7 @@ class TestSolveOverlap:
         for rate in np.arange(0.7, 3.0 + 1e-9, 0.1):
             cfg = make_config(rate=float(rate), order=1)
             sol = solve_overlap(cfg)
-            if cfg.grid_step < sol.m_star < 1.0 - cfg.grid_step:
+            if GRID_STEP < sol.m_star < 1.0 - GRID_STEP:
                 assert sol.fixed_point_residual <= 1e-9, rate
                 checked += 1
         assert checked > 10

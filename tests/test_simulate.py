@@ -13,7 +13,6 @@ from gfwiretap.simulate import (
     _leakage_terms,
     _trial_field,
     _trial_plan,
-    average_leakage_over_realizations,
     estimate_leakage,
     run_experiment,
     run_trial,
@@ -274,16 +273,40 @@ class TestLeakage:
         with pytest.raises(ValueError):
             estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 1)
 
-    def test_average_over_realizations(self):
+    def test_average_over_realizations(self, capsys):
+        # the leakage subcommand averages the leakage over resampled
+        # (field, plan) realizations; run it at small_cfg
         cfg = small_cfg(n=6, k=2, k_tilde=2, sigma_e_sq=1.0)
-        mean, se = average_leakage_over_realizations(cfg, 200, 4)
+        argv = ["leakage", "--samples", "200", f"--lambda={cfg.order}"] + [
+            f"--{name.replace('_', '-')}={getattr(cfg, name)}"
+            for name in (
+                "n", "k", "k_tilde", "power", "sigma_b_sq", "sigma_e_sq",
+                "field_seed", "perm_seed", "key_seed", "noise_seed",
+            )
+        ]
+        assert cli.main(argv + ["--realizations", "4"]) == 0
+        lines = [
+            l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")
+        ]
+        assert lines[0] == "quantity,estimate,standard_error"
+        rows = {
+            r.split(",")[0]: tuple(map(float, r.split(",")[1:])) for r in lines[1:]
+        }
+        mean, se = rows["leakage_avg_over_realizations"]
+        values = [
+            estimate_leakage(cfg, _trial_field(cfg, r), _trial_plan(cfg, r), 200).leakage
+            for r in range(4)
+        ]
+        assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-15)
+        assert se == pytest.approx(np.std(values, ddof=1) / 2.0, rel=1e-12)
         fixed = estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 200)
         # the realization average is a different number from the fixed-pair
         # estimate but lives on the same scale
         assert se > 0.0
         assert abs(mean - fixed.leakage) <= 5.0 * (se + fixed.leakage_se)
-        with pytest.raises(ValueError):
-            average_leakage_over_realizations(cfg, 200, 1)
+        # one realization has no between-realization spread, so no average row
+        assert cli.main(argv + ["--realizations", "1"]) == 0
+        assert "leakage_avg_over_realizations" not in capsys.readouterr().out
 
 
 class TestReportWriter:

@@ -69,6 +69,16 @@ def test_readme_command_parses(line, tmp_path):
     assert {len(row.split(",")) for row in rows} == {len(columns.split(","))}
 
 
+def test_readme_python_blocks_run(capsys):
+    # the "Library quickstart" block calls the public API by keyword
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_package_import_loads_no_scipy(tmp_path):
     # scipy.special alone would about double the package's start-up time;
     # neither the import nor a subcommand, header included, may load scipy
