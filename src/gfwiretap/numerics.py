@@ -7,7 +7,7 @@ function recurrence polishes them, so no scipy module is loaded.
 
 Quadrature integrands and minimization objectives are array-shaped: an
 integrand may return a stack of node values, and an objective is evaluated
-on row blocks of its grid.
+on its whole grid in one call.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.
@@ -44,12 +44,6 @@ DEFAULT_QUADRATURE_ORDER = 400
 #: rule: their share of an expectation of the solver's integrands is below
 #: the rounding of the sum, and they are ~64% of the default rule's nodes.
 NODE_WEIGHT_FLOOR = 1e-30
-
-#: Grid points per objective call in ``_minimize_with_diagnostics``.  With the
-#: default rule's 144 nodes a block of the energy is 113 x 144 ~ 2**14 floats
-#: (128 KiB), so its intermediates stay in cache; the whole 1001-point grid
-#: at once is over twice as slow.
-GRID_BLOCK_ROWS = 113
 
 #: Newton sweeps that polish the Gauss-Hermite nodes stop once every step is
 #: below this share of its node (or of 1 below |x| = 1); from Tricomi's
@@ -209,12 +203,19 @@ def default_rule() -> QuadratureRule:
 
 
 def log_cosh(x):
-    """``log(cosh(x))`` computed as ``|x| + log1p(exp(-2|x|)) - log 2``.
+    """``log(cosh(x))`` computed as ``(|x| + log1p(exp(-2|x|))) - log 2``.
 
-    Stable for |x| up to ~1e6 and beyond (no overflow of cosh).
+    Stable for |x| up to ~1e6 and beyond (no overflow of cosh).  Two fresh
+    arrays hold ``|x|`` and the result, which every later step overwrites in
+    place; ``x`` itself is never written.
     """
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - _LOG2
+    ax = np.abs(x, out=np.empty(np.shape(x)))
+    out = np.multiply(ax, -2.0, out=np.empty_like(ax))
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(ax, out, out=out)
+    np.subtract(out, _LOG2, out=out)
+    return out[()]
 
 
 def gauss_expectation(
@@ -351,10 +352,10 @@ def _refine_minimum(f, stationary, a, b, tol):
 def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None):
     """Grid-then-refine minimization returning interior candidates as well.
 
-    ``f`` takes an array of abscissae and returns one value each; the grid
-    goes to it in blocks of ``GRID_BLOCK_ROWS`` points.  Each interior grid
-    point no higher than both neighbours is refined on the bracket of its
-    two neighbours.  ``stationary``, if given, is a scalar function that is
+    ``f`` takes an array of abscissae and returns one value each; the whole
+    grid goes to it in one call.  Each interior grid point no higher than
+    both neighbours is refined on the bracket of its two neighbours.
+    ``stationary``, if given, is a scalar function that is
     negative where ``f`` falls and positive where it rises (a positive
     multiple of ``f'``); where it changes sign strictly from negative to
     positive across the bracket, the minimum is its Brent root, with one
@@ -368,16 +369,13 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if grid_step <= 0.0:
+    if not grid_step > 0.0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if refine_tol <= 0.0:
+    if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     n_cells = max(1, int(math.ceil((hi - lo) / grid_step - 1e-12)))
     grid = np.linspace(lo, hi, n_cells + 1)
-    vals = np.concatenate(
-        [np.asarray(f(grid[i : i + GRID_BLOCK_ROWS]), dtype=float).reshape(-1)
-         for i in range(0, grid.size, GRID_BLOCK_ROWS)]
-    )
+    vals = np.asarray(f(grid), dtype=float).reshape(-1)
     if vals.shape != grid.shape:
         raise ValueError(
             f"objective must return one value per grid point: expected "
@@ -440,7 +438,7 @@ def bisect_transition(
     """
     if not lo < hi:
         raise BracketError(f"degenerate bracket [{lo}, {hi}]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     flag_lo = bool(indicator(lo))
     if bool(indicator(hi)) == flag_lo:

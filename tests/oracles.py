@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's own numerical paths:
 posterior means are summed term by term in 50-digit arithmetic, Monte
 Carlo reference values were generated once from a fixed seed and frozen,
 and the reference solver evaluates the energy one grid point at a time on
-the unpruned quadrature rule.
+the unpruned quadrature rule.  The one exception is the energy reference,
+which recomposes ``replica.energy`` from the package's elementwise terms and
+``gauss_expectation`` in 113-row blocks with out-of-place integrands, so
+that the in-place kernel can be held to it bit for bit.
 """
 
 import itertools
@@ -54,6 +57,80 @@ def full_rule(order):
     keep = weights > 0.0
     nodes, weights = nodes[keep], weights[keep]
     return QuadratureRule(order=order, nodes=nodes, weights=weights / weights.sum())
+
+
+def log_cosh_reference(x):
+    """``log cosh(x)`` as the out-of-place ``(|x| + log1p(exp(-2|x|))) - log 2``."""
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+
+
+#: Rows per energy evaluation when the solver sent its grid in blocks.
+_ENERGY_BLOCK_ROWS = 113
+
+
+def node_expectation_reference(g, e, rule):
+    """``E_w[g(e + sqrt(e) w)]`` composed as the solver did per grid block.
+
+    A float ``e`` is one ``(nodes,)`` integrand; an array goes in blocks of
+    113 rows, each one out-of-place ``(rows, nodes)`` integrand array built
+    by broadcasting.  ``g`` is called on that array and may not write to it.
+    """
+    from gfwiretap.numerics import gauss_expectation
+
+    e = np.asarray(e, dtype=float)
+    blocks = (
+        [e[lo : lo + _ENERGY_BLOCK_ROWS] for lo in range(0, e.size, _ENERGY_BLOCK_ROWS)]
+        if e.ndim
+        else [e]
+    )
+    vals = []
+    for blk in blocks:
+        e_col = blk[..., None]
+        sqrt_col = np.sqrt(e_col)
+        vals.append(gauss_expectation(lambda w: g(e_col + sqrt_col * w), rule))
+    return np.concatenate(vals) if e.ndim else vals[0]
+
+
+def energy_reference(m, cfg):
+    """``replica.energy`` composed as ``rate * I_D + C_D + (1 - m) C_D'``.
+
+    ``I_D = e - E_w[log cosh(e + sqrt(e) w)]`` clipped to ``[0, log 2]``,
+    with the expectation from ``node_expectation_reference`` and the
+    out-of-place ``log_cosh_reference``.
+    """
+    from gfwiretap.channel import LOG2
+    from gfwiretap.replica import cd, cd_prime, effective_snr
+
+    e = effective_snr(m, cfg)
+    mi = e - node_expectation_reference(log_cosh_reference, e, cfg.quadrature)
+    mi = np.minimum(np.maximum(mi, 0.0), LOG2)
+    return cfg.rate * mi + cd(m, cfg) + (1.0 - m) * cd_prime(m, cfg)
+
+
+def fixed_point_map_reference(m, cfg):
+    """``replica.fixed_point_map`` with an out-of-place ``tanh`` per block."""
+    from gfwiretap.replica import effective_snr
+
+    return node_expectation_reference(np.tanh, effective_snr(m, cfg), cfg.quadrature)
+
+
+def log_cosh_expectation_mp(e, rule):
+    """``sum_i w_i log cosh(e + sqrt(e) x_i)`` in 50-digit arithmetic.
+
+    The rule's float nodes and weights are taken as exact; everything else,
+    ``sqrt(e)`` included, is computed to 50 digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        e = mp.mpf(float(e))
+        root = mp.sqrt(e)
+        total = mp.fsum(
+            mp.mpf(float(w)) * mp.log(mp.cosh(e + root * mp.mpf(float(x))))
+            for x, w in zip(rule.nodes, rule.weights)
+        )
+        return float(total)
 
 
 def minimize_reference(f, lo, hi, grid_step, refine_tol):

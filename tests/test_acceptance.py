@@ -17,7 +17,7 @@ from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.codec import CodecConfig
 from gfwiretap.field import FieldSpec, covariance_probe, sample_field
 from gfwiretap.codec import mmse_estimate
-from gfwiretap.replica import locate_critical_rate, make_config, solve_overlap
+from gfwiretap.replica import GRID_STEP, locate_critical_rate, make_config, solve_overlap
 from gfwiretap.simulate import (
     _codeword_table,
     _trial_field,
@@ -105,7 +105,6 @@ def test_criterion_04_linear_overlap_never_zero():
 
 
 def test_criterion_05_stationarity_of_interior_minimizers():
-    grid_step = 1e-3
     checked = 0
     sweeps = [
         (1, list(np.arange(0.2, 6.0 + 1e-9, 0.1)) + [0.6, 2.0, 6.0]),
@@ -115,7 +114,7 @@ def test_criterion_05_stationarity_of_interior_minimizers():
     for order, rates in sweeps:
         for rate in rates:
             sol = solve_overlap(make_config(rate=float(rate), order=order))
-            if grid_step < sol.m_star < 1.0 - grid_step:
+            if GRID_STEP < sol.m_star < 1.0 - GRID_STEP:
                 assert sol.fixed_point_residual <= 1e-6, (order, rate)
                 checked += 1
     assert checked > 20

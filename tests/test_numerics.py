@@ -9,7 +9,6 @@ from scipy.special import roots_hermitenorm
 from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
     DEFAULT_QUADRATURE_ORDER,
-    GRID_BLOCK_ROWS,
     NODE_WEIGHT_FLOOR,
     QuadratureRule,
     _brent_root,
@@ -21,7 +20,7 @@ from gfwiretap.numerics import (
     gauss_hermite_rule,
     log_cosh,
 )
-from oracles import full_rule, minimize_reference
+from oracles import full_rule, log_cosh_reference, minimize_reference
 
 # 1e7-sample Monte Carlo reference for E[log cosh(2 + sqrt(2) w)], w ~ N(0,1),
 # generated once with numpy PCG64 seed 20260808.
@@ -112,6 +111,24 @@ class TestQuadratureRule:
             h = lambda w, e=e: g(e + math.sqrt(e) * w)
             ref = gauss_expectation(h, full)
             assert abs(gauss_expectation(h, rule) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+class TestLogCosh:
+    X = np.concatenate(
+        [np.linspace(-60.0, 60.0, 1201), [0.0, -0.0, 1e-300, 1e6, -1e6, 1e300]]
+    )
+
+    def test_equals_the_out_of_place_formula(self):
+        np.testing.assert_array_equal(log_cosh(self.X), log_cosh_reference(self.X))
+        x = self.X.reshape(17, 71)
+        np.testing.assert_array_equal(log_cosh(x), log_cosh_reference(x))
+        assert log_cosh(2.5) == log_cosh_reference(2.5)
+
+    def test_input_is_left_unchanged(self):
+        x = self.X.copy()
+        out = log_cosh(x)
+        np.testing.assert_array_equal(x, self.X)
+        assert not np.shares_memory(out, x)
 
 
 class TestGaussExpectation:
@@ -248,6 +265,15 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError):
             _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, 0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_step_and_tolerance_are_refused(self, bad):
+        # f = m has no interior minimum, so nothing downstream would trip on
+        # a NaN refine_tol
+        with pytest.raises(ValueError, match="grid_step must be positive"):
+            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, bad, 1e-10)
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, bad)
+
 
 class TestStationaryRefinement:
     """Interior minima refined at the root of a sign-changing ``stationary``,
@@ -360,9 +386,9 @@ class TestBrentRoot:
 
 
 class TestGridBlocks:
-    """The row-blocked grid against the one-call-per-point reference."""
+    """The whole-grid objective call against the one-call-per-point reference."""
 
-    def test_blocks_cover_the_grid_once_in_order(self):
+    def test_whole_grid_goes_to_one_call(self):
         seen = []
 
         def f(m):
@@ -371,9 +397,8 @@ class TestGridBlocks:
             return (m - 0.3) ** 2
 
         _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
-        full, rest = divmod(1001, GRID_BLOCK_ROWS)
-        assert [b.size for b in seen] == [GRID_BLOCK_ROWS] * full + [rest]
-        np.testing.assert_array_equal(np.concatenate(seen), np.linspace(0.0, 1.0, 1001))
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], np.linspace(0.0, 1.0, 1001))
 
     @pytest.mark.parametrize("grid_step", [1e-2, 2e-3])
     @pytest.mark.parametrize(
@@ -389,8 +414,7 @@ class TestGridBlocks:
     )
     def test_plateaus_and_ties_match_reference(self, f, grid_step):
         # runs of equal grid values make every point of the run a candidate,
-        # and the tie rule then picks among equal refined values; the finer
-        # grid spans several blocks
+        # and the tie rule then picks among equal refined values
         got = _minimize_with_diagnostics(f, 0.0, 1.0, grid_step, 1e-8)
         assert got == minimize_reference(f, 0.0, 1.0, grid_step, 1e-8)
 
@@ -427,6 +451,11 @@ class TestBisectTransition:
     def test_no_flip(self):
         with pytest.raises(BracketError):
             bisect_transition(lambda t: True, 0.0, 1.0, 1e-4)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_tolerance_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bisect_transition(lambda t: t > 0.3, 0.0, 1.0, tol)
 
     def test_tolerance_below_float_resolution_ends(self):
         # halving stops at two adjacent floats; an unbounded loop would raise

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from gfwiretap import replica
 from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.errors import BracketError
-from gfwiretap.numerics import bisect_transition
+from gfwiretap.numerics import bisect_transition, log_cosh
 from gfwiretap.replica import (
+    GRID_BLOCK_ROWS,
     GRID_STEP,
     ReplicaSolution,
     cd,
@@ -26,7 +27,12 @@ from gfwiretap.replica import (
     scan_rates,
     solve_overlap,
 )
-from oracles import solve_overlap_reference
+from oracles import (
+    energy_reference,
+    fixed_point_map_reference,
+    log_cosh_expectation_mp,
+    solve_overlap_reference,
+)
 
 # 1e7-sample Monte Carlo reference for the decoupled-channel mutual
 # information at effective SNR 2 (same stream as the numerics oracle).
@@ -175,6 +181,68 @@ class TestArrayOverlaps:
         m = np.linspace(0.0, 1.0, 12).reshape(3, 4)
         for f in self.QUANTITIES:
             assert f(m, cfg).shape == (3, 4)
+
+
+class TestNodeBlocks:
+    """The row-blocked, in-place node expectation against the out-of-place
+    composition of 113-row energy blocks that it replaced."""
+
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    def test_blocks_cover_the_grid_once_in_order(self, monkeypatch):
+        seen = []
+
+        def recording_log_cosh(x):
+            seen.append(np.array(x))
+            return log_cosh(x)
+
+        monkeypatch.setattr(replica, "log_cosh", recording_log_cosh)
+        cfg = make_config(rate=1.7, order=3)
+        energy(self.GRID, cfg)
+        n = self.GRID.size
+        assert [len(a) for a in seen] == [
+            min(GRID_BLOCK_ROWS, n - lo) for lo in range(0, n, GRID_BLOCK_ROWS)
+        ]
+        e = effective_snr(self.GRID, cfg)[:, None]
+        np.testing.assert_array_equal(
+            np.concatenate(seen), e + np.sqrt(e) * cfg.quadrature.nodes
+        )
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_grid_energy_equals_block_reference(self, order):
+        for rate in (0.5, 1.7, 3.0):
+            for sigma_sq in (0.05, 0.1, 1.0):
+                cfg = make_config(rate=rate, sigma_sq=sigma_sq, order=order)
+                assert np.array_equal(
+                    energy(self.GRID, cfg), energy_reference(self.GRID, cfg)
+                ), (rate, sigma_sq)
+
+    @pytest.mark.parametrize("size", [1, 113, 114, 1001])
+    def test_block_seams_equal_reference(self, size):
+        m = np.linspace(0.0, 1.0, size)
+        for order in (1, 3):
+            cfg = make_config(rate=1.7, order=order)
+            assert np.array_equal(energy(m, cfg), energy_reference(m, cfg))
+            assert np.array_equal(
+                fixed_point_map(m, cfg), fixed_point_map_reference(m, cfg)
+            )
+
+    def test_float_overlap_equals_reference(self):
+        for order in (1, 2, 3, 4):
+            cfg = make_config(rate=1.7, order=order)
+            for m in (0.0, 0.25, 0.5, 0.9, 1.0):
+                assert energy(m, cfg) == energy_reference(m, cfg)
+                assert fixed_point_map(m, cfg) == fixed_point_map_reference(m, cfg)
+
+    def test_log_cosh_expectation_against_50_digits(self):
+        cfg = make_config(rate=1.0)
+        es = np.array([0.0, 0.5, 2.0, 10.0, 25.0, 50.0])
+        stacked = replica._node_expectation(log_cosh, es, cfg)
+        for e, got in zip(es, stacked):
+            ref = log_cosh_expectation_mp(e, cfg.quadrature)
+            single = replica._node_expectation(log_cosh, float(e), cfg)
+            for val in (got, single):
+                assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), (e, val, ref)
 
 
 class TestSolveOverlap:
