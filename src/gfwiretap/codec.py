@@ -123,21 +123,26 @@ class BinningPlan:
     def __post_init__(self):
         perm = np.asarray(self.permutation, dtype=np.int64)
         keys = np.asarray(self.key_positions, dtype=np.int64)
-        total = perm.size
-        if not np.array_equal(np.sort(perm), np.arange(total)):
+        # the checks run on Python ints: a plan holds tens of positions, where
+        # each numpy call costs more than the whole check does in a list
+        slots, key_list = perm.tolist(), keys.tolist()
+        total, k_tilde = len(slots), len(key_list)
+        if sorted(slots) != list(range(total)):
             raise ValueError("permutation is not a bijection on its index range")
-        k_tilde = keys.size
         if k_tilde < 1 or k_tilde > total:
             raise ValueError(f"need 1 <= k_tilde <= {total}, got {k_tilde}")
-        if not np.array_equal(keys, np.sort(perm[:k_tilde])):
+        if key_list != sorted(slots[:k_tilde]):
             raise ValueError("key_positions must be the sorted images of the key slots")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
         # a key past the last bin leaves an earlier bin empty, which is found first
-        per_bin = np.bincount(keys // self.width, minlength=k_tilde)
-        bad = np.flatnonzero(per_bin != 1)
-        if bad.size:
-            ell = int(bad[0])
+        per_bin = [0] * k_tilde
+        for pos in key_list:
+            if pos // self.width < k_tilde:
+                per_bin[pos // self.width] += 1
+        bad = [ell for ell, count in enumerate(per_bin) if count != 1]
+        if bad:
+            ell = bad[0]
             lo, hi = ell * self.width, min((ell + 1) * self.width, total)
             raise ValueError(
                 f"bin {ell} (positions [{lo}, {hi})) holds {per_bin[ell]} key "
@@ -212,14 +217,21 @@ def build_binning(k: int, k_tilde: int, perm_seed: int) -> BinningPlan:
             f"one key symbol per bin is unsatisfiable"
         )
     rng = np.random.default_rng(np.random.SeedSequence(int(perm_seed)))
-    lo = np.arange(k_tilde, dtype=np.int64) * width
-    key_positions = rng.integers(lo, np.minimum(lo + width, total))
-    message_positions = rng.permutation(np.delete(np.arange(total), key_positions))
-    permutation = np.concatenate([key_positions, message_positions])
+    # one bounded draw per bin, in bin order, then a shuffle of the other
+    # positions: the same draws as one ``integers`` call with per-bin bounds
+    # and a ``permutation``, on Python ints, which at a few positions cost
+    # less than numpy calls
+    key_positions = [
+        lo + int(rng.integers(0, min(width, total - lo)))
+        for lo in range(0, k_tilde * width, width)
+    ]
+    keys = set(key_positions)
+    message_positions = [pos for pos in range(total) if pos not in keys]
+    rng.shuffle(message_positions)
     return BinningPlan(
-        permutation=permutation,
+        permutation=key_positions + message_positions,
         width=width,
-        key_positions=np.sort(key_positions),
+        key_positions=key_positions,
     )
 
 

@@ -18,10 +18,12 @@ or bins.
 accept a float or an array of overlaps ``m`` through one code path: a float
 gives a Python float, an array gives an array of the same shape.  The
 solver evaluates the energy on its whole grid in one call this way, so the
-``(m,)``-shaped terms are computed once per solve; only the quadrature over
-the ``(rows, nodes)`` integrand array goes in row blocks of
-``GRID_BLOCK_ROWS``.  The solver works at one resolution, the module
-constants ``GRID_STEP`` and ``REFINE_TOL``.
+``(m,)``-shaped terms are computed once per solve.  Only the quadrature
+over the ``(rows, nodes)`` integrand array is split: each effective SNR
+takes the rule of its band in the config's quadrature (``SNR_BANDS`` in
+``numerics``, cheaper rules at small SNR), and each band goes in row blocks
+of at most ``BLOCK_FLOATS`` integrand values.  The solver works at one
+resolution, the module constants ``GRID_STEP`` and ``REFINE_TOL``.
 
 All operations are pure; rate scans may run concurrently without shared
 state.
@@ -29,6 +31,7 @@ state.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -38,12 +41,13 @@ import numpy as np
 from .channel import LOG2
 from .errors import BracketError
 from .numerics import (
+    QuadratureBands,
     QuadratureRule,
     _brent_root,
     _dyadic_bracket,
     _minimize_with_diagnostics,
     bisect_transition,
-    default_rule,
+    default_bands,
     gauss_expectation,
     log_cosh,
 )
@@ -73,13 +77,15 @@ REGIME_CLAMP = 1e-9
 GRID_STEP = 1e-3
 #: Tolerance to which an interior minimum is refined.
 REFINE_TOL = 1e-10
-#: Rows of effective SNR per quadrature in ``_node_expectation``.  With the
-#: default rule's 144 nodes each of the three arrays log-cosh works in is
-#: 113 x 144 floats (127 KiB).  Timed per solve in one process, blocks of 77
-#: to 226 rows are within 2% of 113, 57 rows 6% slower, and the whole grid
-#: as one block over twice as slow; in fresh processes 140 and 170 rows made
-#: a ``collapse_scan`` op ~55% slower.
-GRID_BLOCK_ROWS = 113
+#: Integrand values per quadrature block in ``_node_expectation``: a rule of
+#: ``n`` nodes takes ``BLOCK_FLOATS // n`` rows of effective SNR per block,
+#: 113 rows at the default rule's 144 nodes, so each of the three arrays
+#: log-cosh works in stays within 128 KiB.  Timed at 144 nodes per solve in
+#: one process, blocks of 77 to 226 rows are within 2% of 113, 57 rows 6%
+#: slower, and the whole grid as one block over twice as slow; in fresh
+#: processes 140 and 170 rows (~20k and ~24k floats) made a
+#: ``collapse_scan`` op ~55% slower.
+BLOCK_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,9 @@ class ReplicaConfig:
     """Parameters of one decoupled-setting evaluation.
 
     ``rate`` is the number of input symbols per channel use, ``order`` the
-    exponent of the covariance function ``power * u**order``.  The solver's
+    exponent of the covariance function ``power * u**order``.
+    ``quadrature`` is one rule for every effective SNR or a table of rules
+    by SNR band; ``make_config`` gives ``default_bands()``.  The solver's
     resolution is fixed: ``GRID_STEP`` and ``REFINE_TOL``.
     """
 
@@ -95,7 +103,7 @@ class ReplicaConfig:
     sigma_sq: float
     power: float
     order: int
-    quadrature: QuadratureRule
+    quadrature: QuadratureRule | QuadratureBands
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0.0):
@@ -114,13 +122,13 @@ def make_config(
     power: float = 1.0,
     order: int = 3,
 ) -> ReplicaConfig:
-    """ReplicaConfig with the validated default quadrature rule."""
+    """ReplicaConfig with the solver's banded rules, ``default_bands()``."""
     return ReplicaConfig(
         rate=rate,
         sigma_sq=sigma_sq,
         power=power,
         order=order,
-        quadrature=default_rule(),
+        quadrature=default_bands(),
     )
 
 
@@ -171,24 +179,29 @@ def _shifted_nodes(e_col, sqrt_col, w):
 def _node_expectation(g, e, cfg: ReplicaConfig):
     """``E_w[g(e + sqrt(e) w)]`` for each effective SNR in ``e``.
 
-    Each quadrature covers ``GRID_BLOCK_ROWS`` rows of ``e``, in order, and
-    hands ``g`` a fresh ``(rows, nodes)`` argument array that ``g`` may
-    overwrite.  A float ``e`` is one ``(nodes,)`` row and gives a float.
+    Each SNR takes the rule of its band in ``cfg.quadrature``.  Band by
+    band, each quadrature covers the next ``BLOCK_FLOATS // nodes`` of the
+    band's rows, in order, and hands ``g`` a fresh ``(rows, nodes)`` argument
+    array that ``g`` may overwrite.  A float ``e`` is one ``(nodes,)`` row
+    and gives a float, bit for bit the value of its row in an array.
     """
+    bands = QuadratureBands.of(cfg.quadrature)
     e = np.asarray(e, dtype=float)
     if e.ndim == 0:
-        return gauss_expectation(
-            lambda w: g(_shifted_nodes(e, np.sqrt(e), w)), cfg.quadrature
-        )
+        rule = bands.rules[bisect.bisect_left(bands.cuts, float(e))]
+        return gauss_expectation(lambda w: g(_shifted_nodes(e, np.sqrt(e), w)), rule)
     e_col = e.reshape(-1, 1)
     sqrt_col = np.sqrt(e_col)
+    band = np.searchsorted(bands.cuts, e_col[:, 0])
     out = np.empty(len(e_col))
-    for lo in range(0, len(e_col), GRID_BLOCK_ROWS):
-        rows = slice(lo, lo + GRID_BLOCK_ROWS)
-        out[rows] = gauss_expectation(
-            lambda w: g(_shifted_nodes(e_col[rows], sqrt_col[rows], w)),
-            cfg.quadrature,
-        )
+    for b, rule in enumerate(bands.rules):
+        idx = np.flatnonzero(band == b)
+        step = BLOCK_FLOATS // rule.nodes.size
+        for lo in range(0, idx.size, step):
+            rows = idx[lo : lo + step]
+            out[rows] = gauss_expectation(
+                lambda w: g(_shifted_nodes(e_col[rows], sqrt_col[rows], w)), rule
+            )
     return out.reshape(e.shape)
 
 
@@ -247,8 +260,8 @@ def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
     """Minimize the energy over [0, 1] and package the solution.
 
     The whole ``GRID_STEP`` grid goes to ``energy`` in one call, which
-    forms its ``(rows, nodes)`` integrand values in row blocks of
-    ``GRID_BLOCK_ROWS``.  Interior minima are refined at the
+    forms its ``(rows, nodes)`` integrand values band by band, in row blocks
+    of at most ``BLOCK_FLOATS`` values.  Interior minima are refined at the
     root of ``m - F(m)``, ``F = fixed_point_map``: by the I-MMSE identity
     (Guo, Shamai & Verdu 2005), ``dE/dm = C_D''(m) (F(m) - m)`` with
     ``C_D'' < 0`` on (0, 1], so the energy falls where ``m - F(m) < 0`` and

@@ -6,8 +6,9 @@ Carlo reference values were generated once from a fixed seed and frozen,
 and the reference solver evaluates the energy one grid point at a time on
 the unpruned quadrature rule.  The one exception is the energy reference,
 which recomposes ``replica.energy`` from the package's elementwise terms and
-``gauss_expectation`` in 113-row blocks with out-of-place integrands, so
-that the in-place kernel can be held to it bit for bit.
+``gauss_expectation``, band by band with the config's own rules and in
+blocks of ``2**14`` integrand values with out-of-place integrands, so that
+the in-place kernel can be held to it bit for bit.
 """
 
 import itertools
@@ -65,31 +66,43 @@ def log_cosh_reference(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-#: Rows per energy evaluation when the solver sent its grid in blocks.
-_ENERGY_BLOCK_ROWS = 113
+#: Integrand values per block in ``node_expectation_reference``.
+_BLOCK_FLOATS = 2**14
 
 
-def node_expectation_reference(g, e, rule):
-    """``E_w[g(e + sqrt(e) w)]`` composed as the solver did per grid block.
+def node_expectation_reference(g, e, quadrature):
+    """``E_w[g(e + sqrt(e) w)]`` composed band by band, as the solver does.
 
-    A float ``e`` is one ``(nodes,)`` integrand; an array goes in blocks of
-    113 rows, each one out-of-place ``(rows, nodes)`` integrand array built
-    by broadcasting.  ``g`` is called on that array and may not write to it.
+    ``quadrature`` is a rule, taken as one band, or a band table; each SNR
+    goes to the first band whose cut point it does not exceed, or to the
+    last.  A float ``e`` is one ``(nodes,)`` integrand.  An array goes band
+    by band, each band's rows in order in blocks of ``2**14 // nodes`` rows,
+    each block one out-of-place ``(rows, nodes)`` integrand array built by
+    broadcasting.  ``g`` is called on that array and may not write to it.
     """
     from gfwiretap.numerics import gauss_expectation
 
+    cuts = getattr(quadrature, "cuts", ())
+    rules = getattr(quadrature, "rules", (quadrature,))
+
+    def band_of(x):
+        return next((i for i, cut in enumerate(cuts) if x <= cut), len(cuts))
+
     e = np.asarray(e, dtype=float)
-    blocks = (
-        [e[lo : lo + _ENERGY_BLOCK_ROWS] for lo in range(0, e.size, _ENERGY_BLOCK_ROWS)]
-        if e.ndim
-        else [e]
-    )
-    vals = []
-    for blk in blocks:
-        e_col = blk[..., None]
-        sqrt_col = np.sqrt(e_col)
-        vals.append(gauss_expectation(lambda w: g(e_col + sqrt_col * w), rule))
-    return np.concatenate(vals) if e.ndim else vals[0]
+    if e.ndim == 0:
+        rule = rules[band_of(float(e))]
+        return gauss_expectation(lambda w: g(e + np.sqrt(e) * w), rule)
+    flat = e.reshape(-1)
+    out = np.empty(flat.size)
+    for b, rule in enumerate(rules):
+        idx = [i for i, x in enumerate(flat) if band_of(x) == b]
+        n_rows = _BLOCK_FLOATS // rule.nodes.size
+        for lo in range(0, len(idx), n_rows):
+            blk = idx[lo : lo + n_rows]
+            e_col = flat[blk][:, None]
+            sqrt_col = np.sqrt(e_col)
+            out[blk] = gauss_expectation(lambda w: g(e_col + sqrt_col * w), rule)
+    return out.reshape(e.shape)
 
 
 def energy_reference(m, cfg):
@@ -170,11 +183,11 @@ def minimize_reference(f, lo, hi, grid_step, refine_tol):
 def solve_overlap_reference(cfg):
     """``solve_overlap`` by ``minimize_reference`` on the unpruned rule.
 
-    Every energy is one float call on the 396-node rule, as before the grid
-    was evaluated in row blocks over the nodes that carry weight, and
-    interior minima are refined by golden section on the energy, not at the
-    root of ``m - F(m)``; on a flat minimum the two differ by up to ~1e-7
-    in ``m``.
+    Every energy is one float call on the 396-node rule at every SNR, as
+    before the grid was evaluated in row blocks over the nodes that carry
+    weight and before small SNRs took cheaper rules, and interior minima are
+    refined by golden section on the energy, not at the root of
+    ``m - F(m)``; on a flat minimum the two differ by up to ~1e-7 in ``m``.
     """
     from dataclasses import replace
 

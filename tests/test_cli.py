@@ -163,11 +163,13 @@ class TestNumericalFailures:
 
     def test_quadrature_self_check_failure(self, capsys, monkeypatch):
         numerics.default_rule.cache_clear()
+        numerics.default_bands.cache_clear()
         monkeypatch.setattr(numerics, "DEFAULT_QUADRATURE_ORDER", 4)
         try:
             code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
         finally:
             numerics.default_rule.cache_clear()
+            numerics.default_bands.cache_clear()
         assert code == 4
         assert "numerical failure" in err and "convergence check" in err
 

@@ -10,17 +10,25 @@ from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
     DEFAULT_QUADRATURE_ORDER,
     NODE_WEIGHT_FLOOR,
+    SNR_BANDS,
+    QuadratureBands,
     QuadratureRule,
     _brent_root,
     _hermite_rule,
     _minimize_with_diagnostics,
     bisect_transition,
+    default_bands,
     default_rule,
     gauss_expectation,
     gauss_hermite_rule,
     log_cosh,
 )
-from oracles import full_rule, log_cosh_reference, minimize_reference
+from oracles import (
+    full_rule,
+    log_cosh_expectation_mp,
+    log_cosh_reference,
+    minimize_reference,
+)
 
 # 1e7-sample Monte Carlo reference for E[log cosh(2 + sqrt(2) w)], w ~ N(0,1),
 # generated once with numpy PCG64 seed 20260808.
@@ -113,6 +121,87 @@ class TestQuadratureRule:
             assert abs(gauss_expectation(h, rule) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
+def stacked_expectation(g, e, rule):
+    """``E_w[g(e + sqrt(e) w)]`` for each SNR in ``e``, out of place."""
+    e_col = np.asarray(e, dtype=float)[:, None]
+    return gauss_expectation(lambda w: g(e_col + np.sqrt(e_col) * w), rule)
+
+
+class TestDefaultRuleAccuracy:
+    def test_within_stated_bounds_of_order_800(self):
+        # DEFAULT_QUADRATURE_ORDER states 7.5e-12 on log cosh and 7.5e-11 on
+        # tanh over e in [0, 60], against order 800
+        e = np.linspace(0.0, 60.0, 1201)
+        rule, fine = default_rule(), gauss_hermite_rule(800)
+        for g, bound in ((log_cosh, 1e-11), (np.tanh, 1e-10)):
+            err = np.abs(
+                stacked_expectation(g, e, rule) - stacked_expectation(g, e, fine)
+            )
+            assert err.max() <= bound, (g, e[err.argmax()], err.max())
+
+
+class TestSnrBands:
+    """The certificate for ``SNR_BANDS``: each band's rule against the
+    unpruned order-400 rule, on a dense grid across its band and at 50
+    digits at its cut points and its worst-case SNR."""
+
+    REF = full_rule(DEFAULT_QUADRATURE_ORDER)
+
+    @staticmethod
+    def band_ranges():
+        bands = default_bands()
+        lows = (0.0,) + bands.cuts
+        highs = bands.cuts + (60.0,)
+        return list(zip(bands.rules, lows, highs))
+
+    def test_table_is_the_default_bands(self):
+        bands = default_bands()
+        assert bands.cuts == tuple(cut for cut, _ in SNR_BANDS)
+        assert [r.order for r in bands.rules] == [o for _, o in SNR_BANDS] + [
+            DEFAULT_QUADRATURE_ORDER
+        ]
+        assert bands.rules[-1] is default_rule()
+        # each band is cheaper than the one above it
+        sizes = [r.nodes.size for r in bands.rules]
+        assert sizes == sorted(set(sizes))
+
+    @pytest.mark.parametrize("g", [log_cosh, np.tanh], ids=["log_cosh", "tanh"])
+    def test_band_rules_match_unpruned_across_each_band(self, g):
+        for rule, lo, hi in self.band_ranges():
+            e = np.linspace(lo, hi, 801)
+            ref = stacked_expectation(g, e, self.REF)
+            err = np.abs(stacked_expectation(g, e, rule) - ref)
+            bad = err > 1e-14 * np.maximum(1.0, np.abs(ref))
+            assert not bad.any(), (rule.order, e[bad][:3], err[bad][:3])
+
+    def test_band_rules_against_50_digits(self):
+        # the float expectation of each band's rule against the exact sum of
+        # the unpruned order-400 rule, at the band's ends and at the SNR where
+        # it strays furthest from that rule on the dense grid
+        for rule, lo, hi in self.band_ranges()[:-1]:
+            e = np.linspace(lo, hi, 801)
+            ref = stacked_expectation(log_cosh, e, self.REF)
+            err = np.abs(stacked_expectation(log_cosh, e, rule) - ref)
+            worst = e[np.argmax(err / np.maximum(1.0, np.abs(ref)))]
+            for x in (lo, worst, hi):
+                exact = log_cosh_expectation_mp(x, self.REF)
+                got = gauss_expectation(lambda w: log_cosh(x + math.sqrt(x) * w), rule)
+                assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact)), (rule.order, x)
+
+    def test_rule_is_one_band(self):
+        rule = gauss_hermite_rule(9)
+        bands = QuadratureBands.of(rule)
+        assert bands.cuts == () and bands.rules == (rule,)
+        assert QuadratureBands.of(bands) is bands
+
+    def test_malformed_tables_are_refused(self):
+        rule = gauss_hermite_rule(9)
+        with pytest.raises(ValueError, match="one rule more"):
+            QuadratureBands((1.0,), (rule,))
+        with pytest.raises(ValueError, match="ascend"):
+            QuadratureBands((1.0, 1.0), (rule, rule, rule))
+
+
 class TestLogCosh:
     X = np.concatenate(
         [np.linspace(-60.0, 60.0, 1201), [0.0, -0.0, 1e-300, 1e6, -1e6, 1e300]]
@@ -166,6 +255,28 @@ class TestGaussExpectation:
         g = lambda w: np.where((np.arange(3)[:, None] == 2) & (w == bad), np.nan, w**2)
         with pytest.raises(NumericalError, match=f"node {bad!r}"):
             gauss_expectation(g, rule)
+
+    def test_row_holding_both_infinities_reports_its_node(self):
+        # +inf and -inf in one row sum to NaN; the first of them is named
+        rule = gauss_hermite_rule(9)
+        inf_row = lambda w: np.where(w > 0, np.inf, -np.inf)
+        g = lambda w: np.where(np.arange(2)[:, None] == 1, inf_row(w), w)
+        with pytest.raises(NumericalError, match=f"node {float(rule.nodes[0])!r}"):
+            gauss_expectation(g, rule)
+
+    def test_nan_row_reports_its_first_node(self):
+        rule = gauss_hermite_rule(9)
+        g = lambda w: np.where(np.arange(3)[:, None] == 0, np.nan, w**2)
+        with pytest.raises(NumericalError, match=f"node {float(rule.nodes[0])!r}"):
+            gauss_expectation(g, rule)
+
+    def test_overflowing_sum_of_finite_values_is_refused(self):
+        # the weights sum to one, so only rounding at the top of the float
+        # range overflows: at order 10, a constant largest-float integrand
+        rule = gauss_hermite_rule(10)
+        big = np.finfo(float).max
+        with pytest.raises(NumericalError, match="overflows"):
+            gauss_expectation(lambda w: np.full_like(w, big), rule)
 
     @settings(max_examples=30, deadline=None)
     @given(

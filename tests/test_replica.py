@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from gfwiretap import replica
 from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.errors import BracketError
-from gfwiretap.numerics import bisect_transition, log_cosh
+from gfwiretap.numerics import QuadratureBands, bisect_transition, default_rule, log_cosh
 from gfwiretap.replica import (
-    GRID_BLOCK_ROWS,
+    BLOCK_FLOATS,
     GRID_STEP,
     ReplicaSolution,
     cd,
@@ -183,9 +183,15 @@ class TestArrayOverlaps:
             assert f(m, cfg).shape == (3, 4)
 
 
+def band_rule(e, cfg):
+    """The rule of the band that the effective SNR ``e`` falls in."""
+    bands = QuadratureBands.of(cfg.quadrature)
+    return bands.rules[sum(e > cut for cut in bands.cuts)]
+
+
 class TestNodeBlocks:
-    """The row-blocked, in-place node expectation against the out-of-place
-    composition of 113-row energy blocks that it replaced."""
+    """The banded, row-blocked, in-place node expectation against the
+    out-of-place composition, band by band with the same rules and blocks."""
 
     GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -199,14 +205,21 @@ class TestNodeBlocks:
         monkeypatch.setattr(replica, "log_cosh", recording_log_cosh)
         cfg = make_config(rate=1.7, order=3)
         energy(self.GRID, cfg)
-        n = self.GRID.size
-        assert [len(a) for a in seen] == [
-            min(GRID_BLOCK_ROWS, n - lo) for lo in range(0, n, GRID_BLOCK_ROWS)
-        ]
-        e = effective_snr(self.GRID, cfg)[:, None]
-        np.testing.assert_array_equal(
-            np.concatenate(seen), e + np.sqrt(e) * cfg.quadrature.nodes
-        )
+        e = effective_snr(self.GRID, cfg)
+        bands = cfg.quadrature
+        assert len(bands.rules) > 1
+        want = []
+        for rule in bands.rules:
+            rows = e[[band_rule(x, cfg) is rule for x in e]][:, None]
+            step = BLOCK_FLOATS // rule.nodes.size
+            want += [
+                rows[lo : lo + step] + np.sqrt(rows[lo : lo + step]) * rule.nodes
+                for lo in range(0, len(rows), step)
+            ]
+        assert [a.shape for a in seen] == [a.shape for a in want]
+        assert sum(len(a) for a in seen) == self.GRID.size
+        for got, ref in zip(seen, want):
+            np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_grid_energy_equals_block_reference(self, order):
@@ -216,6 +229,19 @@ class TestNodeBlocks:
                 assert np.array_equal(
                     energy(self.GRID, cfg), energy_reference(self.GRID, cfg)
                 ), (rate, sigma_sq)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_one_band_grid_energy_equals_block_reference(self, order):
+        # a plain rule is one band: the default rule alone, 113-row blocks
+        for rate in (0.5, 1.7, 3.0):
+            cfg = make_config(rate=rate, order=order)
+            cfg = replace(cfg, quadrature=default_rule())
+            assert np.array_equal(
+                energy(self.GRID, cfg), energy_reference(self.GRID, cfg)
+            ), rate
+            assert np.array_equal(
+                fixed_point_map(self.GRID, cfg), fixed_point_map_reference(self.GRID, cfg)
+            ), rate
 
     @pytest.mark.parametrize("size", [1, 113, 114, 1001])
     def test_block_seams_equal_reference(self, size):
@@ -230,19 +256,47 @@ class TestNodeBlocks:
     def test_float_overlap_equals_reference(self):
         for order in (1, 2, 3, 4):
             cfg = make_config(rate=1.7, order=order)
-            for m in (0.0, 0.25, 0.5, 0.9, 1.0):
+            for m in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
                 assert energy(m, cfg) == energy_reference(m, cfg)
                 assert fixed_point_map(m, cfg) == fixed_point_map_reference(m, cfg)
 
+    def test_float_snr_equals_its_row(self):
+        # refinement calls the energy at one overlap at a time; each must
+        # take the rule, and give the value, of its row on the grid
+        cfg = make_config(rate=1.0)
+        cuts = cfg.quadrature.cuts
+        es = np.array(sorted({0.0, *cuts, *np.nextafter(cuts, np.inf), 10.0}))
+        for g in (log_cosh, np.tanh):
+            stacked = replica._node_expectation(g, es, cfg)
+            singles = [replica._node_expectation(g, float(e), cfg) for e in es]
+            assert stacked.tolist() == singles
+
     def test_log_cosh_expectation_against_50_digits(self):
         cfg = make_config(rate=1.0)
-        es = np.array([0.0, 0.5, 2.0, 10.0, 25.0, 50.0])
+        es = np.array([0.0, 0.05, 0.5, 2.0, 10.0, 25.0, 50.0])
         stacked = replica._node_expectation(log_cosh, es, cfg)
         for e, got in zip(es, stacked):
-            ref = log_cosh_expectation_mp(e, cfg.quadrature)
+            ref = log_cosh_expectation_mp(e, band_rule(e, cfg))
             single = replica._node_expectation(log_cosh, float(e), cfg)
             for val in (got, single):
                 assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), (e, val, ref)
+
+    def test_band_seams_add_no_grid_minimum(self):
+        # a seam moves the energy by ~1e-15, which on a flat stretch could
+        # pass ``inner <= neighbours``; the banded grid must find the same
+        # interior grid minima as the one-band default rule
+        def minima(vals):
+            inner = vals[1:-1]
+            return np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])).tolist()
+
+        for order in (1, 2, 3, 4):
+            for sigma_sq in (0.05, 0.1, 0.3, 1.0):
+                for rate in np.linspace(0.5, 3.0, 26):
+                    cfg = make_config(rate=float(rate), sigma_sq=sigma_sq, order=order)
+                    one = replace(cfg, quadrature=default_rule())
+                    assert minima(energy(self.GRID, cfg)) == minima(
+                        energy(self.GRID, one)
+                    ), (order, sigma_sq, rate)
 
 
 class TestSolveOverlap:
@@ -346,12 +400,15 @@ class TestSolveOverlap:
 
 class TestReferenceSolver:
     """``solve_overlap`` against one float energy call per grid point on the
-    unpruned 396-node rule."""
+    unpruned 396-node rule, with no bands: at every field order the
+    acceptance tests use, on both sides of the collapse."""
 
     @pytest.mark.parametrize(
         "order, rate",
         [(1, r) for r in (0.9, 1.6, 2.0, 3.0)]
-        + [(3, r) for r in (1.2, 1.72, 1.95, 2.5)],
+        + [(2, r) for r in (1.3, 2.3)]
+        + [(3, r) for r in (1.2, 1.72, 1.95, 2.5)]
+        + [(4, r) for r in (1.3, 2.3)],
     )
     def test_matches_reference_solver(self, order, rate):
         cfg = make_config(rate=rate, order=order)
