@@ -25,8 +25,7 @@ its values on every input by a fast Walsh-Hadamard transform, applied
 power of ``[[1, -1], [1, 1]]``.  Cost per output is ``O(dim**order)`` for the
 fold plus ``O(2**dim * dim)`` multiply-adds for the transform, against
 ``O(2**dim * dim**order)`` for evaluating every input, and memory is a few
-``2**dim``-float arrays.  ``evaluate`` on a :class:`Hypercube` stacks the
-outputs into the ``(2**dim, n_out)`` table of every input.
+``2**dim``-float arrays.
 
 ``covariance_probe`` samples its fields without building them.  One
 generator, seeded from the probe's ``seed``, supplies every field: field
@@ -58,7 +57,6 @@ __all__ = [
     "DEFAULT_COEFF_BUDGET",
     "FieldSpec",
     "GaussianField",
-    "Hypercube",
     "sample_field",
     "evaluate",
     "evaluate_flipped",
@@ -141,30 +139,9 @@ def _check_bipolar(s, dim: int) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class Hypercube:
-    """Every bipolar input of length ``dim``, in pattern-integer order.
-
-    Pattern ``p`` is the input ``s`` with ``s[c] = +1`` exactly where bit
-    ``bit_of_coordinate[c]`` of ``p`` is set.
-    """
-
-    bit_of_coordinate: np.ndarray
-
-
 def evaluate(field: GaussianField, s) -> np.ndarray:
-    """Contract the coefficient tensor against ``s`` in every slot.
-
-    ``s`` is one bipolar vector of length ``dim``, giving ``(n_out,)``.  A
-    :class:`Hypercube` gives the ``(2**dim, n_out)`` table of every input,
-    row ``p`` for pattern ``p``, filled column by column from
-    :func:`enumerate_outputs`.
-    """
-    if isinstance(s, Hypercube):
-        table = np.empty((1 << field.spec.dim, field.spec.n_out))
-        for o, values in enumerate(enumerate_outputs(field, s.bit_of_coordinate)):
-            table[:, o] = values
-        return table
+    """Contract the coefficient tensor against the bipolar vector ``s`` of
+    length ``dim`` in every slot, giving ``(n_out,)``."""
     s = _check_bipolar(s, field.spec.dim)
     out = field.coeffs
     for _ in range(field.spec.order):

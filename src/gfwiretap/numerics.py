@@ -1,5 +1,6 @@
-"""Numerics kernel: standard-normal expectations by quadrature, bracketed
-one-dimensional minimization, Brent root finding, and transition bisection.
+"""Numerics kernel: standard-normal expectations by quadrature, Chebyshev
+interpolation, bracketed one-dimensional minimization, Brent root finding,
+and transition bisection.
 
 The Gauss-Hermite rules are built here with numpy alone: Tricomi's
 asymptotic formula places the nodes and Newton's method on the Hermite-
@@ -7,7 +8,9 @@ function recurrence polishes them, so no scipy module is loaded.
 
 Quadrature integrands and minimization objectives are array-shaped: an
 integrand may return a stack of node values, and an objective is evaluated
-on its whole grid in one call.
+on its whole grid in one call.  A Chebyshev series is fitted from its
+values at the Chebyshev points by their discrete orthogonality, and
+summed by one routine for a float or an array of points.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.
@@ -26,49 +29,32 @@ from .errors import BracketError, NumericalError
 
 __all__ = [
     "DEFAULT_QUADRATURE_ORDER",
-    "SNR_BANDS",
     "QuadratureRule",
-    "QuadratureBands",
     "gauss_hermite_rule",
     "default_rule",
-    "default_bands",
     "gauss_expectation",
     "log_cosh",
+    "chebyshev_points",
+    "chebyshev_coefficients",
+    "chebyshev_series",
     "bisect_transition",
 ]
 
-#: Default number of quadrature nodes.  The log-cosh / tanh integrands used by
-#: the overlap solver have complex singularities that approach the real axis
-#: as the effective SNR grows.  Against the order-800 rule on e in [0, 60],
-#: this order is off by at most 7.5e-12 on ``E[log cosh(e + sqrt(e) w)]``
-#: (near e = 15.8) and 7.5e-11 on ``E[tanh(e + sqrt(e) w)]`` (near
-#: e = 15.5); order 800 is itself within 1.4e-13 of order 1600.
+#: Default number of quadrature nodes: the rule of :func:`default_rule`,
+#: which the package exports for ``gauss_expectation`` and whose self-check
+#: against the doubled order gates the overlap solver's scalar-channel
+#: table, fitted on that doubled order (``replica``).  The log-cosh / tanh
+#: integrands of the scalar channel have complex singularities that approach
+#: the real axis as the effective SNR grows.  Against the order-800 rule on
+#: e in [0, 60], this order is off by at most 7.5e-12 on
+#: ``E[log cosh(e + sqrt(e) w)]`` (near e = 15.8) and 7.5e-11 on
+#: ``E[tanh(e + sqrt(e) w)]`` (near e = 15.5); order 800 is itself within
+#: 1.4e-13 of order 1600.
 DEFAULT_QUADRATURE_ORDER = 400
-
-#: The overlap solver's quadrature by effective SNR ``e``: ``(cut, order)``
-#: pairs, ascending, each order serving the SNRs above the previous cut up
-#: to and including its own; above the last cut the default rule serves.
-#: Small ``e`` needs few nodes: the integrands' branch points lie at
-#: distance ``pi / (2 sqrt(e))`` from the real axis, and Gauss-Hermite error
-#: falls geometrically in that distance (Trefethen, SIAM Rev. 2008).  A test
-#: certifies each order against the unpruned order-400 rule on log cosh and
-#: tanh to 1e-14 (relative above 1) across its band; the orders hold on a
-#: 5e-4 grid up to SNRs 0.135, 0.50, 0.96, 1.45 and 2.42, ~10% past their
-#: cuts.  The table minimises a cost of ~7 ns per integrand value plus
-#: ~18 us per quadrature block (2-vCPU Xeon, numpy 2.4) over the energy
-#: grids of the ``collapse_scan`` benchmark.
-SNR_BANDS = (
-    (0.12, 24),
-    (0.45, 64),
-    (0.85, 112),
-    (1.3, 160),
-    (2.15, 260),
-)
 
 #: Nodes whose normalised weight is at or below this are dropped from every
 #: rule: their share of an expectation of the solver's integrands is below
 #: the rounding of the sum, and they are ~64% of the default rule's nodes.
-#: The node count is what each row of effective SNR costs in its band.
 NODE_WEIGHT_FLOOR = 1e-30
 
 #: Newton sweeps that polish the Gauss-Hermite nodes stop once every step is
@@ -124,43 +110,6 @@ class QuadratureRule:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
-class QuadratureBands:
-    """Gauss-Hermite rules by band of effective SNR.
-
-    ``rules[i]`` serves the SNRs ``e`` with ``cuts[i-1] < e <= cuts[i]``; the
-    first rule serves everything up to ``cuts[0]`` and the last everything
-    above ``cuts[-1]``.  A plain :class:`QuadratureRule` is the one-band
-    table ``QuadratureBands((), (rule,))``.
-
-    Attributes
-    ----------
-    cuts : tuple of float
-        Strictly ascending cut points.
-    rules : tuple of QuadratureRule
-        One rule more than there are cut points.
-    """
-
-    cuts: tuple[float, ...]
-    rules: tuple[QuadratureRule, ...]
-
-    def __post_init__(self):
-        if len(self.rules) != len(self.cuts) + 1:
-            raise ValueError(
-                f"need one rule more than cut points, got {len(self.rules)} "
-                f"rules for {len(self.cuts)} cuts"
-            )
-        if any(not a < b for a, b in zip(self.cuts, self.cuts[1:])):
-            raise ValueError(f"cut points must ascend strictly, got {self.cuts}")
-
-    @classmethod
-    def of(cls, quadrature: QuadratureRule | QuadratureBands) -> QuadratureBands:
-        """``quadrature`` as a band table; a rule becomes one band."""
-        if isinstance(quadrature, QuadratureBands):
-            return quadrature
-        return cls((), (quadrature,))
 
 
 def _hermite_functions(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,20 +215,6 @@ def default_rule() -> QuadratureRule:
     return rule
 
 
-@functools.lru_cache(maxsize=1)
-def default_bands() -> QuadratureBands:
-    """The overlap solver's rules: ``SNR_BANDS``, then ``default_rule()``.
-
-    Built on the first call (~20 ms for the band rules) and cached, like
-    ``default_rule()``, whose self-check gates the table.
-    """
-    return QuadratureBands(
-        cuts=tuple(cut for cut, _ in SNR_BANDS),
-        rules=tuple(gauss_hermite_rule(order) for _, order in SNR_BANDS)
-        + (default_rule(),),
-    )
-
-
 def log_cosh(x):
     """``log(cosh(x))`` computed as ``(|x| + log1p(exp(-2|x|))) - log 2``.
 
@@ -334,6 +269,52 @@ def gauss_expectation(
             )
         raise NumericalError("weighted sum of a finite integrand overflows")
     return float(out) if out.ndim == 0 else out
+
+
+def chebyshev_points(lo, hi, degree: int) -> np.ndarray:
+    """The ``degree + 1`` Chebyshev points of the first kind on ``[lo, hi]``.
+
+    Point ``j`` is ``mid + half * cos(pi (j + 1/2) / (degree + 1))``, so they
+    descend and neither end is among them.  ``lo`` and ``hi`` may be arrays
+    of shape ``(..., 1)``, giving one row of points per interval.
+    """
+    theta = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+
+
+def chebyshev_coefficients(values) -> np.ndarray:
+    """Coefficients of the series through values at the Chebyshev points.
+
+    ``values[..., j]`` is the function at point ``j`` of
+    :func:`chebyshev_points`; the ``n`` values give the degree ``n - 1``
+    interpolant, whose coefficient ``c_k`` the points' discrete
+    orthogonality gives directly: ``(2 / n) sum_j values[j] cos(k theta_j)``,
+    halved at ``k = 0``.  ``k theta_j`` is reduced modulo ``2 pi`` in
+    integers first; the cosine of the float product ``k * theta_j`` would
+    be off by up to ``k pi`` ulps, ~1e-15 in every coefficient.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    # k theta_j = pi k (2j + 1) / (2n)
+    turns = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+    coefs = values @ np.cos(turns * (math.pi / (2 * n))) * (2.0 / n)
+    coefs[..., 0] *= 0.5
+    return coefs
+
+
+def chebyshev_series(coefs, t):
+    """``sum_k coefs[k] T_k(t)`` by Clenshaw's recurrence.
+
+    ``coefs`` is indexed by ``k``: a sequence of floats with a float ``t``
+    sums in plain Python arithmetic, and rows of arrays that broadcast
+    against an array ``t`` give an array.  Both take the same operations in
+    the same order, so a float agrees bit for bit with its entry in an array.
+    """
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in coefs[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return coefs[0] + t * b1 - b2
 
 
 def _golden_section(f, a, b, tol):

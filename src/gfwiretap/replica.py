@@ -14,24 +14,31 @@ The ``rate`` argument is generic: callers pass K/N for plain inference,
 the genie-aided eavesdropper analysis.  This module knows nothing about keys
 or bins.
 
-``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime`` and ``energy``
-accept a float or an array of overlaps ``m`` through one code path: a float
-gives a Python float, an array gives an array of the same shape.  The
-solver evaluates the energy on its whole grid in one call this way, so the
-``(m,)``-shaped terms are computed once per solve.  Only the quadrature
-over the ``(rows, nodes)`` integrand array is split: each effective SNR
-takes the rule of its band in the config's quadrature (``SNR_BANDS`` in
-``numerics``, cheaper rules at small SNR), and each band goes in row blocks
-of at most ``BLOCK_FLOATS`` integrand values.  The solver works at one
-resolution, the module constants ``GRID_STEP`` and ``REFINE_TOL``.
+The decoupled channel's mutual information ``I(e)`` and fixed-point map
+``F(e)`` are fixed functions of the effective SNR ``e`` alone.  They are
+tabulated once per process, at first use, as piecewise Chebyshev series on
+the pieces cut at ``CHANNEL_CUTS`` (degree ``CHANNEL_DEGREE``), fitted on
+the order-800 Gauss-Hermite rule that ``numerics.default_rule()``'s
+self-check builds and checked against it between the fitting points.
+Above the last cut the table holds ``I = log 2`` and ``F = 1``, the floats
+the true values round to.  A float SNR takes the same piece and the same
+operations as its entry in an array, so it gets the same value bit for bit.
 
-All operations are pure; rate scans may run concurrently without shared
-state.
+``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime``, ``energy`` and
+``fixed_point_map`` accept a float or an array of overlaps ``m`` through one
+code path: a float gives a Python float, an array gives an array of the
+same shape.  The solver evaluates the energy on its whole grid in one call
+this way.  It works at one resolution, the module constants ``GRID_STEP``
+and ``REFINE_TOL``.
+
+All operations are pure apart from the table's one-time build; rate scans
+may run concurrently without shared state.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -39,16 +46,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import LOG2
-from .errors import BracketError
+from .errors import BracketError, NumericalError
 from .numerics import (
-    QuadratureBands,
-    QuadratureRule,
+    DEFAULT_QUADRATURE_ORDER,
     _brent_root,
     _dyadic_bracket,
     _minimize_with_diagnostics,
     bisect_transition,
-    default_bands,
+    chebyshev_coefficients,
+    chebyshev_points,
+    chebyshev_series,
+    default_rule,
     gauss_expectation,
+    gauss_hermite_rule,
     log_cosh,
 )
 
@@ -77,15 +87,18 @@ REGIME_CLAMP = 1e-9
 GRID_STEP = 1e-3
 #: Tolerance to which an interior minimum is refined.
 REFINE_TOL = 1e-10
-#: Integrand values per quadrature block in ``_node_expectation``: a rule of
-#: ``n`` nodes takes ``BLOCK_FLOATS // n`` rows of effective SNR per block,
-#: 113 rows at the default rule's 144 nodes, so each of the three arrays
-#: log-cosh works in stays within 128 KiB.  Timed at 144 nodes per solve in
-#: one process, blocks of 77 to 226 rows are within 2% of 113, 57 rows 6%
-#: slower, and the whole grid as one block over twice as slow; in fresh
-#: processes 140 and 170 rows (~20k and ~24k floats) made a
-#: ``collapse_scan`` op ~55% slower.
-BLOCK_FLOATS = 2**14
+#: Upper ends of the pieces of the scalar-channel table: 28 pieces evenly
+#: spaced in ``sqrt(e)`` up to ``e = 80``, so they narrow towards ``e = 0``,
+#: where ``I`` and ``F`` are smooth but not analytic (the first piece ends
+#: at 0.102).  Above 80, ``log 2 - I`` and ``1 - F`` are below 6e-19, under
+#: half an ulp of ``log 2`` and of 1.
+CHANNEL_CUTS = tuple(80.0 * (k / 28) ** 2 for k in range(1, 29))
+#: Degree of the Chebyshev series on each piece.
+CHANNEL_DEGREE = 16
+#: Largest error, relative above 1, that the table may show against the rule
+#: it is fitted on, midway between its fitting points, before its build
+#: fails; the shipped table's worst such error is 9e-16.
+CHANNEL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -93,9 +106,7 @@ class ReplicaConfig:
     """Parameters of one decoupled-setting evaluation.
 
     ``rate`` is the number of input symbols per channel use, ``order`` the
-    exponent of the covariance function ``power * u**order``.
-    ``quadrature`` is one rule for every effective SNR or a table of rules
-    by SNR band; ``make_config`` gives ``default_bands()``.  The solver's
+    exponent of the covariance function ``power * u**order``.  The solver's
     resolution is fixed: ``GRID_STEP`` and ``REFINE_TOL``.
     """
 
@@ -103,7 +114,6 @@ class ReplicaConfig:
     sigma_sq: float
     power: float
     order: int
-    quadrature: QuadratureRule | QuadratureBands
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0.0):
@@ -122,14 +132,8 @@ def make_config(
     power: float = 1.0,
     order: int = 3,
 ) -> ReplicaConfig:
-    """ReplicaConfig with the solver's banded rules, ``default_bands()``."""
-    return ReplicaConfig(
-        rate=rate,
-        sigma_sq=sigma_sq,
-        power=power,
-        order=order,
-        quadrature=default_bands(),
-    )
+    """ReplicaConfig with the package's default parameters."""
+    return ReplicaConfig(rate=rate, sigma_sq=sigma_sq, power=power, order=order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +144,9 @@ class ReplicaSolution:
     ``fixed_point_residual`` is ``|m* - E_w[tanh(E(m*) + sqrt(E(m*)) w)]|``,
     the stationarity defect; it is only meaningful for interior minimizers.
     An interior minimum refined at the root of ``m - F(m)`` has a residual
-    near 1e-11; one refined by golden section (the fallback) near 1e-8.
+    of at most ~2e-11 (median ~5e-15 over lambda 1-4, sigma^2 0.1/0.3/1 and
+    rates 0.7-3.0, where every interior minimum took that path); one
+    refined by golden section (the fallback) up to ~2e-8.
     ``interior_minima`` lists every refined interior local minimum as
     ``(m, energy)`` pairs, even when an endpoint wins.  ``tie_flag`` marks
     endpoint-energy coexistence ``|L(0) - L(1)| <= 1e-12``.
@@ -165,44 +171,112 @@ def phi_prime(u: float, power: float, order: int) -> float:
     return power * order * u ** (order - 1)
 
 
+def _is_array(x) -> bool:
+    """Whether ``x`` is an array of at least one dimension (``np.ndim`` is
+    ~20 times slower on a Python float)."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
 def _as_float(x):
     """A 0-d result as a Python float; arrays pass through."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if _is_array(x) else float(x)
 
 
-def _shifted_nodes(e_col, sqrt_col, w):
-    """``e + sqrt(e) w`` in one fresh array, the sum added to the product in place."""
-    arg = np.multiply(sqrt_col, w)
-    return np.add(arg, e_col, out=arg)
+@dataclass(frozen=True)
+class _ChannelTable:
+    """Piecewise Chebyshev series of ``I(e)`` and ``F(e)``.
 
-
-def _node_expectation(g, e, cfg: ReplicaConfig):
-    """``E_w[g(e + sqrt(e) w)]`` for each effective SNR in ``e``.
-
-    Each SNR takes the rule of its band in ``cfg.quadrature``.  Band by
-    band, each quadrature covers the next ``BLOCK_FLOATS // nodes`` of the
-    band's rows, in order, and hands ``g`` a fresh ``(rows, nodes)`` argument
-    array that ``g`` may overwrite.  A float ``e`` is one ``(nodes,)`` row
-    and gives a float, bit for bit the value of its row in an array.
+    Piece ``p`` covers ``[CHANNEL_CUTS[p - 1], CHANNEL_CUTS[p])`` (from 0 for
+    ``p = 0``) and the last piece everything from ``CHANNEL_CUTS[-1]`` up,
+    where its series is the constant ``log 2`` or 1.  On piece ``p`` the
+    series runs in ``t = (e - centers[p]) * scales[p]``; the first piece
+    holds ``I(e) / e`` and ``F(e) / e``, so both are exactly 0 at ``e = 0``.
+    ``coefs[q]`` has shape ``(CHANNEL_DEGREE + 1, pieces)``, ``q`` being 0
+    for ``I`` and 1 for ``F``.  ``lists`` repeats ``(cuts, centers, scales,
+    coefs)`` as Python lists, ``coefs`` by piece, for float calls.
     """
-    bands = QuadratureBands.of(cfg.quadrature)
-    e = np.asarray(e, dtype=float)
-    if e.ndim == 0:
-        rule = bands.rules[bisect.bisect_left(bands.cuts, float(e))]
-        return gauss_expectation(lambda w: g(_shifted_nodes(e, np.sqrt(e), w)), rule)
-    e_col = e.reshape(-1, 1)
-    sqrt_col = np.sqrt(e_col)
-    band = np.searchsorted(bands.cuts, e_col[:, 0])
-    out = np.empty(len(e_col))
-    for b, rule in enumerate(bands.rules):
-        idx = np.flatnonzero(band == b)
-        step = BLOCK_FLOATS // rule.nodes.size
-        for lo in range(0, idx.size, step):
-            rows = idx[lo : lo + step]
-            out[rows] = gauss_expectation(
-                lambda w: g(_shifted_nodes(e_col[rows], sqrt_col[rows], w)), rule
+
+    cuts: np.ndarray
+    centers: np.ndarray
+    scales: np.ndarray
+    coefs: np.ndarray
+    lists: tuple
+
+    def value(self, q: int, e):
+        """``I(e)`` (``q = 0``) or ``F(e)`` (``q = 1``) for a float or array ``e``.
+
+        A negative, NaN or infinite SNR raises :class:`NumericalError`.
+        """
+        scalar = not _is_array(e)
+        e = float(e) if scalar else e.astype(float, copy=False)
+        valid = (e >= 0.0) & (e < math.inf)
+        if not (valid if scalar else valid.all()):
+            bad = e if scalar else e[~valid][0]
+            raise NumericalError(
+                f"effective SNR must be finite and >= 0, got {float(bad)!r}"
             )
-    return out.reshape(e.shape)
+        if scalar:
+            cuts, centers, scales, coefs = self.lists
+            p = bisect.bisect_right(cuts, e)
+            coef, lead = coefs[q][p], e if p == 0 else 1.0
+        else:
+            centers, scales = self.centers, self.scales
+            p = np.searchsorted(self.cuts, e, side="right")
+            coef, lead = self.coefs[q][:, p], np.where(p == 0, e, 1.0)
+        return chebyshev_series(coef, (e - centers[p]) * scales[p]) * lead
+
+
+def _by_rule(e, rule):
+    """``(I, F)`` at the SNRs ``e`` (any shape) by the quadrature ``rule``."""
+    col = e.reshape(-1, 1)
+    root = np.sqrt(col)
+    mi = col[:, 0] - gauss_expectation(lambda w: log_cosh(col + root * w), rule)
+    fp = gauss_expectation(lambda w: np.tanh(col + root * w), rule)
+    return np.stack([mi, fp]).reshape((2,) + e.shape)
+
+
+@functools.lru_cache(maxsize=1)
+def _channel_table() -> _ChannelTable:
+    """The scalar-channel table, fitted on first use and cached.
+
+    ``default_rule()`` runs first, so its self-check gates the fit.  Each
+    piece interpolates the order-``2 * DEFAULT_QUADRATURE_ORDER`` rule's
+    ``I`` and ``F`` at its ``CHANNEL_DEGREE + 1`` Chebyshev points; the
+    table is then checked against the rule midway between each pair of
+    adjacent points, and a miss above ``CHANNEL_TOL`` (relative above 1)
+    raises :class:`NumericalError`.
+    """
+    default_rule()
+    rule = gauss_hermite_rule(2 * DEFAULT_QUADRATURE_ORDER)
+    ends = np.array((0.0,) + CHANNEL_CUTS)
+    lo, hi = ends[:-1, None], ends[1:, None]
+    points = chebyshev_points(lo, hi, CHANNEL_DEGREE)
+    values = _by_rule(points, rule)
+    values[:, 0] /= points[0]
+    # the top piece is the constant log 2 or 1
+    coefs = np.zeros((2, len(CHANNEL_CUTS) + 1, CHANNEL_DEGREE + 1))
+    coefs[:, :-1] = chebyshev_coefficients(values)
+    coefs[:, -1, 0] = LOG2, 1.0
+    centers = np.append(0.5 * (lo + hi)[:, 0], CHANNEL_CUTS[-1])
+    scales = np.append(2.0 / (hi - lo)[:, 0], 0.0)
+    table = _ChannelTable(
+        cuts=ends[1:],
+        centers=centers,
+        scales=scales,
+        coefs=coefs.transpose(0, 2, 1).copy(),
+        lists=(list(CHANNEL_CUTS), centers.tolist(), scales.tolist(), coefs.tolist()),
+    )
+    mids = 0.5 * (points[:, 1:] + points[:, :-1])
+    want = _by_rule(mids, rule)
+    err = np.abs(np.stack([table.value(0, mids), table.value(1, mids)]) - want)
+    err /= np.maximum(1.0, mids)
+    if not err.max() <= CHANNEL_TOL:
+        q, p, j = np.unravel_index(np.argmax(err), err.shape)
+        raise NumericalError(
+            f"scalar-channel table failed its check: {'IF'[q]}({mids[p, j]!r}) "
+            f"is off by {err[q, p, j]:.3e} against the quadrature it is fitted on"
+        )
+    return table
 
 
 def effective_snr(m, cfg: ReplicaConfig):
@@ -222,8 +296,7 @@ def decoupled_mi(m, cfg: ReplicaConfig):
     ``E - E_w[log cosh(E + sqrt(E) w)]`` with ``E = effective_snr(m)``;
     bounded by log 2 (binary input).
     """
-    e = effective_snr(m, cfg)
-    val = e - _node_expectation(log_cosh, e, cfg)
+    val = _channel_table().value(0, effective_snr(m, cfg))
     return _as_float(np.minimum(np.maximum(val, 0.0), LOG2))
 
 
@@ -249,19 +322,16 @@ def energy(m, cfg: ReplicaConfig):
     )
 
 
-def fixed_point_map(m: float, cfg: ReplicaConfig) -> float:
+def fixed_point_map(m, cfg: ReplicaConfig):
     """Stationarity map ``E_w[tanh(E(m) + sqrt(E(m)) w)]``."""
-    return _node_expectation(
-        lambda arg: np.tanh(arg, out=arg), effective_snr(m, cfg), cfg
-    )
+    return _channel_table().value(1, effective_snr(m, cfg))
 
 
 def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
     """Minimize the energy over [0, 1] and package the solution.
 
     The whole ``GRID_STEP`` grid goes to ``energy`` in one call, which
-    forms its ``(rows, nodes)`` integrand values band by band, in row blocks
-    of at most ``BLOCK_FLOATS`` values.  Interior minima are refined at the
+    reads ``I`` from the scalar-channel table.  Interior minima are refined at the
     root of ``m - F(m)``, ``F = fixed_point_map``: by the I-MMSE identity
     (Guo, Shamai & Verdu 2005), ``dE/dm = C_D''(m) (F(m) - m)`` with
     ``C_D'' < 0`` on (0, 1], so the energy falls where ``m - F(m) < 0`` and

@@ -32,7 +32,7 @@ from .codec import (
     random_key,
 )
 from .errors import BudgetError
-from .field import FieldSpec, GaussianField, Hypercube, evaluate, sample_field
+from .field import FieldSpec, GaussianField, enumerate_outputs, sample_field
 
 __all__ = [
     "TrialRecord",
@@ -284,9 +284,14 @@ def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
 
     Bit ``b`` of the pattern (1 meaning +1) sets concatenation slot ``b``:
     key slots first, then message slots.  Row ``p`` holds the field output
-    for the permuted vector of pattern ``p``.
+    for the permuted vector of pattern ``p``.  The outputs of
+    :func:`field.enumerate_outputs` are stacked column by column, so only
+    one of them is held beside the table.
     """
-    return evaluate(fld, Hypercube(np.argsort(plan.permutation)))
+    table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
+    for o, values in enumerate(enumerate_outputs(fld, np.argsort(plan.permutation))):
+        table[:, o] = values
+    return table
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:

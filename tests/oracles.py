@@ -1,16 +1,15 @@
 """Independent reference computations shared by the test modules.
 
 Everything here deliberately avoids the library's own numerical paths:
-posterior means are summed term by term in 50-digit arithmetic, Monte
-Carlo reference values were generated once from a fixed seed and frozen,
-and the reference solver evaluates the energy one grid point at a time on
-the unpruned quadrature rule.  The one exception is the energy reference,
-which recomposes ``replica.energy`` from the package's elementwise terms and
-``gauss_expectation``, band by band with the config's own rules and in
-blocks of ``2**14`` integrand values with out-of-place integrands, so that
-the in-place kernel can be held to it bit for bit.
+posterior means are summed term by term in 50-digit arithmetic, the scalar
+channel is integrated in 50-digit arithmetic by mpmath, Monte Carlo
+reference values were generated once from a fixed seed and frozen, and the
+reference solver evaluates the energy one grid point at a time by
+quadrature on scipy's unpruned order-800 rule, never through the package's
+``energy``, ``decoupled_mi`` or ``fixed_point_map``.
 """
 
+import functools
 import itertools
 import math
 
@@ -43,11 +42,12 @@ def exact_posterior_mean(fld, y, sigma_sq):
     return np.array([float(v / den) for v in num])
 
 
+@functools.lru_cache(maxsize=4)
 def full_rule(order):
     """Gauss-Hermite rule that keeps every node whose weight is nonzero.
 
     ``gauss_hermite_rule`` also drops the nodes whose normalised weight is
-    at most 1e-30; this rule keeps them (396 nodes at order 400).  It is
+    at most 1e-30; this rule keeps them (634 nodes at order 800).  It is
     scipy's rule, so it shares no code with the package's own builder.
     """
     from scipy.special import roots_hermitenorm
@@ -66,84 +66,95 @@ def log_cosh_reference(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-#: Integrand values per block in ``node_expectation_reference``.
+#: Order of the rule the reference solver integrates on.
+REFERENCE_ORDER = 800
+
+#: Integrand values per block in ``_expectation_reference``.
 _BLOCK_FLOATS = 2**14
 
 
-def node_expectation_reference(g, e, quadrature):
-    """``E_w[g(e + sqrt(e) w)]`` composed band by band, as the solver does.
+def _expectation_reference(g, e):
+    """``E_w[g(e + sqrt(e) w)]`` on the unpruned order-800 rule.
 
-    ``quadrature`` is a rule, taken as one band, or a band table; each SNR
-    goes to the first band whose cut point it does not exceed, or to the
-    last.  A float ``e`` is one ``(nodes,)`` integrand.  An array goes band
-    by band, each band's rows in order in blocks of ``2**14 // nodes`` rows,
-    each block one out-of-place ``(rows, nodes)`` integrand array built by
-    broadcasting.  ``g`` is called on that array and may not write to it.
+    A float ``e`` gives a float; an array gives an array of its shape,
+    summed in blocks of rows of at most ``2**14`` integrand values, each an
+    out-of-place ``(rows, nodes)`` array that ``g`` may not write to.
     """
     from gfwiretap.numerics import gauss_expectation
 
-    cuts = getattr(quadrature, "cuts", ())
-    rules = getattr(quadrature, "rules", (quadrature,))
-
-    def band_of(x):
-        return next((i for i, cut in enumerate(cuts) if x <= cut), len(cuts))
-
+    rule = full_rule(REFERENCE_ORDER)
     e = np.asarray(e, dtype=float)
-    if e.ndim == 0:
-        rule = rules[band_of(float(e))]
-        return gauss_expectation(lambda w: g(e + np.sqrt(e) * w), rule)
-    flat = e.reshape(-1)
-    out = np.empty(flat.size)
-    for b, rule in enumerate(rules):
-        idx = [i for i, x in enumerate(flat) if band_of(x) == b]
-        n_rows = _BLOCK_FLOATS // rule.nodes.size
-        for lo in range(0, len(idx), n_rows):
-            blk = idx[lo : lo + n_rows]
-            e_col = flat[blk][:, None]
-            sqrt_col = np.sqrt(e_col)
-            out[blk] = gauss_expectation(lambda w: g(e_col + sqrt_col * w), rule)
-    return out.reshape(e.shape)
+    col = e.reshape(-1, 1)
+    out = np.empty(col.shape[0])
+    step = max(1, _BLOCK_FLOATS // rule.nodes.size)
+    for lo in range(0, col.shape[0], step):
+        blk = col[lo : lo + step]
+        out[lo : lo + step] = gauss_expectation(lambda w: g(blk + np.sqrt(blk) * w), rule)
+    return float(out[0]) if e.ndim == 0 else out.reshape(e.shape)
+
+
+def mi_reference(e):
+    """``I(e) = e - E_w[log cosh(e + sqrt(e) w)]`` on the unpruned order-800
+    rule, with the out-of-place ``log_cosh_reference``; not clipped."""
+    return e - _expectation_reference(log_cosh_reference, e)
+
+
+def fp_reference(e):
+    """``F(e) = E_w[tanh(e + sqrt(e) w)]`` on the unpruned order-800 rule."""
+    return _expectation_reference(np.tanh, e)
 
 
 def energy_reference(m, cfg):
     """``replica.energy`` composed as ``rate * I_D + C_D + (1 - m) C_D'``.
 
-    ``I_D = e - E_w[log cosh(e + sqrt(e) w)]`` clipped to ``[0, log 2]``,
-    with the expectation from ``node_expectation_reference`` and the
-    out-of-place ``log_cosh_reference``.
+    ``I_D`` is ``mi_reference`` at ``effective_snr(m)``, clipped to
+    ``[0, log 2]``; only the elementwise terms come from the package.
     """
     from gfwiretap.channel import LOG2
     from gfwiretap.replica import cd, cd_prime, effective_snr
 
-    e = effective_snr(m, cfg)
-    mi = e - node_expectation_reference(log_cosh_reference, e, cfg.quadrature)
-    mi = np.minimum(np.maximum(mi, 0.0), LOG2)
+    mi = np.minimum(np.maximum(mi_reference(effective_snr(m, cfg)), 0.0), LOG2)
     return cfg.rate * mi + cd(m, cfg) + (1.0 - m) * cd_prime(m, cfg)
 
 
 def fixed_point_map_reference(m, cfg):
-    """``replica.fixed_point_map`` with an out-of-place ``tanh`` per block."""
+    """``replica.fixed_point_map`` as ``fp_reference``."""
     from gfwiretap.replica import effective_snr
 
-    return node_expectation_reference(np.tanh, effective_snr(m, cfg), cfg.quadrature)
+    return fp_reference(effective_snr(m, cfg))
 
 
-def log_cosh_expectation_mp(e, rule):
-    """``sum_i w_i log cosh(e + sqrt(e) x_i)`` in 50-digit arithmetic.
+@functools.lru_cache(maxsize=None)
+def scalar_channel_mp(e):
+    """The scalar channel at SNR ``e`` as true integrals, to 50 digits.
 
-    The rule's float nodes and weights are taken as exact; everything else,
-    ``sqrt(e)`` included, is computed to 50 digits.
+    Returns ``(I, F, log 2 - I, 1 - F)`` as floats, from the identities
+    ``log 2 - I = E[log(1 + exp(-2x))]`` and ``1 - F = E[2 / (1 + exp(2x))]``
+    with ``x = e + sqrt(e) w``, ``w ~ N(0, 1)``, which hold without
+    cancellation at large ``e``.  mpmath's tanh-sinh quadrature integrates
+    both against the normal density as the real and imaginary parts of one
+    integrand, on [-17, 17] split where ``x = 0``; the density beyond is
+    below 1e-62.  No Gauss-Hermite rule is involved.
     """
     import mpmath as mp
 
     with mp.workdps(50):
-        e = mp.mpf(float(e))
-        root = mp.sqrt(e)
-        total = mp.fsum(
-            mp.mpf(float(w)) * mp.log(mp.cosh(e + root * mp.mpf(float(x))))
-            for x, w in zip(rule.nodes, rule.weights)
+        snr = mp.mpf(float(e))
+        root = mp.sqrt(snr)
+        norm = 1 / mp.sqrt(2 * mp.pi)
+
+        def tails(w):
+            z = mp.exp(-2 * (snr + root * w))
+            density = mp.exp(-w * w / 2) * norm
+            return mp.mpc(mp.log1p(z) * density, 2 * z / (1 + z) * density)
+
+        t = mp.quad(tails, [-17, -root, 17])
+        return (
+            float(mp.log(2) - t.real),
+            float(1 - t.imag),
+            float(t.real),
+            float(t.imag),
         )
-        return float(total)
 
 
 def minimize_reference(f, lo, hi, grid_step, refine_tol):
@@ -181,35 +192,23 @@ def minimize_reference(f, lo, hi, grid_step, refine_tol):
 
 
 def solve_overlap_reference(cfg):
-    """``solve_overlap`` by ``minimize_reference`` on the unpruned rule.
+    """``solve_overlap`` by ``minimize_reference`` on the unpruned order-800 rule.
 
-    Every energy is one float call on the 396-node rule at every SNR, as
-    before the grid was evaluated in row blocks over the nodes that carry
-    weight and before small SNRs took cheaper rules, and interior minima are
-    refined by golden section on the energy, not at the root of
+    Every energy is one float ``energy_reference`` call, and interior minima
+    are refined by golden section on the energy, not at the root of
     ``m - F(m)``; on a flat minimum the two differ by up to ~1e-7 in ``m``.
     """
-    from dataclasses import replace
+    from gfwiretap.replica import GRID_STEP, REFINE_TOL, ReplicaSolution
 
-    from gfwiretap.numerics import DEFAULT_QUADRATURE_ORDER
-    from gfwiretap.replica import (
-        GRID_STEP,
-        REFINE_TOL,
-        ReplicaSolution,
-        energy,
-        fixed_point_map,
-    )
-
-    cfg = replace(cfg, quadrature=full_rule(DEFAULT_QUADRATURE_ORDER))
     m_star, info_rate, interior, e0, e1 = minimize_reference(
-        lambda m: energy(m, cfg), 0.0, 1.0, GRID_STEP, REFINE_TOL
+        lambda m: energy_reference(m, cfg), 0.0, 1.0, GRID_STEP, REFINE_TOL
     )
     return ReplicaSolution(
         m_star=m_star,
         info_rate=info_rate,
         energy_at_0=e0,
         energy_at_1=e1,
-        fixed_point_residual=abs(m_star - fixed_point_map(m_star, cfg)),
+        fixed_point_residual=abs(m_star - fixed_point_map_reference(m_star, cfg)),
         tie_flag=abs(e0 - e1) <= 1e-12,
         interior_minima=interior,
     )

@@ -17,7 +17,7 @@ from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.codec import CodecConfig
 from gfwiretap.field import FieldSpec, covariance_probe, sample_field
 from gfwiretap.codec import mmse_estimate
-from gfwiretap.replica import GRID_STEP, locate_critical_rate, make_config, solve_overlap
+from gfwiretap.replica import GRID_STEP, energy, locate_critical_rate, make_config, solve_overlap
 from gfwiretap.simulate import (
     _codeword_table,
     _trial_field,
@@ -44,7 +44,7 @@ def report(criterion, text):
 
 
 def test_criterion_01_linear_curve_reproduction():
-    make_config(rate=1.0, order=1)  # warm the cached quadrature rule
+    energy(1.0, make_config(rate=1.0, order=1))  # build the cached scalar-channel table
     targets = {
         0.6: 0.415848632511528,
         2.0: 1.07327015988218,

@@ -162,14 +162,16 @@ class TestNumericalFailures:
     """Each numerical failure path exits 4, not 2 (usage)."""
 
     def test_quadrature_self_check_failure(self, capsys, monkeypatch):
+        # the scalar-channel table caches the checked rule's fit, so the
+        # patched self-check reaches the solver once both caches are cleared
         numerics.default_rule.cache_clear()
-        numerics.default_bands.cache_clear()
+        replica._channel_table.cache_clear()
         monkeypatch.setattr(numerics, "DEFAULT_QUADRATURE_ORDER", 4)
         try:
             code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
         finally:
             numerics.default_rule.cache_clear()
-            numerics.default_bands.cache_clear()
+            replica._channel_table.cache_clear()
         assert code == 4
         assert "numerical failure" in err and "convergence check" in err
 
@@ -181,8 +183,13 @@ class TestNumericalFailures:
         assert "numerical failure" in err and "objective is non-finite" in err
 
     def test_non_finite_integrand(self, capsys, monkeypatch):
+        # the integrand is only evaluated while the table is built
+        replica._channel_table.cache_clear()
         monkeypatch.setattr(replica, "log_cosh", lambda x: np.full_like(x, np.inf))
-        code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
+        try:
+            code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:1:1")
+        finally:
+            replica._channel_table.cache_clear()
         assert code == 4
         assert "numerical failure" in err and "integrand is non-finite" in err
 

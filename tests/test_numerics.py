@@ -10,25 +10,20 @@ from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
     DEFAULT_QUADRATURE_ORDER,
     NODE_WEIGHT_FLOOR,
-    SNR_BANDS,
-    QuadratureBands,
     QuadratureRule,
     _brent_root,
     _hermite_rule,
     _minimize_with_diagnostics,
     bisect_transition,
-    default_bands,
+    chebyshev_coefficients,
+    chebyshev_points,
+    chebyshev_series,
     default_rule,
     gauss_expectation,
     gauss_hermite_rule,
     log_cosh,
 )
-from oracles import (
-    full_rule,
-    log_cosh_expectation_mp,
-    log_cosh_reference,
-    minimize_reference,
-)
+from oracles import full_rule, log_cosh_reference, minimize_reference
 
 # 1e7-sample Monte Carlo reference for E[log cosh(2 + sqrt(2) w)], w ~ N(0,1),
 # generated once with numpy PCG64 seed 20260808.
@@ -140,66 +135,44 @@ class TestDefaultRuleAccuracy:
             assert err.max() <= bound, (g, e[err.argmax()], err.max())
 
 
-class TestSnrBands:
-    """The certificate for ``SNR_BANDS``: each band's rule against the
-    unpruned order-400 rule, on a dense grid across its band and at 50
-    digits at its cut points and its worst-case SNR."""
+class TestChebyshev:
+    def test_points_are_the_first_kind_roots(self):
+        x = chebyshev_points(-1.0, 1.0, 9)
+        np.testing.assert_allclose(np.cos(10 * np.arccos(x)), 0.0, atol=1e-14)
+        assert np.all(np.diff(x) < 0.0)
+        rows = chebyshev_points(np.array([[0.0], [2.0]]), np.array([[2.0], [5.0]]), 4)
+        assert rows.shape == (2, 5)
+        assert np.all((rows[0] > 0.0) & (rows[0] < 2.0) & (rows[1] > 2.0) & (rows[1] < 5.0))
 
-    REF = full_rule(DEFAULT_QUADRATURE_ORDER)
+    def test_coefficients_of_each_chebyshev_polynomial(self):
+        # T_k sampled at the points is the k-th unit vector of coefficients
+        x = chebyshev_points(-1.0, 1.0, 12)
+        k = np.arange(13)[:, None]
+        coefs = chebyshev_coefficients(np.cos(k * np.arccos(x)))
+        np.testing.assert_allclose(coefs, np.eye(13), atol=1e-14)
 
-    @staticmethod
-    def band_ranges():
-        bands = default_bands()
-        lows = (0.0,) + bands.cuts
-        highs = bands.cuts + (60.0,)
-        return list(zip(bands.rules, lows, highs))
+    def test_series_matches_numpy_chebval(self):
+        rng = np.random.default_rng(5)
+        coefs = rng.standard_normal(17)
+        t = np.linspace(-1.0, 1.0, 101)
+        want = np.polynomial.chebyshev.chebval(t, coefs)
+        np.testing.assert_allclose(chebyshev_series(coefs, t), want, atol=1e-13)
 
-    def test_table_is_the_default_bands(self):
-        bands = default_bands()
-        assert bands.cuts == tuple(cut for cut, _ in SNR_BANDS)
-        assert [r.order for r in bands.rules] == [o for _, o in SNR_BANDS] + [
-            DEFAULT_QUADRATURE_ORDER
-        ]
-        assert bands.rules[-1] is default_rule()
-        # each band is cheaper than the one above it
-        sizes = [r.nodes.size for r in bands.rules]
-        assert sizes == sorted(set(sizes))
+    def test_float_equals_its_entry_in_an_array(self):
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((17, 40))
+        t = rng.uniform(-1.0, 1.0, 40)
+        stacked = chebyshev_series(rows, t)
+        singles = [chebyshev_series(rows[:, i].tolist(), float(t[i])) for i in range(40)]
+        assert all(type(v) is float for v in singles)
+        assert stacked.tolist() == singles
 
-    @pytest.mark.parametrize("g", [log_cosh, np.tanh], ids=["log_cosh", "tanh"])
-    def test_band_rules_match_unpruned_across_each_band(self, g):
-        for rule, lo, hi in self.band_ranges():
-            e = np.linspace(lo, hi, 801)
-            ref = stacked_expectation(g, e, self.REF)
-            err = np.abs(stacked_expectation(g, e, rule) - ref)
-            bad = err > 1e-14 * np.maximum(1.0, np.abs(ref))
-            assert not bad.any(), (rule.order, e[bad][:3], err[bad][:3])
-
-    def test_band_rules_against_50_digits(self):
-        # the float expectation of each band's rule against the exact sum of
-        # the unpruned order-400 rule, at the band's ends and at the SNR where
-        # it strays furthest from that rule on the dense grid
-        for rule, lo, hi in self.band_ranges()[:-1]:
-            e = np.linspace(lo, hi, 801)
-            ref = stacked_expectation(log_cosh, e, self.REF)
-            err = np.abs(stacked_expectation(log_cosh, e, rule) - ref)
-            worst = e[np.argmax(err / np.maximum(1.0, np.abs(ref)))]
-            for x in (lo, worst, hi):
-                exact = log_cosh_expectation_mp(x, self.REF)
-                got = gauss_expectation(lambda w: log_cosh(x + math.sqrt(x) * w), rule)
-                assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact)), (rule.order, x)
-
-    def test_rule_is_one_band(self):
-        rule = gauss_hermite_rule(9)
-        bands = QuadratureBands.of(rule)
-        assert bands.cuts == () and bands.rules == (rule,)
-        assert QuadratureBands.of(bands) is bands
-
-    def test_malformed_tables_are_refused(self):
-        rule = gauss_hermite_rule(9)
-        with pytest.raises(ValueError, match="one rule more"):
-            QuadratureBands((1.0,), (rule,))
-        with pytest.raises(ValueError, match="ascend"):
-            QuadratureBands((1.0, 1.0), (rule, rule, rule))
+    def test_interpolant_of_an_analytic_function(self):
+        x = chebyshev_points(0.0, 3.0, 24)
+        coefs = chebyshev_coefficients(np.exp(-x))
+        t = np.linspace(-1.0, 1.0, 301)
+        got = chebyshev_series(coefs, t)
+        np.testing.assert_allclose(got, np.exp(-1.5 * (t + 1.0)), rtol=0.0, atol=1e-15)
 
 
 class TestLogCosh:

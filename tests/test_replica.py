@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import timeit
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from gfwiretap import replica
 from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
-from gfwiretap.errors import BracketError
-from gfwiretap.numerics import QuadratureBands, bisect_transition, default_rule, log_cosh
+from gfwiretap.errors import BracketError, NumericalError
+from gfwiretap.numerics import bisect_transition
 from gfwiretap.replica import (
-    BLOCK_FLOATS,
+    CHANNEL_CUTS,
     GRID_STEP,
     ReplicaSolution,
     cd,
@@ -29,8 +30,9 @@ from gfwiretap.replica import (
 )
 from oracles import (
     energy_reference,
-    fixed_point_map_reference,
-    log_cosh_expectation_mp,
+    fp_reference,
+    mi_reference,
+    scalar_channel_mp,
     solve_overlap_reference,
 )
 
@@ -183,108 +185,104 @@ class TestArrayOverlaps:
             assert f(m, cfg).shape == (3, 4)
 
 
-def band_rule(e, cfg):
-    """The rule of the band that the effective SNR ``e`` falls in."""
-    bands = QuadratureBands.of(cfg.quadrature)
-    return bands.rules[sum(e > cut for cut in bands.cuts)]
+class TestChannelTable:
+    """The certificate for the scalar-channel table: against the unpruned
+    order-800 rule across every piece, against the 50-digit true integrals
+    at the piece ends, exact at 0, one value per SNR for floats and arrays,
+    and a build that fails loudly."""
 
-
-class TestNodeBlocks:
-    """The banded, row-blocked, in-place node expectation against the
-    out-of-place composition, band by band with the same rules and blocks."""
-
+    ENDS = (0.0,) + CHANNEL_CUTS
+    TOP = CHANNEL_CUTS[-1]
     GRID = np.linspace(0.0, 1.0, 1001)
 
-    def test_blocks_cover_the_grid_once_in_order(self, monkeypatch):
-        seen = []
+    @staticmethod
+    def table(e):
+        tab = replica._channel_table()
+        return tab.value(0, e), tab.value(1, e)
 
-        def recording_log_cosh(x):
-            seen.append(np.array(x))
-            return log_cosh(x)
+    def test_matches_order_800_across_every_piece(self):
+        # 201 points per piece, ends included, and past the top piece
+        e = np.concatenate(
+            [np.linspace(lo, hi, 201) for lo, hi in zip(self.ENDS, self.ENDS[1:])]
+            + [np.geomspace(1e-12, 1e-2, 50), np.linspace(self.TOP, 120.0, 201)]
+        )
+        bound = 1e-14 * np.maximum(1.0, e)
+        for got, ref, name in zip(self.table(e), (mi_reference(e), fp_reference(e)), "IF"):
+            err = np.abs(got - ref)
+            assert np.all(err <= bound), (name, e[np.argmax(err / bound)], err.max())
 
-        monkeypatch.setattr(replica, "log_cosh", recording_log_cosh)
-        cfg = make_config(rate=1.7, order=3)
-        energy(self.GRID, cfg)
-        e = effective_snr(self.GRID, cfg)
-        bands = cfg.quadrature
-        assert len(bands.rules) > 1
-        want = []
-        for rule in bands.rules:
-            rows = e[[band_rule(x, cfg) is rule for x in e]][:, None]
-            step = BLOCK_FLOATS // rule.nodes.size
-            want += [
-                rows[lo : lo + step] + np.sqrt(rows[lo : lo + step]) * rule.nodes
-                for lo in range(0, len(rows), step)
-            ]
-        assert [a.shape for a in seen] == [a.shape for a in want]
-        assert sum(len(a) for a in seen) == self.GRID.size
-        for got, ref in zip(seen, want):
-            np.testing.assert_array_equal(got, ref)
+    def test_against_50_digit_integrals(self):
+        # the table inherits the order-800 rule's own error, largest on F
+        # for e between ~15 and ~25, where the order-400 rule was off by
+        # up to 7.5e-11
+        for e in self.ENDS + (14.8, 15.8):
+            i_mp, f_mp, _, _ = scalar_channel_mp(e)
+            i_tab, f_tab = self.table(e)
+            assert abs(i_tab - i_mp) <= 2e-13, (e, i_tab, i_mp)
+            assert abs(f_tab - f_mp) <= 2e-13, (e, f_tab, f_mp)
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_grid_energy_equals_block_reference(self, order):
-        for rate in (0.5, 1.7, 3.0):
-            for sigma_sq in (0.05, 0.1, 1.0):
-                cfg = make_config(rate=rate, sigma_sq=sigma_sq, order=order)
-                assert np.array_equal(
-                    energy(self.GRID, cfg), energy_reference(self.GRID, cfg)
-                ), (rate, sigma_sq)
+    def test_constant_above_the_top_is_within_half_an_ulp(self):
+        # log 2 and 1 both lie in [0.5, 1], where an ulp is 2**-53
+        _, _, mi_gap, fp_gap = scalar_channel_mp(self.TOP)
+        assert 0.0 < mi_gap < 2.0**-54 and 0.0 < fp_gap < 2.0**-54
+        for e in (self.TOP, 100.0, 1e6):
+            assert self.table(e) == (LOG2, 1.0)
 
-    @pytest.mark.parametrize("order", [1, 3])
-    def test_one_band_grid_energy_equals_block_reference(self, order):
-        # a plain rule is one band: the default rule alone, 113-row blocks
-        for rate in (0.5, 1.7, 3.0):
-            cfg = make_config(rate=rate, order=order)
-            cfg = replace(cfg, quadrature=default_rule())
-            assert np.array_equal(
-                energy(self.GRID, cfg), energy_reference(self.GRID, cfg)
-            ), rate
-            assert np.array_equal(
-                fixed_point_map(self.GRID, cfg), fixed_point_map_reference(self.GRID, cfg)
-            ), rate
+    def test_exactly_zero_at_zero_snr(self):
+        assert self.table(0.0) == (0.0, 0.0)
+        assert [v.tolist() for v in self.table(np.zeros(3))] == [[0.0] * 3] * 2
 
-    @pytest.mark.parametrize("size", [1, 113, 114, 1001])
-    def test_block_seams_equal_reference(self, size):
-        m = np.linspace(0.0, 1.0, size)
-        for order in (1, 3):
-            cfg = make_config(rate=1.7, order=order)
-            assert np.array_equal(energy(m, cfg), energy_reference(m, cfg))
-            assert np.array_equal(
-                fixed_point_map(m, cfg), fixed_point_map_reference(m, cfg)
-            )
-
-    def test_float_overlap_equals_reference(self):
-        for order in (1, 2, 3, 4):
-            cfg = make_config(rate=1.7, order=order)
-            for m in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
-                assert energy(m, cfg) == energy_reference(m, cfg)
-                assert fixed_point_map(m, cfg) == fixed_point_map_reference(m, cfg)
-
-    def test_float_snr_equals_its_row(self):
-        # refinement calls the energy at one overlap at a time; each must
-        # take the rule, and give the value, of its row on the grid
-        cfg = make_config(rate=1.0)
-        cuts = cfg.quadrature.cuts
-        es = np.array(sorted({0.0, *cuts, *np.nextafter(cuts, np.inf), 10.0}))
-        for g in (log_cosh, np.tanh):
-            stacked = replica._node_expectation(g, es, cfg)
-            singles = [replica._node_expectation(g, float(e), cfg) for e in es]
+    def test_float_equals_its_entry_in_an_array(self):
+        # at every cut and the next float above it, and on two solver grids:
+        # the solver's refinement relies on a float SNR taking the piece,
+        # and giving the value, of its row on the grid
+        cuts = np.array(CHANNEL_CUTS)
+        grids = [effective_snr(self.GRID, make_config(rate=1.7, order=o)) for o in (1, 3)]
+        es = np.concatenate([[0.0, 5e-324], cuts, np.nextafter(cuts, np.inf)] + grids)
+        for q in (0, 1):
+            stacked = replica._channel_table().value(q, es)
+            singles = [replica._channel_table().value(q, float(e)) for e in es]
+            assert all(type(v) is float for v in singles)
             assert stacked.tolist() == singles
 
-    def test_log_cosh_expectation_against_50_digits(self):
-        cfg = make_config(rate=1.0)
-        es = np.array([0.0, 0.05, 0.5, 2.0, 10.0, 25.0, 50.0])
-        stacked = replica._node_expectation(log_cosh, es, cfg)
-        for e, got in zip(es, stacked):
-            ref = log_cosh_expectation_mp(e, band_rule(e, cfg))
-            single = replica._node_expectation(log_cosh, float(e), cfg)
-            for val in (got, single):
-                assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), (e, val, ref)
+    def test_negative_or_non_finite_snr_is_refused(self):
+        # at overlap 1.5 and lambda 3 the effective SNR is negative
+        cfg = make_config(rate=1.0, order=3)
+        assert effective_snr(1.5, cfg) < 0.0
+        for f in (decoupled_mi, fixed_point_map, energy):
+            with pytest.raises(NumericalError, match="effective SNR"):
+                f(1.5, cfg)
+            with pytest.raises(NumericalError, match="effective SNR"):
+                f(np.array([0.5, 1.5]), cfg)
+        tab = replica._channel_table()
+        for bad in (-5e-324, -1.0, math.nan, math.inf, -math.inf):
+            for e in (bad, np.array([1.0, bad])):
+                with pytest.raises(NumericalError, match="effective SNR"):
+                    tab.value(0, e)
 
-    def test_band_seams_add_no_grid_minimum(self):
+    def test_build_fails_when_off_between_its_points(self, monkeypatch):
+        # degree 4 cannot follow I and F to CHANNEL_TOL on these pieces
+        replica._channel_table.cache_clear()
+        monkeypatch.setattr(replica, "CHANNEL_DEGREE", 4)
+        try:
+            with pytest.raises(NumericalError, match="table failed its check"):
+                energy(0.5, make_config(rate=1.0))
+        finally:
+            replica._channel_table.cache_clear()
+
+    def test_scalar_calls_are_cheap(self):
+        # best of several repeats, so load on the host cannot fail it: the
+        # Gauss-Hermite path took ~38 us per energy and ~20 us per map call
+        cfg = make_config(rate=1.7, order=3)
+        energy(0.4, cfg)
+        for f, limit in ((energy, 38e-6), (fixed_point_map, 20e-6)):
+            best = min(timeit.repeat(lambda: f(0.4, cfg), number=200, repeat=7)) / 200
+            assert best < limit, (f.__name__, best)
+
+    def test_piece_seams_add_no_grid_minimum(self):
         # a seam moves the energy by ~1e-15, which on a flat stretch could
-        # pass ``inner <= neighbours``; the banded grid must find the same
-        # interior grid minima as the one-band default rule
+        # pass ``inner <= neighbours``; the table's grid energy must find
+        # the same interior grid minima as the order-800 reference energy
         def minima(vals):
             inner = vals[1:-1]
             return np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])).tolist()
@@ -293,9 +291,8 @@ class TestNodeBlocks:
             for sigma_sq in (0.05, 0.1, 0.3, 1.0):
                 for rate in np.linspace(0.5, 3.0, 26):
                     cfg = make_config(rate=float(rate), sigma_sq=sigma_sq, order=order)
-                    one = replace(cfg, quadrature=default_rule())
                     assert minima(energy(self.GRID, cfg)) == minima(
-                        energy(self.GRID, one)
+                        energy_reference(self.GRID, cfg)
                     ), (order, sigma_sq, rate)
 
 
@@ -399,9 +396,9 @@ class TestSolveOverlap:
 
 
 class TestReferenceSolver:
-    """``solve_overlap`` against one float energy call per grid point on the
-    unpruned 396-node rule, with no bands: at every field order the
-    acceptance tests use, on both sides of the collapse."""
+    """``solve_overlap`` against one float energy call per grid point by
+    quadrature on the unpruned order-800 rule, with no table: at every field
+    order the acceptance tests use, on both sides of the collapse."""
 
     @pytest.mark.parametrize(
         "order, rate",

@@ -81,12 +81,14 @@ def test_readme_python_blocks_run(capsys):
 
 def test_package_import_loads_no_scipy(tmp_path):
     # scipy.special alone would about double the package's start-up time;
-    # neither the import nor a subcommand, header included, may load scipy
+    # neither the import, the scalar-channel table's build nor a subcommand,
+    # header included, may load scipy
     code = (
         "import sys\n"
         "import gfwiretap, gfwiretap.cli\n"
-        "from gfwiretap import numerics\n"
+        "from gfwiretap import numerics, replica\n"
         "numerics.default_rule()\n"
+        "replica.energy(0.5, replica.make_config(rate=1.0))\n"
         "assert gfwiretap.cli.main(\n"
         f"    ['field-check', '--fields', '20', '--out', {str(tmp_path / 'out.txt')!r}]\n"
         ") == 0\n"
