@@ -30,6 +30,7 @@ from gfwiretap.replica import (
 )
 from oracles import (
     energy_reference,
+    fixed_point_map_reference,
     fp_reference,
     mi_reference,
     scalar_channel_mp,
@@ -188,12 +189,11 @@ class TestArrayOverlaps:
 class TestChannelTable:
     """The certificate for the scalar-channel table: against the unpruned
     order-800 rule across every piece, against the 50-digit true integrals
-    at the piece ends, exact at 0, one value per SNR for floats and arrays,
-    and a build that fails loudly."""
+    at the piece ends, exact at 0, refusing SNRs it does not hold, cheap to
+    call, and a build that fails loudly."""
 
     ENDS = (0.0,) + CHANNEL_CUTS
     TOP = CHANNEL_CUTS[-1]
-    GRID = np.linspace(0.0, 1.0, 1001)
 
     @staticmethod
     def table(e):
@@ -232,19 +232,6 @@ class TestChannelTable:
         assert self.table(0.0) == (0.0, 0.0)
         assert [v.tolist() for v in self.table(np.zeros(3))] == [[0.0] * 3] * 2
 
-    def test_float_equals_its_entry_in_an_array(self):
-        # at every cut and the next float above it, and on two solver grids:
-        # the solver's refinement relies on a float SNR taking the piece,
-        # and giving the value, of its row on the grid
-        cuts = np.array(CHANNEL_CUTS)
-        grids = [effective_snr(self.GRID, make_config(rate=1.7, order=o)) for o in (1, 3)]
-        es = np.concatenate([[0.0, 5e-324], cuts, np.nextafter(cuts, np.inf)] + grids)
-        for q in (0, 1):
-            stacked = replica._channel_table().value(q, es)
-            singles = [replica._channel_table().value(q, float(e)) for e in es]
-            assert all(type(v) is float for v in singles)
-            assert stacked.tolist() == singles
-
     def test_negative_or_non_finite_snr_is_refused(self):
         # at overlap 1.5 and lambda 3 the effective SNR is negative
         cfg = make_config(rate=1.0, order=3)
@@ -279,7 +266,60 @@ class TestChannelTable:
             best = min(timeit.repeat(lambda: f(0.4, cfg), number=200, repeat=7)) / 200
             assert best < limit, (f.__name__, best)
 
-    def test_piece_seams_add_no_grid_minimum(self):
+
+class TestNodeBlocks:
+    """The table as the solver calls it, on its 1001-point overlap grid and
+    at single overlaps: against the order-800 reference energy and map, and
+    the log cosh expectation against the 50-digit integrals."""
+
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_grid_energy_equals_block_reference(self, order):
+        for rate in (0.5, 1.7, 3.0):
+            for sigma_sq in (0.05, 0.1, 1.0):
+                cfg = make_config(rate=rate, sigma_sq=sigma_sq, order=order)
+                err = np.abs(energy(self.GRID, cfg) - energy_reference(self.GRID, cfg))
+                assert err.max() <= 1e-13, (rate, sigma_sq, err.max())
+                err = np.abs(
+                    fixed_point_map(self.GRID, cfg) - fixed_point_map_reference(self.GRID, cfg)
+                )
+                assert err.max() <= 1e-13, (rate, sigma_sq, err.max())
+
+    def test_float_overlap_equals_reference(self):
+        for order in (1, 2, 3, 4):
+            cfg = make_config(rate=1.7, order=order)
+            for m in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+                assert abs(energy(m, cfg) - energy_reference(m, cfg)) <= 1e-13, (order, m)
+                assert (
+                    abs(fixed_point_map(m, cfg) - fixed_point_map_reference(m, cfg)) <= 1e-13
+                ), (order, m)
+
+    def test_float_snr_equals_its_row(self):
+        # at every cut and the next float above it, and on two solver grids:
+        # the solver's refinement relies on a float SNR taking the piece,
+        # and giving the value, of its row on the grid
+        cuts = np.array(CHANNEL_CUTS)
+        grids = [effective_snr(self.GRID, make_config(rate=1.7, order=o)) for o in (1, 3)]
+        es = np.concatenate([[0.0, 5e-324], cuts, np.nextafter(cuts, np.inf)] + grids)
+        for q in (0, 1):
+            stacked = replica._channel_table().value(q, es)
+            singles = [replica._channel_table().value(q, float(e)) for e in es]
+            assert all(type(v) is float for v in singles)
+            assert stacked.tolist() == singles
+
+    def test_log_cosh_expectation_against_50_digits(self):
+        # E[log cosh(e + sqrt(e) w)] = e - I(e), from an array and from floats
+        tab = replica._channel_table()
+        es = np.array([0.0, 0.05, 0.5, 2.0, 10.0, 25.0, 50.0])
+        stacked = es - tab.value(0, es)
+        for e, got in zip(es, stacked):
+            ref = e - scalar_channel_mp(float(e))[0]
+            single = float(e) - tab.value(0, float(e))
+            for val in (got, single):
+                assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), (e, val, ref)
+
+    def test_band_seams_add_no_grid_minimum(self):
         # a seam moves the energy by ~1e-15, which on a flat stretch could
         # pass ``inner <= neighbours``; the table's grid energy must find
         # the same interior grid minima as the order-800 reference energy
