@@ -43,7 +43,6 @@ from .numerics import (
     bisect_transition,
     default_rule,
     gauss_expectation,
-    gauss_hermite_rule,
     log_cosh,
 )
 from .replica import (

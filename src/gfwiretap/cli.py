@@ -2,8 +2,8 @@
 
 Subcommands: replica-scan, critical-rate, simulate, leakage, field-check.
 Output is plain comma-delimited text with '#'-prefixed header lines carrying
-the full effective configuration and a '# versions:' line (package, numpy and
-scipy), so re-running with the header's values under those versions
+the full effective configuration and a '# versions:' line (package and
+numpy), so re-running with the header's values under those versions
 reproduces the file byte-for-byte apart from the '# generated:' line.
 Every subcommand writes its file through ``_write_output``: floats to 17
 significant digits, any other cell as ``str``.

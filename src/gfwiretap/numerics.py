@@ -2,9 +2,10 @@
 interpolation, bracketed one-dimensional minimization, Brent root finding,
 and transition bisection.
 
-The Gauss-Hermite rules are built here with numpy alone: Tricomi's
-asymptotic formula places the nodes and Newton's method on the Hermite-
-function recurrence polishes them, so no scipy module is loaded.
+The one quadrature rule is the trapezoidal rule on a uniform grid, weighted
+by the normal density: 289 nodes ``k / 16`` on ``|w| <= 9``.  On the scalar
+channel's integrands it is within 8e-16 of 50-digit integrals, and
+``default_rule`` checks it once against the half-step rule.
 
 Quadrature integrands and minimization objectives are array-shaped: an
 integrand may return a stack of node values, and an objective is evaluated
@@ -28,9 +29,8 @@ import numpy as np
 from .errors import BracketError, NumericalError
 
 __all__ = [
-    "DEFAULT_QUADRATURE_ORDER",
     "QuadratureRule",
-    "gauss_hermite_rule",
+    "trapezoid_rule",
     "default_rule",
     "gauss_expectation",
     "log_cosh",
@@ -40,28 +40,13 @@ __all__ = [
     "bisect_transition",
 ]
 
-#: Default number of quadrature nodes: the rule of :func:`default_rule`,
-#: which the package exports for ``gauss_expectation`` and whose self-check
-#: against the doubled order gates the overlap solver's scalar-channel
-#: table, fitted on that doubled order (``replica``).  The log-cosh / tanh
-#: integrands of the scalar channel have complex singularities that approach
-#: the real axis as the effective SNR grows.  Against the order-800 rule on
-#: e in [0, 60], this order is off by at most 7.5e-12 on
-#: ``E[log cosh(e + sqrt(e) w)]`` (near e = 15.8) and 7.5e-11 on
-#: ``E[tanh(e + sqrt(e) w)]`` (near e = 15.5); order 800 is itself within
-#: 1.4e-13 of order 1600.
-DEFAULT_QUADRATURE_ORDER = 400
-
-#: Nodes whose normalised weight is at or below this are dropped from every
-#: rule: their share of an expectation of the solver's integrands is below
-#: the rounding of the sum, and they are ~64% of the default rule's nodes.
-NODE_WEIGHT_FLOOR = 1e-30
-
-#: Newton sweeps that polish the Gauss-Hermite nodes stop once every step is
-#: below this share of its node (or of 1 below |x| = 1); from Tricomi's
-#: starting points that takes at most four sweeps at orders 1 to 4000.
-_NEWTON_RTOL = 1e-14
-_NEWTON_MAX_SWEEPS = 20
+#: The rule of :func:`default_rule`: nodes ``k / 16`` on ``|w| <= 9``, 289
+#: of them.  The scalar channel's log cosh and tanh integrands are analytic
+#: in a strip about the real axis that narrows as the SNR grows, and the
+#: step's error peaks near ``e = 15.5``; the density beyond ``|w| = 9`` is
+#: below 1e-18.  ``replica`` fits its scalar-channel table on this rule.
+RULE_STEP = 1.0 / 16.0
+RULE_HALF_WIDTH = 9.0
 
 _LOG2 = math.log(2.0)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,22 +65,16 @@ class QuadratureRule:
 
     Attributes
     ----------
-    order : int
-        Nominal polynomial-exactness order of the rule (a Gauss rule of this
-        order integrates polynomials of degree <= 2*order - 1 exactly).
     nodes : ndarray
         Abscissae, symmetric about zero.
     weights : ndarray
         Positive weights summing to one.
     """
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
@@ -112,106 +91,44 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _hermite_functions(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(q_n(x), q_{n-1}(x))`` of the Hermite functions
-    ``q_k = He_k(x) exp(-x**2 / 4) / sqrt(k!)``.
+def trapezoid_rule(step: float, half_width: float) -> QuadratureRule:
+    """Trapezoidal rule for a N(0,1) expectation: nodes ``step * k`` on
+    ``|w| <= half_width``, weighted by the normal density there, normalised.
 
-    The recurrence ``q_{k+1} = (x q_k - sqrt(k) q_{k-1}) / sqrt(k + 1)`` from
-    ``q_0 = exp(-x**2 / 4)`` stays bounded, so it cannot overflow; far in the
-    tail it underflows to zero instead.
+    For an integrand analytic in a strip about the real axis the error falls
+    exponentially in ``1 / step`` (Trefethen & Weideman, SIAM Review 2014),
+    and the cut at ``half_width`` drops the density's tail beyond it.
     """
-    k = np.arange(n)
-    a = np.sqrt(k / (k + 1.0)).tolist()
-    b = (1.0 / np.sqrt(k + 1.0)).tolist()
-    q_prev, q = np.zeros_like(x), np.exp(-0.25 * x * x)
-    for j in range(n):
-        q_prev, q = q, b[j] * x * q - a[j] * q_prev
-    return q, q_prev
-
-
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and unnormalised weights of the probabilists'
-    Gauss-Hermite rule of ``order``, every node kept.
-
-    Initial positive nodes come from Tricomi's formula (Townsend, Trogdon &
-    Olver, IMA J. Numer. Anal. 2016, lemma 3.1), Newton sweeps on
-    ``q_order`` polish them (``q_order' = sqrt(order) q_{order-1}`` at a
-    root), and each weight is ``exp(-x**2 / 2) / (order q_{order-1}(x)**2)``.
-    Both halves are mirrored from the nonnegative one; a tail node whose
-    ``q_{order-1}`` underflows to zero stops moving and gets weight 0.
-    """
-    n, m = order, order // 2
-    # tau_k solves tau - sin(tau) = c_k, by Newton's method from pi/2
-    nu = 4.0 * m + 2.0 * (n % 2) + 1.0
-    c = (4.0 * m - 4.0 * np.arange(1, m + 1) + 3.0) * math.pi / nu
-    tau = np.full(m, 0.5 * math.pi)
-    for _ in range(_NEWTON_MAX_SWEEPS):
-        step = (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
-        tau -= step
-        if np.all(np.abs(step) <= _NEWTON_RTOL * tau):
-            break
-    sigma = np.cos(0.5 * tau) ** 2
-    x_sq = nu * sigma - (
-        5.0 / (4.0 * (1.0 - sigma) ** 2) - 1.0 / (1.0 - sigma) - 0.25
-    ) / (3.0 * nu)
-    # the formula is for the physicists' H_n; He_n's roots are sqrt(2) times
-    x = np.sqrt(2.0 * x_sq)
-    if n % 2:
-        x = np.concatenate(([0.0], x))
-
-    root_n = math.sqrt(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_MAX_SWEEPS):
-            q, q_prev = _hermite_functions(x, n)
-            step = np.where(q_prev != 0.0, q / (root_n * q_prev), 0.0)
-            x = x - step
-            if np.all(np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, x)):
-                break
-        _, q_prev = _hermite_functions(x, n)
-        w = np.where(q_prev != 0.0, np.exp(-0.5 * x * x) / (n * q_prev * q_prev), 0.0)
-    lo = n % 2  # an odd order's zero node is not mirrored
-    return (
-        np.concatenate((-x[::-1], x[lo:])),
-        np.concatenate((w[::-1], w[lo:])),
-    )
-
-
-@functools.lru_cache(maxsize=32)
-def gauss_hermite_rule(order: int = DEFAULT_QUADRATURE_ORDER) -> QuadratureRule:
-    """Probabilists' Gauss-Hermite rule normalized for a N(0,1) expectation.
-
-    Nodes whose normalised weight is at most ``NODE_WEIGHT_FLOOR`` (1e-30)
-    are dropped, including the far-tail nodes whose Hermite functions
-    underflow and whose weights are therefore exactly zero.  The retained
-    weights stay strictly positive, the node set stays symmetric, and at the
-    default order 144 of 400 nodes remain.
-    """
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    nodes, weights = _hermite_rule(order)
-    weights = weights / weights.sum()
-    keep = weights > NODE_WEIGHT_FLOOR
-    return QuadratureRule(order=order, nodes=nodes[keep], weights=weights[keep])
+    if not (step > 0.0 and 0.0 <= half_width < math.inf):
+        raise ValueError(
+            f"need step > 0 and a finite half_width >= 0, got {step}, {half_width}"
+        )
+    n = math.floor(half_width / step)
+    nodes = step * np.arange(-n, n + 1)
+    weights = np.exp(-0.5 * nodes * nodes)
+    return QuadratureRule(nodes=nodes, weights=weights / weights.sum())
 
 
 @functools.lru_cache(maxsize=1)
 def default_rule() -> QuadratureRule:
-    """Default rule, self-validated once against a doubled-order rule.
+    """The rule of ``RULE_STEP`` and ``RULE_HALF_WIDTH``, self-checked once.
 
-    The check probes one integrand at one SNR, ``log cosh(10 + sqrt(10) w)``,
-    to 1e-10; it does not probe tanh, whose error is ~10 times larger, nor
-    the SNRs near 15 where both errors peak (see
-    ``DEFAULT_QUADRATURE_ORDER``).
+    The check compares it with the half-step rule on ``log cosh`` and
+    ``tanh`` of ``15.5 + sqrt(15.5) w``, where the step's error peaks, and
+    fails above 1e-13: the shipped step drifts 1.1e-14 (rounding), step 1/8
+    1.2e-12 on tanh.
     """
-    rule = gauss_hermite_rule(DEFAULT_QUADRATURE_ORDER)
-    doubled = gauss_hermite_rule(2 * DEFAULT_QUADRATURE_ORDER)
-    probe = lambda w: log_cosh(10.0 + math.sqrt(10.0) * w)
-    drift = abs(gauss_expectation(probe, rule) - gauss_expectation(probe, doubled))
-    if drift > 1e-10:
-        raise NumericalError(
-            f"default quadrature failed its startup convergence check: "
-            f"doubling the order moved the probe expectation by {drift:.3e}"
-        )
+    rule = trapezoid_rule(RULE_STEP, RULE_HALF_WIDTH)
+    halved = trapezoid_rule(0.5 * RULE_STEP, RULE_HALF_WIDTH)
+    shift, scale = 15.5, math.sqrt(15.5)
+    for g in (log_cosh, np.tanh):
+        probe = lambda w: g(shift + scale * w)
+        drift = abs(gauss_expectation(probe, rule) - gauss_expectation(probe, halved))
+        if drift > 1e-13:
+            raise NumericalError(
+                f"default quadrature failed its startup convergence check: "
+                f"halving the step moved the {g.__name__} probe by {drift:.3e}"
+            )
     return rule
 
 

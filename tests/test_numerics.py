@@ -8,11 +8,10 @@ from scipy.special import roots_hermitenorm
 
 from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import (
-    DEFAULT_QUADRATURE_ORDER,
-    NODE_WEIGHT_FLOOR,
+    RULE_HALF_WIDTH,
+    RULE_STEP,
     QuadratureRule,
     _brent_root,
-    _hermite_rule,
     _minimize_with_diagnostics,
     bisect_transition,
     chebyshev_coefficients,
@@ -20,10 +19,10 @@ from gfwiretap.numerics import (
     chebyshev_series,
     default_rule,
     gauss_expectation,
-    gauss_hermite_rule,
     log_cosh,
+    trapezoid_rule,
 )
-from oracles import full_rule, log_cosh_reference, minimize_reference
+from oracles import log_cosh_reference, minimize_reference, scalar_channel_mp
 
 # 1e7-sample Monte Carlo reference for E[log cosh(2 + sqrt(2) w)], w ~ N(0,1),
 # generated once with numpy PCG64 seed 20260808.
@@ -35,84 +34,88 @@ def double_factorial(n: int) -> float:
     return float(math.prod(range(n, 0, -2))) if n > 0 else 1.0
 
 
+def moment(deg: int) -> float:
+    """``E[w**deg]`` for ``w ~ N(0, 1)``."""
+    return 0.0 if deg % 2 else double_factorial(deg - 1)
+
+
 class TestQuadratureRule:
     def test_weights_normalized(self):
-        for order in (5, 80, 400):
-            rule = gauss_hermite_rule(order)
+        for step, half_width in ((0.5, 2.0), (0.25, 5.0), (RULE_STEP, RULE_HALF_WIDTH)):
+            rule = trapezoid_rule(step, half_width)
             assert abs(rule.weights.sum() - 1.0) <= 1e-12
             assert np.all(rule.weights > 0.0)
 
     def test_nodes_symmetric(self):
-        for order in (7, 80, 401):
-            rule = gauss_hermite_rule(order)
-            assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12, rtol=0)
+        for step, half_width in ((0.3, 2.0), (0.1, 7.05), (RULE_STEP, RULE_HALF_WIDTH)):
+            rule = trapezoid_rule(step, half_width)
+            np.testing.assert_array_equal(rule.nodes, -rule.nodes[::-1])
+            np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
 
     def test_immutable(self):
-        rule = gauss_hermite_rule(11)
+        rule = trapezoid_rule(0.5, 2.0)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
 
     def test_validation_rejects_bad_rules(self):
         with pytest.raises(ValueError):
-            QuadratureRule(order=0, nodes=np.array([0.0]), weights=np.array([1.0]))
+            QuadratureRule(nodes=np.array([0.0]), weights=np.array([0.0]))
         with pytest.raises(ValueError):
-            QuadratureRule(
-                order=2, nodes=np.array([-1.0, 2.0]), weights=np.array([0.5, 0.5])
-            )
+            QuadratureRule(nodes=np.array([-1.0, 2.0]), weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            QuadratureRule(
-                order=2, nodes=np.array([-1.0, 1.0]), weights=np.array([0.9, 0.2])
-            )
+            QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.9, 0.2]))
+        for step, half_width in ((0.0, 9.0), (-0.5, 9.0), (0.5, -1.0), (0.5, math.inf)):
+            with pytest.raises(ValueError, match="step"):
+                trapezoid_rule(step, half_width)
+        # the density underflows to 0 beyond |w| ~ 38.6
+        with pytest.raises(ValueError, match="strictly positive"):
+            trapezoid_rule(RULE_STEP, 40.0)
 
     def test_polynomial_exactness(self):
-        # a Gauss rule of order q integrates x**d exactly for d <= 2q-1
-        for order in (6, 20, 80):
-            rule = gauss_hermite_rule(order)
-            for deg in range(0, min(2 * order - 1, 40) + 1):
-                moment = gauss_expectation(lambda w, d=deg: w**d, rule)
-                if deg % 2 == 1:
-                    assert abs(moment) <= 1e-10 * double_factorial(deg)
-                else:
-                    exact = double_factorial(deg - 1)
-                    assert abs(moment - exact) <= 1e-10 * exact
-
-    def test_high_order_trims_underflow_but_stays_positive(self):
-        rule = gauss_hermite_rule(800)
-        assert np.all(rule.weights > 0.0)
-        assert len(rule.nodes) < 800
-        assert abs(gauss_expectation(lambda w: w**2, rule) - 1.0) < 1e-12
+        # the default rule's error on a low moment is the density's tail
+        # beyond |w| = 9: odd moments vanish by symmetry, and the even ones
+        # hold to 1e-12 up to degree 10 (degree 12 is off by 5.5e-12)
+        rule = default_rule()
+        for deg in range(11):
+            got = gauss_expectation(lambda w, d=deg: w**d, rule)
+            assert abs(got - moment(deg)) <= 1e-12 * max(1.0, moment(deg)), deg
 
     def test_drops_nodes_at_or_below_weight_floor(self):
-        rule, full = default_rule(), full_rule(DEFAULT_QUADRATURE_ORDER)
-        assert (rule.nodes.size, full.nodes.size) == (144, 396)
-        assert np.all(rule.weights > NODE_WEIGHT_FLOOR)
-        nodes, weights = _hermite_rule(DEFAULT_QUADRATURE_ORDER)
-        kept = weights / weights.sum() > NODE_WEIGHT_FLOOR
-        np.testing.assert_array_equal(rule.nodes, nodes[kept])
+        # the default rule is the wider rule cut at |w| = 9, and every node
+        # the cut drops has a normalised weight below 7e-20
+        rule, wide = default_rule(), trapezoid_rule(RULE_STEP, 12.0)
+        assert rule.nodes.size == 289
+        np.testing.assert_array_equal(rule.nodes, np.arange(-144, 145) / 16.0)
+        dropped = np.abs(wide.nodes) > RULE_HALF_WIDTH
+        np.testing.assert_array_equal(wide.nodes[~dropped], rule.nodes)
+        assert wide.weights[dropped].max() < 7e-20
 
     @pytest.mark.parametrize("order", list(range(1, 161)) + [399, 400, 401, 800, 1000])
     def test_matches_scipy_rule(self, order):
-        # scipy builds its rule by Golub-Welsch up to order 150 and by an
-        # asymptotic expansion above; normalised and floored like ours, it
-        # keeps the same nodes
-        want_nodes, want_weights = roots_hermitenorm(order)
-        want_weights = want_weights / want_weights.sum()
-        kept = want_weights > NODE_WEIGHT_FLOOR
-        _, weights = _hermite_rule(order)
-        np.testing.assert_array_equal(weights / weights.sum() > NODE_WEIGHT_FLOOR, kept)
-        rule = gauss_hermite_rule(order)
-        np.testing.assert_allclose(rule.nodes, want_nodes[kept], rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(rule.weights, want_weights[kept], rtol=1e-11, atol=0.0)
+        # scipy's Gauss-Hermite rule of each order integrates the moments of
+        # degree <= 2 order - 1 exactly; the default rule agrees with it on
+        # those up to degree 10, past which its cut at |w| = 9 shows
+        nodes, weights = roots_hermitenorm(order)
+        keep = weights > 0.0
+        gauss = QuadratureRule(
+            nodes=nodes[keep], weights=weights[keep] / weights[keep].sum()
+        )
+        for deg in range(min(2 * order - 1, 10) + 1):
+            g = lambda w, d=deg: w**d
+            want = gauss_expectation(g, gauss)
+            got = gauss_expectation(g, default_rule())
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), deg
 
     @pytest.mark.parametrize("g", [log_cosh, np.tanh], ids=["log_cosh", "tanh"])
     def test_pruned_rule_matches_unpruned_on_engine_integrands(self, g):
-        # the dropped nodes change the expectation only by the rounding of
-        # the sum; the bound is relative above 1 because E[log cosh] reaches
-        # ~49 at E = 50, where one ulp is 7e-15
-        rule, full = default_rule(), full_rule(DEFAULT_QUADRATURE_ORDER)
-        for e in np.linspace(0.0, 50.0, 401):
+        # the cut at |w| = 9 changes the expectation only by the rounding of
+        # the sum, across the SNRs the scalar-channel table is fitted on;
+        # the bound is relative above 1 because E[log cosh] reaches ~79 at
+        # e = 80, where one ulp is 1.4e-14
+        rule, wide = default_rule(), trapezoid_rule(RULE_STEP, 12.0)
+        for e in np.linspace(0.0, 80.0, 401):
             h = lambda w, e=e: g(e + math.sqrt(e) * w)
-            ref = gauss_expectation(h, full)
+            ref = gauss_expectation(h, wide)
             assert abs(gauss_expectation(h, rule) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
@@ -123,16 +126,17 @@ def stacked_expectation(g, e, rule):
 
 
 class TestDefaultRuleAccuracy:
-    def test_within_stated_bounds_of_order_800(self):
-        # DEFAULT_QUADRATURE_ORDER states 7.5e-12 on log cosh and 7.5e-11 on
-        # tanh over e in [0, 60], against order 800
-        e = np.linspace(0.0, 60.0, 1201)
-        rule, fine = default_rule(), gauss_hermite_rule(800)
-        for g, bound in ((log_cosh, 1e-11), (np.tanh, 1e-10)):
-            err = np.abs(
-                stacked_expectation(g, e, rule) - stacked_expectation(g, e, fine)
-            )
-            assert err.max() <= bound, (g, e[err.argmax()], err.max())
+    def test_within_stated_bounds_of_50_digit_integrals(self):
+        # the numerics module states 8e-16 on E[log cosh(e + sqrt(e) w)]
+        # (relative above 1) and on E[tanh(e + sqrt(e) w)]
+        e = np.array([0.01, 0.1, 0.5, 1.5, 2.0, 5.0, 10.0, 14.8, 15.5, 15.8, 18.8,
+                      25.0, 33.0, 50.0, 80.0])
+        ref = np.array([scalar_channel_mp(float(x))[:2] for x in e]).T
+        rule = default_rule()
+        err_lc = np.abs(stacked_expectation(log_cosh, e, rule) - (e - ref[0]))
+        err_th = np.abs(stacked_expectation(np.tanh, e, rule) - ref[1])
+        assert np.all(err_lc <= 1e-15 * np.maximum(1.0, e)), (e[err_lc.argmax()], err_lc.max())
+        assert np.all(err_th <= 1e-15), (e[err_th.argmax()], err_th.max())
 
 
 class TestChebyshev:
@@ -207,7 +211,7 @@ class TestGaussExpectation:
     def test_scalar_only_callable(self):
         # the integrand is called once on the whole node array; one that
         # cannot take an array, or returns one value for all nodes, is refused
-        rule = gauss_hermite_rule(21)
+        rule = trapezoid_rule(0.2, 2.0)
         def g(w):
             if isinstance(w, np.ndarray):
                 raise TypeError("scalar only")
@@ -218,12 +222,12 @@ class TestGaussExpectation:
             gauss_expectation(lambda w: 1.0, rule)
 
     def test_nonfinite_integrand_reports_node(self):
-        rule = gauss_hermite_rule(9)
+        rule = trapezoid_rule(0.5, 2.0)
         with pytest.raises(NumericalError, match="node"):
             gauss_expectation(lambda w: np.where(w > 0, np.inf, 1.0), rule)
 
     def test_nonfinite_row_of_stacked_integrand_reports_its_node(self):
-        rule = gauss_hermite_rule(9)
+        rule = trapezoid_rule(0.5, 2.0)
         bad = float(rule.nodes[6])
         g = lambda w: np.where((np.arange(3)[:, None] == 2) & (w == bad), np.nan, w**2)
         with pytest.raises(NumericalError, match=f"node {bad!r}"):
@@ -231,22 +235,23 @@ class TestGaussExpectation:
 
     def test_row_holding_both_infinities_reports_its_node(self):
         # +inf and -inf in one row sum to NaN; the first of them is named
-        rule = gauss_hermite_rule(9)
+        rule = trapezoid_rule(0.5, 2.0)
         inf_row = lambda w: np.where(w > 0, np.inf, -np.inf)
         g = lambda w: np.where(np.arange(2)[:, None] == 1, inf_row(w), w)
         with pytest.raises(NumericalError, match=f"node {float(rule.nodes[0])!r}"):
             gauss_expectation(g, rule)
 
     def test_nan_row_reports_its_first_node(self):
-        rule = gauss_hermite_rule(9)
+        rule = trapezoid_rule(0.5, 2.0)
         g = lambda w: np.where(np.arange(3)[:, None] == 0, np.nan, w**2)
         with pytest.raises(NumericalError, match=f"node {float(rule.nodes[0])!r}"):
             gauss_expectation(g, rule)
 
     def test_overflowing_sum_of_finite_values_is_refused(self):
         # the weights sum to one, so only rounding at the top of the float
-        # range overflows: at order 10, a constant largest-float integrand
-        rule = gauss_hermite_rule(10)
+        # range overflows: on these nine nodes, a constant largest-float
+        # integrand
+        rule = trapezoid_rule(0.5, 2.0)
         big = np.finfo(float).max
         with pytest.raises(NumericalError, match="overflows"):
             gauss_expectation(lambda w: np.full_like(w, big), rule)
@@ -270,24 +275,26 @@ class TestGaussExpectation:
         np.testing.assert_allclose(stacked, rows, rtol=1e-15, atol=1e-15)
 
     def test_stacked_integrand_keeps_leading_axes(self):
-        rule = gauss_hermite_rule(20)
+        rule = default_rule()
         scale = np.arange(6.0).reshape(2, 3)
         out = gauss_expectation(lambda w: scale[..., None] * w**2, rule)
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out, scale, rtol=1e-13, atol=1e-15)
 
     def test_wrong_last_axis_is_refused(self):
-        rule = gauss_hermite_rule(21)
+        rule = trapezoid_rule(0.2, 2.0)
         with pytest.raises(ValueError, match="last axis"):
             gauss_expectation(lambda w: np.ones((w.size, 2)), rule)
 
     def test_doubling_changes_little_on_engine_integrands(self):
-        # convergence check across the effective-SNR range the solver visits
+        # twice the nodes, at half the step: the convergence check of
+        # ``default_rule`` across the effective-SNR range the solver visits
         rule = default_rule()
-        doubled = gauss_hermite_rule(2 * DEFAULT_QUADRATURE_ORDER)
-        for e in (0.5, 2.0, 10.0, 20.0, 42.9):
-            g = lambda w, e=e: log_cosh(e + math.sqrt(e) * w)
-            assert abs(gauss_expectation(g, rule) - gauss_expectation(g, doubled)) <= 1e-10
+        doubled = trapezoid_rule(RULE_STEP / 2, RULE_HALF_WIDTH)
+        for e in (0.5, 2.0, 10.0, 15.5, 20.0, 42.9, 80.0):
+            for f in (log_cosh, np.tanh):
+                g = lambda w, e=e, f=f: f(e + math.sqrt(e) * w)
+                assert abs(gauss_expectation(g, rule) - gauss_expectation(g, doubled)) <= 1e-13
 
     def test_deterministic(self):
         rule = default_rule()

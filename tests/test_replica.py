@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfwiretap import replica
+from gfwiretap import numerics, replica
 from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import bisect_transition
@@ -187,10 +187,11 @@ class TestArrayOverlaps:
 
 
 class TestChannelTable:
-    """The certificate for the scalar-channel table: against the unpruned
-    order-800 rule across every piece, against the 50-digit true integrals
-    at the piece ends, exact at 0, refusing SNRs it does not hold, cheap to
-    call, and a build that fails loudly."""
+    """The certificate for the scalar-channel table: against the order-1600
+    Gauss-Hermite rule across every piece, against the 50-digit true
+    integrals at the piece ends and where the quadrature error peaks, exact
+    at 0, refusing SNRs it does not hold, cheap to call, and a build that
+    fails loudly."""
 
     ENDS = (0.0,) + CHANNEL_CUTS
     TOP = CHANNEL_CUTS[-1]
@@ -200,7 +201,7 @@ class TestChannelTable:
         tab = replica._channel_table()
         return tab.value(0, e), tab.value(1, e)
 
-    def test_matches_order_800_across_every_piece(self):
+    def test_matches_order_1600_across_every_piece(self):
         # 201 points per piece, ends included, and past the top piece
         e = np.concatenate(
             [np.linspace(lo, hi, 201) for lo, hi in zip(self.ENDS, self.ENDS[1:])]
@@ -212,14 +213,15 @@ class TestChannelTable:
             assert np.all(err <= bound), (name, e[np.argmax(err / bound)], err.max())
 
     def test_against_50_digit_integrals(self):
-        # the table inherits the order-800 rule's own error, largest on F
-        # for e between ~15 and ~25, where the order-400 rule was off by
-        # up to 7.5e-11
-        for e in self.ENDS + (14.8, 15.8):
+        # relative above 1, since I = e - E[log cosh] cancels to ~ulp(e);
+        # the worst is 1.5e-15 on I at e = 33.1; the rule it is fitted on
+        # is off most near e = 15.5, and the order-800 rule near e = 18.8
+        es = self.ENDS + (0.01, 0.5, 2.0, 10.0, 14.8, 15.5, 15.8, 18.8, 25.0, 50.0, 100.0)
+        for e in es:
             i_mp, f_mp, _, _ = scalar_channel_mp(e)
             i_tab, f_tab = self.table(e)
-            assert abs(i_tab - i_mp) <= 2e-13, (e, i_tab, i_mp)
-            assert abs(f_tab - f_mp) <= 2e-13, (e, f_tab, f_mp)
+            assert abs(i_tab - i_mp) <= 2e-15 * max(1.0, e), (e, i_tab, i_mp)
+            assert abs(f_tab - f_mp) <= 2e-15 * max(1.0, e), (e, f_tab, f_mp)
 
     def test_constant_above_the_top_is_within_half_an_ulp(self):
         # log 2 and 1 both lie in [0.5, 1], where an ulp is 2**-53
@@ -269,7 +271,7 @@ class TestChannelTable:
 
 class TestNodeBlocks:
     """The table as the solver calls it, on its 1001-point overlap grid and
-    at single overlaps: against the order-800 reference energy and map, and
+    at single overlaps: against the order-1600 reference energy and map, and
     the log cosh expectation against the 50-digit integrals."""
 
     GRID = np.linspace(0.0, 1.0, 1001)
@@ -322,7 +324,7 @@ class TestNodeBlocks:
     def test_band_seams_add_no_grid_minimum(self):
         # a seam moves the energy by ~1e-15, which on a flat stretch could
         # pass ``inner <= neighbours``; the table's grid energy must find
-        # the same interior grid minima as the order-800 reference energy
+        # the same interior grid minima as the order-1600 reference energy
         def minima(vals):
             inner = vals[1:-1]
             return np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])).tolist()
@@ -437,19 +439,38 @@ class TestSolveOverlap:
 
 class TestReferenceSolver:
     """``solve_overlap`` against one float energy call per grid point by
-    quadrature on the unpruned order-800 rule, with no table: at every field
-    order the acceptance tests use, on both sides of the collapse."""
+    quadrature on the order-1600 Gauss-Hermite rule, with no table: at every
+    field order the acceptance tests use, on both sides of the collapse, and
+    at lambda 5 where an interior minimum is refined by golden section."""
 
     @pytest.mark.parametrize(
-        "order, rate",
-        [(1, r) for r in (0.9, 1.6, 2.0, 3.0)]
-        + [(2, r) for r in (1.3, 2.3)]
-        + [(3, r) for r in (1.2, 1.72, 1.95, 2.5)]
-        + [(4, r) for r in (1.3, 2.3)],
+        "order, rate, sigma_sq, power",
+        [
+            pytest.param(order, rate, 0.1, 1.0, id=f"{order}-{rate}")
+            for order, rates in (
+                (1, (0.9, 1.6, 2.0, 3.0)),
+                (2, (1.3, 2.3)),
+                (3, (1.2, 1.72, 1.95, 2.5)),
+                (4, (1.3, 2.3)),
+            )
+            for rate in rates
+        ]
+        # m - F(m) reads +, -, + across the bracket of the minimum at 0.9665
+        + [pytest.param(5, 1.1, 0.3, 0.5, id="5-1.1-0.3-0.5")],
     )
-    def test_matches_reference_solver(self, order, rate):
-        cfg = make_config(rate=rate, order=order)
-        got, ref = solve_overlap(cfg), solve_overlap_reference(cfg)
+    def test_matches_reference_solver(self, order, rate, sigma_sq, power, monkeypatch):
+        cfg = make_config(rate=rate, sigma_sq=sigma_sq, power=power, order=order)
+        golden, brackets = numerics._golden_section, []
+
+        def spy(f, a, b, tol):
+            brackets.append((a, b))
+            return golden(f, a, b, tol)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_golden_section", spy)
+            got = solve_overlap(cfg)
+        assert bool(brackets) == (order == 5), brackets
+        ref = solve_overlap_reference(cfg)
         assert replica.classify_regime(got.m_star) == replica.classify_regime(ref.m_star)
         assert got.tie_flag == ref.tie_flag
         assert len(got.interior_minima) == len(ref.interior_minima)

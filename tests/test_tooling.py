@@ -1,11 +1,13 @@
 """Smoke tests for the demo scripts, the README's commands, the package's
-export lists, its version and its import footprint.
+export lists, its version, its declared dependencies and its import
+footprint.
 
 No other test runs the demos or the README examples, so an API change they
 depend on would otherwise go unnoticed; a stale ``__all__`` entry fails only
 on a star import.
 """
 
+import ast
 import os
 import pathlib
 import pkgutil
@@ -111,3 +113,21 @@ def test_pyproject_version_matches_package():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == gfwiretap.__version__
+
+
+def test_imports_match_declared_dependencies():
+    # the third-party modules the package imports are exactly the runtime
+    # dependencies pyproject.toml declares
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps}
+    imported = set()
+    for path in (ROOT / "src" / "gfwiretap").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"gfwiretap"}
+    assert third_party == declared
