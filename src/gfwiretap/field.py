@@ -15,17 +15,23 @@ where ``<s1;s2> = s1.s2 / dim`` is the normalized inner product.  The
 coefficient tensor is deliberately not symmetrized; the covariance law holds
 either way and the full tensor avoids multinomial bookkeeping.
 
-``enumerate_outputs`` gives one output on all ``2**dim`` inputs at once.  On
-the hypercube ``s_i**2 == 1``, so each output is a multilinear polynomial:
-an index tuple's monomial reduces to the product over the indices that occur
-an odd number of times.  The coefficients are first folded onto those index
-sets (one ``np.bincount`` per output), and the folded vector is then taken to
-its values on every input by a fast Walsh-Hadamard transform, applied
-``_HADAMARD_BITS`` bits at a time as one matrix product with the Kronecker
-power of ``[[1, -1], [1, 1]]``.  Cost per output is ``O(dim**order)`` for the
-fold plus ``O(2**dim * dim)`` multiply-adds for the transform, against
-``O(2**dim * dim**order)`` for evaluating every input, and memory is a few
-``2**dim``-float arrays.
+``enumerate_outputs`` gives the outputs on all ``2**dim`` inputs at once,
+in blocks of ``max(1, _BLOCK_FLOATS >> dim)`` outputs.  On the hypercube
+``s_i**2 == 1``, so each output is a multilinear polynomial: an index
+tuple's monomial reduces to the product over the indices that occur an odd
+number of times.  A block's coefficients are first folded onto those index
+sets (one ``np.bincount`` over the block, each output's sets offset by
+``2**dim`` times its row, so every sum runs in the same order as a fold of
+that output alone), and the folded rows are then taken to their values on
+every input by a fast Walsh-Hadamard transform, applied ``_HADAMARD_BITS``
+bits at a time: one matrix product for the lowest group and one batched
+product per further group, each with the Kronecker power of
+``[[1, -1], [1, 1]]``.  Cost per output is ``O(dim**order)`` for the fold
+plus ``O(2**dim * dim)`` multiply-adds for the transform, against
+``O(2**dim * dim**order)`` for evaluating every input.  Memory is a few
+blocks of at most ``_BLOCK_FLOATS`` floats, or of one ``2**dim`` row when
+that is larger, plus one fold index per coefficient of a block, whatever
+``n_out``.
 
 ``covariance_probe`` samples its fields without building them.  One
 generator, seeded from the probe's ``seed``, supplies every field: field
@@ -70,6 +76,14 @@ DEFAULT_COEFF_BUDGET = 2**25
 #: Floats in the coefficients of one chunk of fields drawn by
 #: ``covariance_probe``.
 _CHUNK_FLOATS = 2**15
+
+#: Floats in one block of outputs yielded by ``enumerate_outputs`` (at least
+#: one output).  A block array stays below glibc malloc's 128-KiB mmap
+#: threshold, and the transform's first product (32 multiply-adds a float)
+#: below the 2**19 at which OpenBLAS starts threads: at 2**14 floats every
+#: 1024-candidate decode took ~128 page faults, as its arrays were mapped or
+#: trimmed and touched afresh, and ran ~14% slower than one output at a time.
+_BLOCK_FLOATS = 2**13
 
 #: Bits of the pattern integer taken by one matrix product of the transform.
 _HADAMARD_BITS = 5
@@ -200,40 +214,49 @@ def _hadamard(bits: int) -> np.ndarray:
 
 
 def enumerate_outputs(field: GaussianField, bit_of_coordinate):
-    """Yield each output on every bipolar input, in pattern-integer order.
+    """Yield the outputs on every bipolar input, in blocks of rows.
 
-    Output ``o`` comes as a ``(2**dim,)`` array whose entry ``p`` is
+    Each block is a ``(rows, 2**dim)`` array of consecutive outputs, with
+    ``rows = max(1, _BLOCK_FLOATS >> dim)`` (fewer in the last block).  Row
+    ``o`` of the stacked blocks has entry ``p`` equal to
     ``evaluate(field, s)[o]`` to rounding, for the input ``s`` with
-    ``s[c] = +1`` exactly where bit ``bit_of_coordinate[c]`` of ``p`` is set.
-    ``bit_of_coordinate`` must be a permutation of ``range(dim)``.  Each
-    array is freshly allocated, so callers may overwrite it.
+    ``s[c] = +1`` exactly where bit ``bit_of_coordinate[c]`` of ``p`` is
+    set.  ``bit_of_coordinate`` must be a permutation of ``range(dim)``.
+    Each block is freshly allocated, so callers may overwrite it.
     """
     spec = field.spec
     bit_of_coordinate = np.asarray(bit_of_coordinate, dtype=np.int64)
     if not np.array_equal(np.sort(bit_of_coordinate), np.arange(spec.dim)):
         raise ValueError(f"bit_of_coordinate must be a permutation of range({spec.dim})")
     # the monomial of an index tuple is the character of the bits its
-    # indices set an odd number of times (repeated pairs square to 1)
-    single = np.left_shift(1, bit_of_coordinate)
-    masks = np.zeros((), dtype=np.int64)
-    for _ in range(spec.order):
-        masks = np.bitwise_xor.outer(masks, single)
-    masks = masks.ravel()
+    # indices set an odd number of times (repeated pairs square to 1); the
+    # XORs start from each row's offset r << dim, above every index bit, so
+    # row r of a block folds into bins [r << dim, (r + 1) << dim)
     total = 1 << spec.dim
-    for coeffs in field.coeffs.reshape(spec.n_out, -1):
-        values = np.bincount(masks, weights=coeffs, minlength=total)
+    rows = min(spec.n_out, max(1, _BLOCK_FLOATS >> spec.dim))
+    single = np.left_shift(1, bit_of_coordinate)
+    bins = np.arange(rows) << spec.dim
+    for _ in range(spec.order):
+        bins = np.bitwise_xor.outer(bins, single)
+    bins = bins.ravel()
+    coeffs = field.coeffs.reshape(spec.n_out, -1)
+    first = min(_HADAMARD_BITS, spec.dim)
+    for lo in range(0, spec.n_out, rows):
+        block = coeffs[lo : lo + rows]
+        m = len(block)
+        values = np.bincount(bins[: block.size], weights=block.ravel(), minlength=m * total)
         # per bit, a set holding the bit has character -1 or +1 as the
         # pattern bit is 0 or 1, and a set without it has +1: H maps the
         # pair (without, with) to (bit 0, bit 1).  The lowest group is one
         # product against the rows of a 2-d view, which is faster than a
         # batch of matrix-vector products.
-        done = min(_HADAMARD_BITS, spec.dim)
-        values = values.reshape(-1, 1 << done) @ _hadamard(done).T
+        values = values.reshape(-1, 1 << first) @ _hadamard(first).T
+        done = first
         while done < spec.dim:
             bits = min(_HADAMARD_BITS, spec.dim - done)
             values = np.matmul(_hadamard(bits), values.reshape(-1, 1 << bits, 1 << done))
             done += bits
-        values = values.reshape(total)
+        values = values.reshape(m, total)
         values *= field.scale
         yield values
 

@@ -23,8 +23,8 @@ from .channel import LOG2
 from .codec import (
     BinningPlan,
     CodecConfig,
-    DEFAULT_ENUM_BUDGET,
     _check_artifacts,
+    _check_enum_budget,
     build_binning,
     decode,
     encode,
@@ -242,6 +242,7 @@ def run_experiment(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_enum_budget(cfg.k_tot)
     started = time.perf_counter()
 
     frozen_field = _trial_field(cfg, 0) if freeze_field else None
@@ -285,12 +286,14 @@ def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
     Bit ``b`` of the pattern (1 meaning +1) sets concatenation slot ``b``:
     key slots first, then message slots.  Row ``p`` holds the field output
     for the permuted vector of pattern ``p``.  The outputs of
-    :func:`field.enumerate_outputs` are stacked column by column, so only
-    one of them is held beside the table.
+    :func:`field.enumerate_outputs` are written block by block into its
+    columns, so only one block is held beside the table.
     """
     table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
-    for o, values in enumerate(enumerate_outputs(fld, np.argsort(plan.permutation))):
-        table[:, o] = values
+    lo = 0
+    for block in enumerate_outputs(fld, np.argsort(plan.permutation)):
+        table[:, lo : lo + len(block)] = block.T
+        lo += len(block)
     return table
 
 
@@ -368,11 +371,7 @@ def estimate_leakage(
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     k, k_tilde = cfg.k, cfg.k_tilde
     dim = k + k_tilde
-    if dim > DEFAULT_ENUM_BUDGET:
-        raise BudgetError(
-            f"exact posteriors need 2**{dim} enumeration; "
-            f"budget is 2**{DEFAULT_ENUM_BUDGET}"
-        )
+    _check_enum_budget(dim)
     if (1 << dim) * cfg.n > _TABLE_BUDGET:
         raise BudgetError(
             f"codeword table would hold {(1 << dim) * cfg.n} floats; "

@@ -256,6 +256,17 @@ class TestSimulate:
         assert code == 3
         assert "lower n, k, or k_tilde" in err
 
+    def test_message_wider_than_int64_is_budget_error(self, capsys):
+        # k = 70 once reached the message draw and failed there as a usage
+        # error ("high is out of bounds for int64")
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--n", "8", "--k", "70", "--k-tilde", "2",
+            "--sigma-b-sq", "0.01", "--sigma-e-sq", "1", "--trials", "1",
+        )
+        assert code == 3
+        assert "budget is 2**20" in err
+
     def test_units_flag_is_gone(self, capsys):
         # the report has no nat-valued field, so simulate takes no --units
         with pytest.raises(SystemExit) as exc:

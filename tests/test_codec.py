@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ class TestMessageBits:
         rng = np.random.default_rng(k)
         m = int(rng.integers(0, 2**k))
         assert bipolar_to_message(message_to_bipolar(m, k)) == m
+
+    def test_round_trip_past_64_bits(self):
+        # k = 70 puts six always-clear bits above a 64-bit message
+        for m in (0, 1, 2**63 + 12345, 2**64 - 1):
+            s = message_to_bipolar(m, 70)
+            assert np.array_equal(s[64:], -np.ones(6))
+            assert bipolar_to_message(s) == m
+        top = np.ones(70)
+        assert bipolar_to_message(top) == 2**70 - 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -284,6 +294,50 @@ class TestMmseEstimate:
         logw = -0.5 * np.einsum("ij,ij->i", resid, resid) / 0.5
         weights = np.exp(logw - logsumexp(logw))
         assert np.max(np.abs(mmse_estimate(fld, y, 0.5) - weights @ rows)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 11])
+    def test_split_marginals_match_brute_force(self, dim):
+        # odd dims split the pattern unevenly (the low half takes the extra
+        # bit); dim 1 leaves no high bits at all
+        fld = sample_field(FieldSpec(n_out=3, dim=dim, order=3, power=1.0, seed=30 + dim))
+        rng = np.random.default_rng(dim)
+        truth = rng.integers(0, 2, size=dim) * 2.0 - 1.0
+        y = evaluate(fld, truth) + rng.normal(0.0, 0.7, size=3)
+        rows = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
+        resid = y - evaluate_rows_reference(fld, rows)
+        logw = -0.5 * np.einsum("ij,ij->i", resid, resid) / 0.5
+        weights = np.exp(logw - logsumexp(logw))
+        r = mmse_estimate(fld, y, 0.5)
+        assert r.shape == (dim,)
+        assert np.max(np.abs(r - weights @ rows)) <= 1e-12
+
+    def test_block_cap_invariance(self, monkeypatch):
+        # the block cap changes only how outputs are grouped in the sums
+        spec = FieldSpec(n_out=13, dim=8, order=3, power=1.0, seed=18)
+        fld = sample_field(spec)
+        y = np.random.default_rng(19).normal(size=13)
+        whole = mmse_estimate(fld, y, 0.3)
+        for cap_rows in (1, 2, 5, 13):
+            monkeypatch.setattr(field, "_BLOCK_FLOATS", cap_rows << 8)
+            assert np.max(np.abs(mmse_estimate(fld, y, 0.3) - whole)) <= 1e-13
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # at dim 12 a block holds 2 outputs, so n_out 32 and 256 differ only
+        # in how many blocks pass through; the peak is a few of them
+        def peak(n_out):
+            fld = sample_field(FieldSpec(n_out=n_out, dim=12, order=3, power=1.0, seed=20))
+            y = np.zeros(n_out)
+            tracemalloc.start()
+            try:
+                mmse_estimate(fld, y, 1.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(32), peak(256)
+        assert large <= 1.1 * small, (small, large)
+        assert field._BLOCK_FLOATS >> 12 == 2
+        assert large <= 6 * field._BLOCK_FLOATS * 8, large
 
     def test_hadamard_group_size_invariance(self, monkeypatch):
         # the transform's group size changes only the order of the sums

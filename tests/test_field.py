@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -214,25 +215,34 @@ class TestEnumerateOutputs:
         n_out=st.integers(min_value=1, max_value=4),
         dim=st.integers(min_value=1, max_value=12),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        cap_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
     )
     # 1, 6 and 11 bits leave a partial last transform group
-    @example(order=4, n_out=1, dim=1, seed=1)
-    @example(order=3, n_out=4, dim=6, seed=6)
-    @example(order=4, n_out=2, dim=11, seed=11)
-    @example(order=2, n_out=3, dim=12, seed=12)
-    def test_matches_block_evaluate_on_every_pattern(self, order, n_out, dim, seed):
+    @example(order=4, n_out=1, dim=1, seed=1, cap_rows=None)
+    @example(order=3, n_out=4, dim=6, seed=6, cap_rows=None)
+    @example(order=4, n_out=2, dim=11, seed=11, cap_rows=None)
+    @example(order=2, n_out=3, dim=12, seed=12, cap_rows=None)
+    # the block cap splits n_out into 3 or more blocks, the last one partial
+    @example(order=3, n_out=7, dim=5, seed=5, cap_rows=2)
+    @example(order=4, n_out=8, dim=3, seed=3, cap_rows=3)
+    @example(order=2, n_out=5, dim=11, seed=4, cap_rows=2)
+    def test_matches_block_evaluate_on_every_pattern(self, order, n_out, dim, seed, cap_rows):
         fld = sample_field(FieldSpec(n_out=n_out, dim=dim, order=order, power=1.0, seed=seed))
         bit_of_coordinate = np.random.default_rng(seed).permutation(dim)
         patterns = np.arange(1 << dim)
         rows = ((patterns[:, None] >> bit_of_coordinate) & 1) * 2.0 - 1.0
-        expected = evaluate_rows_reference(fld, rows)
-        outputs = list(enumerate_outputs(fld, bit_of_coordinate))
-        assert len(outputs) == n_out
-        for o, values in enumerate(outputs):
-            assert values.shape == (1 << dim,)
-            assert np.all(
-                np.abs(values - expected[:, o]) <= 1e-12 * np.maximum(1.0, np.abs(expected[:, o]))
-            )
+        expected = evaluate_rows_reference(fld, rows).T
+        # a cap one float short of the next row leaves cap_rows rows per block
+        cap = field_module._BLOCK_FLOATS if cap_rows is None else ((cap_rows + 1) << dim) - 1
+        with mock.patch.object(field_module, "_BLOCK_FLOATS", cap):
+            blocks = list(enumerate_outputs(fld, bit_of_coordinate))
+        per_block = max(1, cap >> dim)
+        assert [len(b) for b in blocks] == [
+            min(per_block, n_out - lo) for lo in range(0, n_out, per_block)
+        ]
+        values = np.vstack(blocks)
+        assert values.shape == (n_out, 1 << dim)
+        assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
     def test_permutation_validation(self):
         fld = sample_field(FieldSpec(n_out=2, dim=3, order=2, power=1.0, seed=0))

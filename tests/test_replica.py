@@ -33,6 +33,7 @@ from oracles import (
     fixed_point_map_reference,
     fp_reference,
     mi_reference,
+    scalar_channel_fine,
     scalar_channel_mp,
     solve_overlap_reference,
 )
@@ -188,10 +189,10 @@ class TestArrayOverlaps:
 
 class TestChannelTable:
     """The certificate for the scalar-channel table: against the order-1600
-    Gauss-Hermite rule across every piece, against the 50-digit true
-    integrals at the piece ends and where the quadrature error peaks, exact
-    at 0, refusing SNRs it does not hold, cheap to call, and a build that
-    fails loudly."""
+    Gauss-Hermite rule and a step-1/32 trapezoid across every piece, against
+    the 50-digit true integrals at the piece ends and where the quadrature
+    error peaks, exact at 0, refusing SNRs it does not hold, cheap to call,
+    and a build that fails loudly."""
 
     ENDS = (0.0,) + CHANNEL_CUTS
     TOP = CHANNEL_CUTS[-1]
@@ -209,6 +210,19 @@ class TestChannelTable:
         )
         bound = 1e-14 * np.maximum(1.0, e)
         for got, ref, name in zip(self.table(e), (mi_reference(e), fp_reference(e)), "IF"):
+            err = np.abs(got - ref)
+            assert np.all(err <= bound), (name, e[np.argmax(err / bound)], err.max())
+
+    def test_matches_fine_trapezoid_across_every_piece(self):
+        # the same points against a reference within 6e-16 of the 50-digit
+        # integrals; the table is off by up to 1.2e-15 on I (near e = 71)
+        # and 6.1e-16 on F
+        e = np.concatenate(
+            [np.linspace(lo, hi, 201) for lo, hi in zip(self.ENDS, self.ENDS[1:])]
+            + [np.geomspace(1e-12, 1e-2, 50), np.linspace(self.TOP, 120.0, 201)]
+        )
+        bound = 2e-15 * np.maximum(1.0, e)
+        for got, ref, name in zip(self.table(e), scalar_channel_fine(e), "IF"):
             err = np.abs(got - ref)
             assert np.all(err <= bound), (name, e[np.argmax(err / bound)], err.max())
 

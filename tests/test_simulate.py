@@ -132,6 +132,18 @@ class TestRunExperiment:
         )
         assert abs(rep.mean_overlap - predicted) <= 0.1
 
+    def test_budget_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("field sampled before the budget check")
+
+        monkeypatch.setattr(simulate, "sample_field", no_draw)
+        for k, k_tilde in ((15, 6), (70, 2)):
+            cfg = small_cfg(n=8, k=k, k_tilde=k_tilde)
+            with pytest.raises(BudgetError, match="budget is 2\\*\\*20"):
+                run_experiment(cfg, 1)
+            with pytest.raises(BudgetError):
+                run_experiment(cfg, 1, freeze_field=True, freeze_plan=True)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_experiment(small_cfg(), 0)
@@ -257,8 +269,8 @@ class TestLeakage:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        # simulate reaches the kernel through field.evaluate
-        for module in (field, codec):
+        # codec and simulate hold their own bindings of the kernel
+        for module in (field, codec, simulate):
             monkeypatch.setattr(module, "enumerate_outputs", no_enumeration)
         cfg = small_cfg(n=4, k=15, k_tilde=6)
         assert cfg.k_tot == codec.DEFAULT_ENUM_BUDGET + 1
