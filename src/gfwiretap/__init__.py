@@ -35,7 +35,6 @@ from .field import (
     GaussianField,
     covariance_probe,
     evaluate,
-    evaluate_flipped,
     sample_field,
 )
 from .numerics import (

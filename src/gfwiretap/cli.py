@@ -405,20 +405,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv):
     """Merge config-file values under the subcommand's section; explicit
     flags override them."""
-    if "--config" not in argv:
+    # a pre-parse finds --config as argparse would: '--config=PATH' and
+    # abbreviations such as '--conf PATH' included
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        known, stripped = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        raise UsageError("--config requires a path") from None
+    if known.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config requires a path")
-    path = argv[idx + 1]
-    stripped = argv[:idx] + argv[idx + 2 :]
     if not stripped:
         raise UsageError("a subcommand is required")
     section = stripped[0]
     ini = configparser.ConfigParser()
-    read = ini.read(path)
-    if not read:
-        raise UsageError(f"cannot read config file {path!r}")
+    if not ini.read(known.config):
+        raise UsageError(f"cannot read config file {known.config!r}")
     extra: list[str] = []
     if ini.has_section(section):
         for key, value in ini.items(section):
@@ -445,8 +447,13 @@ def main(argv=None) -> int:
         print(f"gfwiretap: usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetError as exc:
-        # name the size flags of the subcommand that ran
-        if args.subcommand == "field-check":
+        # name the size flags of the subcommand that ran, or its sample
+        # count when the error names that
+        if "n_fields=" in str(exc):
+            hint = "lower --fields"
+        elif "n_samples=" in str(exc):
+            hint = "lower --samples"
+        elif args.subcommand == "field-check":
             hint = "lower --k-tot, --lambda or --n-out"
         else:
             hint = "lower n, k, or k_tilde"

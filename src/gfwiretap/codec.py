@@ -220,7 +220,7 @@ def build_binning(k: int, k_tilde: int, perm_seed: int) -> BinningPlan:
             f"{k_tilde - 1} of width {width} starts past the vector end, so "
             f"one key symbol per bin is unsatisfiable"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(int(perm_seed)))
+    rng = np.random.default_rng(int(perm_seed))
     # one bounded draw per bin, in bin order, then a shuffle of the other
     # positions: the same draws as one ``integers`` call with per-bin bounds
     # and a ``permutation``, on Python ints, which at a few positions cost

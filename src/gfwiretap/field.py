@@ -44,14 +44,14 @@ matrix product against the order-fold Kronecker powers of ``s1`` and the
 probes.  Chunking does not change the stream, so the result does not depend
 on the chunk size beyond rounding; the normal draws are most of the cost.
 
-Fields are immutable after sampling; ``evaluate``, ``evaluate_flipped`` and
-``enumerate_outputs`` are read-only and safe to call concurrently.
+Fields are immutable after sampling; ``evaluate``, ``enumerate_outputs`` and
+``evaluate_flipped`` (``evaluate`` with one input coordinate negated) are
+read-only and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +70,8 @@ __all__ = [
     "covariance_probe",
 ]
 
-#: Maximum number of materialized coefficients (~256 MiB of float64).
+#: Maximum number of materialized coefficients, and of a covariance probe's
+#: per-field products (~256 MiB of float64).
 DEFAULT_COEFF_BUDGET = 2**25
 
 #: Floats in the coefficients of one chunk of fields drawn by
@@ -136,7 +137,7 @@ def _check_budget(spec: FieldSpec) -> None:
 def sample_field(spec: FieldSpec) -> GaussianField:
     """Draw the coefficient tensor for ``spec``; deterministic per seed."""
     _check_budget(spec)
-    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
+    rng = np.random.default_rng(int(spec.seed))
     shape = (spec.n_out,) + (spec.dim,) * spec.order
     coeffs = rng.standard_normal(shape)
     coeffs.setflags(write=False)
@@ -169,11 +170,10 @@ def evaluate_flipped(
     base_output: np.ndarray,
     flip_index: int,
 ) -> np.ndarray:
-    """Output after flipping one coordinate of ``s``, updated incrementally.
+    """Output after flipping coordinate ``flip_index`` of ``s``.
 
-    ``base_output`` must equal ``evaluate(field, s)``.  Only the terms that
-    involve ``flip_index`` are recomputed (cost O(n_out * dim**(order-1))),
-    so the result matches a fresh evaluation up to ~1e-9 per entry.
+    ``base_output`` must equal ``evaluate(field, s)``; its shape is checked,
+    and the result is ``evaluate`` at the flipped vector.
     """
     spec = field.spec
     s = _check_bipolar(s, spec.dim)
@@ -184,23 +184,9 @@ def evaluate_flipped(
         raise ValueError(
             f"base_output must have shape ({spec.n_out},), got {base_output.shape}"
         )
-
-    # s' = s - d with d = 2 s_j e_j.  Expanding the multilinear contraction
-    # over which slots take d gives, for every non-empty slot subset S, a
-    # term (-2 s_j)^{|S|} times the tensor sliced at j on S and contracted
-    # with s elsewhere.
-    d = 2.0 * s[flip_index]
-    delta = np.zeros(spec.n_out)
-    for q in range(1, spec.order + 1):
-        coef = (-d) ** q
-        for subset in itertools.combinations(range(spec.order), q):
-            sub = field.coeffs
-            for axis in sorted(subset, reverse=True):
-                sub = np.take(sub, flip_index, axis=1 + axis)
-            for _ in range(spec.order - q):
-                sub = sub @ s
-            delta = delta + coef * sub
-    return base_output + field.scale * delta
+    flipped = s.copy()
+    flipped[flip_index] = -flipped[flip_index]
+    return evaluate(field, flipped)
 
 
 @functools.cache
@@ -285,6 +271,13 @@ def covariance_probe(
     _check_budget(spec)
     s1 = _check_bipolar(s1, spec.dim)
     probes = [_check_bipolar(s2, spec.dim) for s2 in s2_list]
+    products = 2 * len(probes) * n_fields
+    if products > DEFAULT_COEFF_BUDGET:
+        raise BudgetError(
+            f"covariance probe would hold {products} products "
+            f"(n_fields={n_fields}, {len(probes)} probes); "
+            f"budget is {DEFAULT_COEFF_BUDGET}"
+        )
     # row r of `powers` is the order-fold Kronecker power of input r (s1
     # first, the probes after), so a flattened coefficient row dotted with
     # it is that output's full contraction at input r
@@ -295,7 +288,7 @@ def covariance_probe(
     scale = math.sqrt(spec.power / spec.dim**spec.order)
 
     seed = spec.seed if seed is None else seed
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(int(seed))
     chunk = max(1, _CHUNK_FLOATS // spec.coeff_count)
     same = np.empty((len(probes), n_fields))
     cross = np.empty((len(probes), n_fields))

@@ -4,7 +4,7 @@ exact-posterior leakage estimation at enumerable sizes, returned as values
 
 Per-trial randomness is derived by seeding a fresh generator from
 ``(seed, trial_id, stream_tag)``, so trials are independent units of work
-and results do not depend on execution order or thread count.  Asymptotic
+and results do not depend on the order in which they run.  Asymptotic
 claims (vanishing error, vanishing leakage) are not desk-scale observables;
 this module asserts the finite-size identities and bounds instead and
 reports asymptotic predictions only as annotated references.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -53,7 +52,8 @@ _TAG_PERM = 4
 _TAG_LEAK_INPUT = 5
 _TAG_LEAK_NOISE = 6
 
-#: Memory guard for the leakage estimator's codeword table (floats).
+#: Memory guard for the leakage estimator's codeword table, and for its
+#: sample arrays (floats).
 _TABLE_BUDGET = 2**26
 #: Caps on one leakage scoring block: log-likelihood floats held at once,
 #: and multiply-adds in its matrix product.  OpenBLAS, numpy's default BLAS,
@@ -65,9 +65,7 @@ _SCORE_MADDS = 2**19 - 1
 
 
 def _stream(seed: int, trial_id: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed), int(trial_id), int(tag)))
-    )
+    return np.random.default_rng((int(seed), int(trial_id), int(tag)))
 
 
 def _derived_seed(seed: int, trial_id: int, tag: int) -> int:
@@ -235,30 +233,24 @@ def run_experiment(
 
     By default the field and the binning permutation are resampled per trial
     (averaging over encoder realizations); the freeze flags pin them to the
-    trial-0 realization instead.  ``threads`` workers share the trials; the
-    report does not depend on it.
+    trial-0 realization instead.  Trials run one after another.  ``threads``
+    must be 1: the keyword stays only until the benchmark stops passing it
+    (ROADMAP item 1).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     _check_enum_budget(cfg.k_tot)
     started = time.perf_counter()
 
     frozen_field = _trial_field(cfg, 0) if freeze_field else None
     frozen_plan = _trial_plan(cfg, 0) if freeze_plan else None
-
-    def one(trial_id: int) -> TrialRecord:
+    trials = []
+    for trial_id in range(n_trials):
         fld = frozen_field if frozen_field is not None else _trial_field(cfg, trial_id)
         plan = frozen_plan if frozen_plan is not None else _trial_plan(cfg, trial_id)
-        return run_trial(cfg, fld, plan, trial_id)
-
-    ids = range(n_trials)
-    if threads == 1:
-        trials = tuple(one(i) for i in ids)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trials = tuple(pool.map(one, ids))
+        trials.append(run_trial(cfg, fld, plan, trial_id))
 
     flip = np.array([t.flip_fraction for t in trials])
     overlap = np.array([t.overlap for t in trials])
@@ -270,7 +262,7 @@ def run_experiment(
         n_trials=n_trials,
         freeze_field=freeze_field,
         freeze_plan=freeze_plan,
-        trials=trials,
+        trials=tuple(trials),
         message_error_rate=sum(t.decoded != t.message for t in trials) / n_trials,
         mean_flip_fraction=mean_f,
         mean_flip_fraction_se=se_f,
@@ -372,11 +364,13 @@ def estimate_leakage(
     k, k_tilde = cfg.k, cfg.k_tilde
     dim = k + k_tilde
     _check_enum_budget(dim)
-    if (1 << dim) * cfg.n > _TABLE_BUDGET:
-        raise BudgetError(
-            f"codeword table would hold {(1 << dim) * cfg.n} floats; "
-            f"budget is {_TABLE_BUDGET}"
-        )
+    # the samples hold their noisy codewords, scoring rows and temporaries
+    for what, floats in (
+        ("codeword table", (1 << dim) * cfg.n),
+        (f"leakage samples (n_samples={n_samples}, n={cfg.n})", n_samples * 3 * (cfg.n + 4)),
+    ):
+        if floats > _TABLE_BUDGET:
+            raise BudgetError(f"{what} would hold {floats} floats; budget is {_TABLE_BUDGET}")
 
     table = _codeword_table(fld, plan)
 

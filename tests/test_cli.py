@@ -6,6 +6,7 @@ import pytest
 
 import gfwiretap
 from gfwiretap import cli, numerics, replica
+from gfwiretap import field as field_module, simulate as simulate_module
 from gfwiretap.cli import _build_parser, main
 from gfwiretap.simulate import estimate_leakage
 
@@ -290,6 +291,23 @@ class TestSimulate:
 
 
 class TestLeakageCommand:
+    def test_sample_count_over_budget_names_samples(self, capsys, monkeypatch):
+        # 100 samples * 3 * (8 + 4) floats exceed a 1000-float budget, while
+        # the 16 * 8-float codeword table fits; refused before the table
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("leakage built its table before its budget check")
+
+        monkeypatch.setattr(simulate_module, "enumerate_outputs", no_enumeration)
+        monkeypatch.setattr(simulate_module, "_TABLE_BUDGET", 1000)
+        code, _, err = run_cli(
+            capsys,
+            "leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
+            "--sigma-e-sq", "1", "--samples", "100",
+        )
+        assert code == 3
+        assert "n_samples=100" in err
+        assert "(lower --samples)" in err
+
     def test_reports_three_estimates_and_chain(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -389,6 +407,19 @@ class TestFieldCheck:
             assert theory == pytest.approx(u**3, abs=1e-15)
             assert abs(emp - theory) <= 3.0 * se
             assert abs(cross) <= 3.0 * cross_se
+
+    def test_field_count_over_budget_names_fields(self, capsys, monkeypatch):
+        # 5 probes * 2 products * 1000 fields exceed a 5000-float budget,
+        # while the field's 1024 coefficients fit
+        def no_draws(*args, **kwargs):
+            raise AssertionError("field-check drew before its budget check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(field_module, "DEFAULT_COEFF_BUDGET", 5000)
+        code, _, err = run_cli(capsys, "field-check", "--fields", "1000")
+        assert code == 3
+        assert "n_fields=1000" in err
+        assert "(lower --fields)" in err
 
     def test_budget_exceeded_names_field_check_flags(self, capsys, monkeypatch):
         # 2 * 64**5 = 2**31 coefficients per field: refused before any draw
@@ -494,6 +525,31 @@ class TestConfigFile:
         code, second, _ = run_cli(capsys, "--config", str(ini), argv[0])
         assert code == 0
         assert strip_generated(second) == strip_generated(first)
+
+    @pytest.mark.parametrize(
+        "config_args",
+        [lambda ini: [f"--config={ini}"], lambda ini: ["--conf", str(ini)]],
+        ids=["equals-form", "abbreviation"],
+    )
+    def test_config_flag_forms_rerun_a_header(self, capsys, tmp_path, config_args):
+        # argparse accepts both forms; a config file they name must not be
+        # ignored
+        argv = ("critical-rate", "--tol", "0.02")
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0
+        params = [
+            l[len("# param "):] for l in first.splitlines() if l.startswith("# param ")
+        ]
+        ini = tmp_path / "rerun.ini"
+        ini.write_text("[critical-rate]\n" + "\n".join(params) + "\n")
+        code, second, _ = run_cli(capsys, *config_args(ini), "critical-rate")
+        assert code == 0
+        assert strip_generated(second) == strip_generated(first)
+
+    def test_config_without_path_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "critical-rate", "--config")
+        assert code == 2
+        assert "--config requires a path" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.ini", "replica-scan")

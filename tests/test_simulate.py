@@ -91,12 +91,19 @@ class TestRunExperiment:
             t.flip_fraction > 0 for t in report.trials
         ) / len(report.trials)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         cfg = small_cfg(sigma_b_sq=0.3)
         a = run_experiment(cfg, 12)
         b = run_experiment(cfg, 12)
-        c = run_experiment(cfg, 12, threads=3)
-        assert a == b == c  # wall_clock_s excluded from comparison
+        assert a == b  # wall_clock_s excluded from comparison
+
+    def test_threads_other_than_one_refused_before_sampling(self, monkeypatch):
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was sampled before threads was checked")
+
+        monkeypatch.setattr(simulate, "sample_field", no_fields)
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_experiment(small_cfg(), 3, threads=2)
 
     def test_freeze_flags_deterministic(self):
         cfg = small_cfg(sigma_b_sq=0.3)

@@ -1,13 +1,24 @@
 """Smoke tests for the demo scripts, the README's commands, the package's
 export lists, its version, its declared dependencies and its import
-footprint.
+footprint, and golden-output checks of the demos and README commands.
 
 No other test runs the demos or the README examples, so an API change they
 depend on would otherwise go unnoticed; a stale ``__all__`` entry fails only
 on a star import.
+
+Each README command's output file and each demo's stdout is compared byte
+for byte with its copy under ``tests/golden/``, apart from the
+``# generated:`` line.  Floats are reproducible only under the versions a
+golden file records on its ``# versions:`` line (a demo's golden file starts
+with that line).  Under other versions the comparison is skipped, with both
+lines in the skip reason, so the report shows it rather than passing.  A
+change that moves values on purpose regenerates the files with
+``PYTHONPATH=src python tests/test_tooling.py``.
 """
 
 import ast
+import contextlib
+import io
 import os
 import pathlib
 import pkgutil
@@ -21,19 +32,51 @@ import pytest
 
 import gfwiretap
 from gfwiretap import cli
+from gfwiretap._version import versions_line
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 MODULES = ["gfwiretap"] + [
     f"gfwiretap.{info.name}" for info in pkgutil.iter_modules(gfwiretap.__path__)
 ]
 
 
+def demo_output(path) -> str:
+    """The demo's stdout, after the ``# versions:`` line of this run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        # run_path compiles the source directly and writes no bytecode cache
+        runpy.run_path(str(path), run_name="__main__")
+    return f"# {versions_line()}\n{out.getvalue()}"
+
+
+def demo_golden(path) -> pathlib.Path:
+    return GOLDEN / "demos" / f"{path.stem}.txt"
+
+
+def check_golden(golden: pathlib.Path, text: str) -> None:
+    """Assert ``text`` equals the golden file apart from ``# generated:``
+    lines; skip, naming both ``# versions:`` lines, when they differ."""
+    expected = golden.read_text()
+    recorded, current = (
+        next(l for l in t.splitlines() if l.startswith("# versions: "))
+        for t in (expected, text)
+    )
+    if recorded != current:
+        pytest.skip(f"{golden.name} was recorded under {recorded!r}; this run has {current!r}")
+    kept = [
+        [l for l in t.splitlines(keepends=True) if not l.startswith("# generated:")]
+        for t in (text, expected)
+    ]
+    assert kept[0] == kept[1]
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(path, capsys):
-    # run_path compiles the source directly and writes no bytecode cache
-    runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+def test_demo_runs(path):
+    text = demo_output(path)
+    assert text.count("\n") > 1
+    check_golden(demo_golden(path), text)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -51,6 +94,19 @@ def readme_commands() -> list[str]:
     return [line for line in lines if line.startswith("gfwiretap ")]
 
 
+def command_output(line: str, out: pathlib.Path) -> str:
+    """Run a README command line with ``--out out``; return the file's text."""
+    assert cli.main(shlex.split(line)[1:] + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
+def command_golden(line: str) -> pathlib.Path:
+    """``replica-scan --lambda 3 --rates 0.7:3.0:0.05`` is kept as
+    ``replica-scan_lambda_3_rates_0.7-3.0-0.05.txt``."""
+    words = [w.lstrip("-").replace(":", "-") for w in shlex.split(line)[1:]]
+    return GOLDEN / "cli" / ("_".join(words) + ".txt")
+
+
 def test_readme_covers_every_subcommand():
     subcommands = {shlex.split(line)[1] for line in readme_commands()}
     assert subcommands == {
@@ -62,13 +118,13 @@ def test_readme_covers_every_subcommand():
 def test_readme_command_parses(line, tmp_path):
     # runs the command: a removed or renamed flag makes argparse exit, and
     # a row that drifts from its column line shows in the cell count
-    out = tmp_path / "out.txt"
-    assert cli.main(shlex.split(line)[1:] + ["--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    text = command_output(line, tmp_path / "out.txt")
+    lines = text.splitlines()
     assert sum(l.startswith("# versions: ") for l in lines) == 1
     columns, *rows = [l for l in lines if not l.startswith("#")]
     assert rows
     assert {len(row.split(",")) for row in rows} == {len(columns.split(","))}
+    check_golden(command_golden(line), text)
 
 
 def test_readme_python_blocks_run(capsys):
@@ -131,3 +187,17 @@ def test_imports_match_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"gfwiretap"}
     assert third_party == declared
+
+
+if __name__ == "__main__":
+    # regenerate every golden file under the running versions
+    import tempfile
+
+    for sub in ("cli", "demos"):
+        (GOLDEN / sub).mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in readme_commands():
+            text = command_output(line, pathlib.Path(tmp) / "out.txt")
+            command_golden(line).write_text(text)
+    for path in DEMOS:
+        demo_golden(path).write_text(demo_output(path))
