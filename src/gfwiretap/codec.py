@@ -12,15 +12,15 @@ the message coordinates.
 
 Encoding and decoding of distinct frames are independent.  A decode
 enumerates the candidates through :func:`field.enumerate_outputs`, which
-yields blocks of outputs on every candidate from one fold and one fast
-Walsh-Hadamard transform per block.  The squared residuals of a block are
-summed over its outputs into one ``2**(k + k_tilde)`` array, and the
-weights are exponentiated once against its maximum.  The coordinate means
-come from two small products: the weights, viewed as a ``(2**H, 2**L)``
-matrix of the high ``H`` and low ``L = ceil((k + k_tilde) / 2)`` pattern
-bits, are summed to their column and row marginals, and each marginal
-meets a ``(bits, 2**bits)`` table of signs.  Memory is a few blocks and a
-few arrays of the candidate count, whatever ``n``.
+yields blocks of outputs on every candidate, one fast Walsh-Hadamard
+transform of the field's set coefficients per block.  The squared residuals
+of a block are summed over its outputs into one ``2**(k + k_tilde)`` array,
+and the weights are exponentiated once against its maximum.  The
+coordinate means come from two small products: the weights, viewed as a
+``(2**H, 2**L)`` matrix of the high ``H`` and low ``L = ceil((k + k_tilde)
+/ 2)`` pattern bits, are summed to their column and row marginals, and each
+marginal meets a ``(bits, 2**bits)`` table of signs.  Memory is a few
+blocks and a few arrays of the candidate count, whatever ``n``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 #: Largest total input dimension the exact decoder will enumerate: 2**20
-#: candidates take ~0.29-0.35 s and a 32-MiB peak of traced allocations per
-#: decode at n=16, order 3 (2-vCPU Xeon), and each further bit doubles both.
+#: candidates take ~0.34-0.39 s (best of 5) and a 32-MiB peak of traced
+#: allocations per decode at n=16, order 3 (2-vCPU Xeon, numpy 2.4), and each
+#: further bit doubles both.
 DEFAULT_ENUM_BUDGET = 20
 
 

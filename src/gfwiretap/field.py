@@ -1,48 +1,36 @@
 """Gaussian random fields with covariance ``power * <s1;s2>**order``.
 
 A field maps bipolar vectors of length ``dim`` to real vectors of length
-``n_out`` through an order-``order`` polynomial whose ``n_out * dim**order``
-coefficients are i.i.d. standard normal:
+``n_out``.  On the hypercube ``s_i**2 == 1``, so an order-``order``
+polynomial is a sum of characters ``chi_S(s) = prod_{i in S} s_i`` over the
+index sets ``S`` with ``|S| <= order`` and ``|S| = order (mod 2)`` (the
+support, by size and then in lexicographic order):
 
-    V_n(s) = scale * sum_{i1..iq} A[n, i1, ..., iq] * s_{i1} * ... * s_{iq}
+    V_n(s) = scale * sum_S coeffs[n, S] * chi_S(s),
+    coeffs[n, S] = sqrt(count(S)) * Z[n, S],  scale = sqrt(power / dim**order)
 
-with ``scale = sqrt(power / dim**order)``.  Over resampled coefficient
-tensors, outputs at any two inputs are jointly Gaussian with
+with i.i.d. standard normal ``Z``.  ``count(S)``, which depends on ``|S|``
+only, is the number of ordered ``order``-tuples of indices holding exactly
+the indices of ``S`` an odd number of times.  Each tuple's monomial is
+``chi_S``, so ``sum_S count(S) chi_S(s1) chi_S(s2) = (s1.s2)**order``, and
+outputs at any two inputs are jointly Gaussian over resampled fields with
 
     E[V_m(s1) V_n(s2)] = 1{m == n} * power * (<s1;s2>)**order
 
-where ``<s1;s2> = s1.s2 / dim`` is the normalized inner product.  The
-coefficient tensor is deliberately not symmetrized; the covariance law holds
-either way and the full tensor avoids multinomial bookkeeping.
+where ``<s1;s2> = s1.s2 / dim``: the law of ``dim**order`` i.i.d. tensor
+coefficients, held in ``n_out * sum_j C(dim, j)`` numbers.  At order 1 the
+support is the singletons with count 1: a linear field is a matrix.
 
-``enumerate_outputs`` gives the outputs on all ``2**dim`` inputs at once,
-in blocks of ``max(1, _BLOCK_FLOATS >> dim)`` outputs.  On the hypercube
-``s_i**2 == 1``, so each output is a multilinear polynomial: an index
-tuple's monomial reduces to the product over the indices that occur an odd
-number of times.  A block's coefficients are first folded onto those index
-sets (one ``np.bincount`` over the block, each output's sets offset by
-``2**dim`` times its row, so every sum runs in the same order as a fold of
-that output alone), and the folded rows are then taken to their values on
-every input by a fast Walsh-Hadamard transform, applied ``_HADAMARD_BITS``
-bits at a time: one matrix product for the lowest group and one batched
-product per further group, each with the Kronecker power of
-``[[1, -1], [1, 1]]``.  Cost per output is ``O(dim**order)`` for the fold
-plus ``O(2**dim * dim)`` multiply-adds for the transform, against
-``O(2**dim * dim**order)`` for evaluating every input.  Memory is a few
-blocks of at most ``_BLOCK_FLOATS`` floats, or of one ``2**dim`` row when
-that is larger, plus one fold index per coefficient of a block, whatever
-``n_out``.
-
-``covariance_probe`` samples its fields without building them.  One
-generator, seeded from the probe's ``seed``, supplies every field: field
-``i``'s coefficient tensor is the ``i``-th run of ``n_out * dim**order``
-standard normals, with the same law, shape and ``scale`` as a
-:func:`sample_field` tensor.  Fields are drawn in chunks of
-``_CHUNK_FLOATS // (n_out * dim**order)`` (at least one), one
-``(fields * n_out, dim**order)`` draw each, and a chunk is contracted in one
-matrix product against the order-fold Kronecker powers of ``s1`` and the
-probes.  Chunking does not change the stream, so the result does not depend
-on the chunk size beyond rounding; the normal draws are most of the cost.
+``_support`` builds, once per ``(dim, order)``, the table every reader
+uses: each set's indices padded to ``order`` with pairs of index 0
+(``s_0**2 == 1``), so ``prod(s[idx], axis=1)`` is every character at ``s``,
+and ``sqrt(count)`` from the walk recurrence ``W(q, odd) = odd W(q-1,
+odd-1) + (dim - odd) W(q-1, odd+1)`` in exact integers.  ``evaluate``
+meets the coefficients with the characters; ``covariance_probe`` meets
+chunks of drawn fields with the characters of its inputs times
+``sqrt(count)``; ``enumerate_outputs`` writes blocks of coefficients at
+their sets' bit masks and takes them to all ``2**dim`` inputs by a fast
+Walsh-Hadamard transform, ``O(2**dim * dim)`` multiply-adds an output.
 
 Fields are immutable after sampling; ``evaluate``, ``enumerate_outputs`` and
 ``evaluate_flipped`` (``evaluate`` with one input coordinate negated) are
@@ -52,6 +40,7 @@ read-only and safe to call concurrently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,8 +59,9 @@ __all__ = [
     "covariance_probe",
 ]
 
-#: Maximum number of materialized coefficients, and of a covariance probe's
-#: per-field products (~256 MiB of float64).
+#: Maximum number of materialized coefficients, of support-table indices,
+#: and of a covariance probe's per-field products (~256 MiB of 8-byte
+#: numbers each).
 DEFAULT_COEFF_BUDGET = 2**25
 
 #: Floats in the coefficients of one chunk of fields drawn by
@@ -88,6 +78,11 @@ _BLOCK_FLOATS = 2**13
 
 #: Bits of the pattern integer taken by one matrix product of the transform.
 _HADAMARD_BITS = 5
+
+
+def _set_sizes(dim: int, order: int) -> range:
+    """Sizes of the index sets in the support."""
+    return range(order % 2, min(order, dim) + 1, 2)
 
 
 @dataclass(frozen=True)
@@ -112,34 +107,59 @@ class FieldSpec:
 
     @property
     def coeff_count(self) -> int:
-        return self.n_out * self.dim**self.order
+        """Stored coefficients: ``n_out`` times the support's set count."""
+        return self.n_out * sum(math.comb(self.dim, j) for j in _set_sizes(self.dim, self.order))
 
 
 @dataclass(frozen=True)
 class GaussianField:
-    """A sampled field: spec, coefficient tensor, and output scale."""
+    """A sampled field: spec, coefficients on the support, and output scale."""
 
     spec: FieldSpec
-    coeffs: np.ndarray  # shape (n_out,) + (dim,) * order, read-only
+    coeffs: np.ndarray  # shape (n_out, sets), read-only
     scale: float
 
 
 def _check_budget(spec: FieldSpec) -> None:
     count = spec.coeff_count
-    if count > DEFAULT_COEFF_BUDGET:
+    indices = count // spec.n_out * spec.order
+    if max(count, indices) > DEFAULT_COEFF_BUDGET:
         raise BudgetError(
-            f"field would need {count} coefficients "
+            f"field would need {count} coefficients and {indices} support indices "
             f"(n_out={spec.n_out}, dim={spec.dim}, order={spec.order}); "
             f"budget is {DEFAULT_COEFF_BUDGET}"
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _support(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support as read-only ``(sets, order)`` indices, each row a set's
+    indices in increasing order then pairs of index 0, and ``sqrt(count)``."""
+    # walks[j] = W(q, j): the q-tuples that clear a set of j indices when
+    # each index toggles it; a state past dim only meets a zero factor
+    walks = [1] + [0] * order
+    for _ in range(order):
+        walks = [
+            (odd * walks[odd - 1] if odd else 0)
+            + (dim - odd) * (walks[odd + 1] if odd < order else 0)
+            for odd in range(order + 1)
+        ]
+    sizes = _set_sizes(dim, order)
+    padded = (c + (0,) * (order - j) for j in sizes for c in itertools.combinations(range(dim), j))
+    idx = np.fromiter(itertools.chain.from_iterable(padded), dtype=np.intp).reshape(-1, order)
+    root = np.repeat([math.sqrt(walks[j]) for j in sizes], [math.comb(dim, j) for j in sizes])
+    for table in (idx, root):
+        table.setflags(write=False)
+    return idx, root
+
+
 def sample_field(spec: FieldSpec) -> GaussianField:
-    """Draw the coefficient tensor for ``spec``; deterministic per seed."""
+    """Draw the coefficients for ``spec``; deterministic per seed."""
     _check_budget(spec)
+    _, root = _support(spec.dim, spec.order)
     rng = np.random.default_rng(int(spec.seed))
-    shape = (spec.n_out,) + (spec.dim,) * spec.order
-    coeffs = rng.standard_normal(shape)
+    coeffs = rng.standard_normal((spec.n_out, len(root)))
+    coeffs *= root
     coeffs.setflags(write=False)
     scale = math.sqrt(spec.power / spec.dim**spec.order)
     return GaussianField(spec=spec, coeffs=coeffs, scale=scale)
@@ -155,13 +175,10 @@ def _check_bipolar(s, dim: int) -> np.ndarray:
 
 
 def evaluate(field: GaussianField, s) -> np.ndarray:
-    """Contract the coefficient tensor against the bipolar vector ``s`` of
-    length ``dim`` in every slot, giving ``(n_out,)``."""
+    """The ``(n_out,)`` outputs at the bipolar ``s``: coefficients times characters."""
     s = _check_bipolar(s, field.spec.dim)
-    out = field.coeffs
-    for _ in range(field.spec.order):
-        out = out @ s
-    return field.scale * out
+    idx, _ = _support(field.spec.dim, field.spec.order)
+    return field.scale * (field.coeffs @ np.prod(s[idx], axis=1))
 
 
 def evaluate_flipped(
@@ -208,29 +225,24 @@ def enumerate_outputs(field: GaussianField, bit_of_coordinate):
     ``evaluate(field, s)[o]`` to rounding, for the input ``s`` with
     ``s[c] = +1`` exactly where bit ``bit_of_coordinate[c]`` of ``p`` is
     set.  ``bit_of_coordinate`` must be a permutation of ``range(dim)``.
-    Each block is freshly allocated, so callers may overwrite it.
+    Each block is freshly allocated, so callers may overwrite it; memory is
+    a few blocks, whatever ``n_out``.
     """
     spec = field.spec
     bit_of_coordinate = np.asarray(bit_of_coordinate, dtype=np.int64)
     if not np.array_equal(np.sort(bit_of_coordinate), np.arange(spec.dim)):
         raise ValueError(f"bit_of_coordinate must be a permutation of range({spec.dim})")
-    # the monomial of an index tuple is the character of the bits its
-    # indices set an odd number of times (repeated pairs square to 1); the
-    # XORs start from each row's offset r << dim, above every index bit, so
-    # row r of a block folds into bins [r << dim, (r + 1) << dim)
+    # a set's mask holds the bits of its indices; the padding pairs cancel
+    idx, _ = _support(spec.dim, spec.order)
+    masks = np.bitwise_xor.reduce(np.left_shift(1, bit_of_coordinate)[idx], axis=1)
     total = 1 << spec.dim
     rows = min(spec.n_out, max(1, _BLOCK_FLOATS >> spec.dim))
-    single = np.left_shift(1, bit_of_coordinate)
-    bins = np.arange(rows) << spec.dim
-    for _ in range(spec.order):
-        bins = np.bitwise_xor.outer(bins, single)
-    bins = bins.ravel()
-    coeffs = field.coeffs.reshape(spec.n_out, -1)
     first = min(_HADAMARD_BITS, spec.dim)
     for lo in range(0, spec.n_out, rows):
-        block = coeffs[lo : lo + rows]
+        block = field.coeffs[lo : lo + rows]
         m = len(block)
-        values = np.bincount(bins[: block.size], weights=block.ravel(), minlength=m * total)
+        values = np.zeros((m, total))
+        values[:, masks] = block
         # per bit, a set holding the bit has character -1 or +1 as the
         # pattern bit is 0 or 1, and a set without it has +1: H maps the
         # pair (without, with) to (bit 0, bit 1).  The lowest group is one
@@ -261,7 +273,8 @@ def covariance_probe(
     ``V_0(s1) V_1(s2)`` (hence ``spec.n_out`` must be >= 2), and returns a
     list of ``(mean_same, se_same, mean_cross, se_cross)`` tuples.  The
     fields come from one standard-normal stream of ``seed``: field ``i``'s
-    coefficient tensor is the ``i``-th run of ``spec.coeff_count`` draws.
+    coefficients are the ``i``-th run of ``spec.coeff_count`` draws, each
+    times its set's ``sqrt(count)``.
     ``seed`` defaults to ``spec.seed``; when both are given, ``seed`` wins.
     """
     if spec.n_out < 2:
@@ -278,37 +291,24 @@ def covariance_probe(
             f"(n_fields={n_fields}, {len(probes)} probes); "
             f"budget is {DEFAULT_COEFF_BUDGET}"
         )
-    # row r of `powers` is the order-fold Kronecker power of input r (s1
-    # first, the probes after), so a flattened coefficient row dotted with
-    # it is that output's full contraction at input r
-    rows = np.vstack([s1] + probes)
-    powers = np.ones((len(rows), 1))
-    for _ in range(spec.order):
-        powers = (powers[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    # row r of `chars` is every set's character at input r (s1 first, the
+    # probes after) times sqrt(count), so a row of normals dotted with it
+    # is that output at input r
+    idx, root = _support(spec.dim, spec.order)
+    chars = np.prod(np.vstack([s1] + probes)[:, idx], axis=2) * root
     scale = math.sqrt(spec.power / spec.dim**spec.order)
-
-    seed = spec.seed if seed is None else seed
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(int(spec.seed if seed is None else seed))
     chunk = max(1, _CHUNK_FLOATS // spec.coeff_count)
     same = np.empty((len(probes), n_fields))
     cross = np.empty((len(probes), n_fields))
     for lo in range(0, n_fields, chunk):
         m = min(chunk, n_fields - lo)
-        coeffs = rng.standard_normal((m * spec.n_out, powers.shape[1]))
-        v = (coeffs @ powers.T).reshape(m, spec.n_out, -1)
+        coeffs = rng.standard_normal((m * spec.n_out, len(root)))
+        v = (coeffs @ chars.T).reshape(m, spec.n_out, -1)
         v *= scale
         same[:, lo : lo + m] = (v[:, 0, :1] * v[:, 0, 1:]).T
         cross[:, lo : lo + m] = (v[:, 0, :1] * v[:, 1, 1:]).T
 
-    results = []
     root_n = math.sqrt(n_fields)
-    for j in range(len(probes)):
-        results.append(
-            (
-                float(same[j].mean()),
-                float(same[j].std(ddof=1) / root_n),
-                float(cross[j].mean()),
-                float(cross[j].std(ddof=1) / root_n),
-            )
-        )
-    return results
+    mean_se = lambda x: (float(x.mean()), float(x.std(ddof=1) / root_n))
+    return [mean_se(a) + mean_se(b) for a, b in zip(same, cross)]

@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 # Stream tags feeding the per-trial generator derivation.
-_TAG_MESSAGE = 0
-_TAG_KEY = 1
+_TAG_MESSAGE = 0  # the message, then the key
 _TAG_NOISE = 2
 _TAG_FIELD = 3
 _TAG_PERM = 4
@@ -191,13 +190,12 @@ def run_trial(
     plan: BinningPlan,
     trial_id: int,
 ) -> TrialRecord:
-    """Sample message and key, encode, transmit to the receiver, decode."""
-    rng_msg = _stream(cfg.key_seed, trial_id, _TAG_MESSAGE)
-    rng_key = _stream(cfg.key_seed, trial_id, _TAG_KEY)
+    """Draw message, then key, from one stream; encode, transmit, decode."""
+    rng_input = _stream(cfg.key_seed, trial_id, _TAG_MESSAGE)
     rng_noise = _stream(cfg.noise_seed, trial_id, _TAG_NOISE)
 
-    m = int(rng_msg.integers(0, 2**cfg.k))
-    key = random_key(cfg.k_tilde, rng_key)
+    m = int(rng_input.integers(0, 2**cfg.k))
+    key = random_key(cfg.k_tilde, rng_input)
     frame = encode(cfg, fld, plan, m, key)
     y = transmit(frame.x, cfg.sigma_b_sq, rng_noise)
     r_tilde = mmse_estimate(fld, y, cfg.sigma_b_sq)

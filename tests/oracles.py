@@ -241,31 +241,48 @@ def solve_overlap_reference(cfg):
 #: Candidates per block of sign rows in ``codeword_table_reference``.
 _PATTERN_BLOCK = 2**14
 
-#: Floats in the first product's intermediate for one chunk of rows in
+#: Floats in the characters of one chunk of rows in
 #: ``evaluate_rows_reference``.
 _ROW_CHUNK_FLOATS = 2**15
+
+
+@functools.cache
+def support_reference(dim, order):
+    """The field's index sets and their counts, by folding every index tuple.
+
+    Each of the ``dim**order`` ordered index tuples is reduced to the set of
+    indices it holds an odd number of times (``s_i**2 == 1``).  Returns the
+    sets that occur, by size and then in lexicographic order, with the
+    number of tuples that reduce to each.
+    """
+    tuples = np.indices((dim,) * order).reshape(order, -1)
+    masks, counts = np.unique(
+        np.bitwise_xor.reduce(np.left_shift(1, tuples), axis=0), return_counts=True
+    )
+    found = {
+        tuple(i for i in range(dim) if mask >> i & 1): int(c)
+        for mask, c in zip(masks.tolist(), counts)
+    }
+    sets = sorted(found, key=lambda s: (len(s), s))
+    return sets, [found[s] for s in sets]
 
 
 def evaluate_rows_reference(fld, rows):
     """``field.evaluate`` of every row of a ``(B, dim)`` block, as ``(B, n_out)``.
 
-    Contracts slot by slot, sharing no code with the Walsh-Hadamard
-    enumeration: one matrix product of the rows against the coefficients
-    flattened to ``(n_out * dim**(order-1), dim)``, then ``order - 1``
-    batched matrix-vector products, each with the row's own input.  Rows
-    are walked in chunks so the intermediate stays near
-    ``_ROW_CHUNK_FLOATS`` floats.
+    Builds each set's character column by column from ``support_reference``,
+    sharing no code with the field's support table or its Walsh-Hadamard
+    enumeration, and meets them with the coefficients in one matrix product
+    per chunk of rows.  Rows are walked in chunks so the characters stay
+    near ``_ROW_CHUNK_FLOATS`` floats.
     """
-    dim = fld.spec.dim
-    flat = fld.coeffs.reshape(-1, dim)
-    chunk = max(1, _ROW_CHUNK_FLOATS // flat.shape[0])
+    sets, _ = support_reference(fld.spec.dim, fld.spec.order)
+    chunk = max(1, _ROW_CHUNK_FLOATS // len(sets))
     out = np.empty((len(rows), fld.spec.n_out))
     for lo in range(0, len(rows), chunk):
         block = rows[lo : lo + chunk]
-        t = block @ flat.T
-        for _ in range(fld.spec.order - 1):
-            t = np.matmul(t.reshape(len(block), -1, dim), block[:, :, None])[..., 0]
-        out[lo : lo + chunk] = t
+        chars = np.column_stack([np.prod(block[:, list(s)], axis=1) for s in sets])
+        out[lo : lo + chunk] = chars @ fld.coeffs.T
     return fld.scale * out
 
 
@@ -377,28 +394,28 @@ def leakage_terms_reference(cfg, table, n_samples):
 
 
 def covariance_probe_reference(spec, s1, s2_list, n_fields, seed):
-    """``covariance_probe`` as one 1-D evaluation per probe and field.
+    """``covariance_probe`` as one field at a time, by ``evaluate_rows_reference``.
 
-    The per-field loop the chunked draw replaced: each field's coefficient
-    tensor is drawn on its own from the probe's single stream of ``seed``,
-    wrapped as a :class:`GaussianField`, and ``s1`` and each probe are
-    evaluated one at a time before the same-output and cross-output
-    products are averaged.
+    The per-field loop the chunked draw replaced: each field's coefficients
+    are drawn on their own from the probe's single stream of ``seed``, one
+    standard normal per output and set of ``support_reference`` times the
+    square root of its count, and ``s1`` and the probes are evaluated as
+    rows before the same-output and cross-output products are averaged.
     """
-    from gfwiretap.field import GaussianField, evaluate
+    from gfwiretap.field import GaussianField
 
+    sets, counts = support_reference(spec.dim, spec.order)
+    root = np.sqrt(np.array(counts, dtype=float))
+    rows = np.array([s1] + list(s2_list), dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     scale = math.sqrt(spec.power / spec.dim**spec.order)
     same = np.empty((len(s2_list), n_fields))
     cross = np.empty((len(s2_list), n_fields))
     for i in range(n_fields):
-        coeffs = rng.standard_normal((spec.n_out,) + (spec.dim,) * spec.order)
-        field = GaussianField(spec=spec, coeffs=coeffs, scale=scale)
-        v1 = evaluate(field, np.asarray(s1, dtype=float))
-        for j, s2 in enumerate(s2_list):
-            v2 = evaluate(field, np.asarray(s2, dtype=float))
-            same[j, i] = v1[0] * v2[0]
-            cross[j, i] = v1[0] * v2[1]
+        coeffs = rng.standard_normal((spec.n_out, len(sets))) * root
+        v = evaluate_rows_reference(GaussianField(spec=spec, coeffs=coeffs, scale=scale), rows)
+        same[:, i] = v[0, 0] * v[1:, 0]
+        cross[:, i] = v[0, 0] * v[1:, 1]
     root_n = math.sqrt(n_fields)
     return [
         (

@@ -410,7 +410,7 @@ class TestFieldCheck:
 
     def test_field_count_over_budget_names_fields(self, capsys, monkeypatch):
         # 5 probes * 2 products * 1000 fields exceed a 5000-float budget,
-        # while the field's 1024 coefficients fit
+        # while the field's 128 coefficients fit
         def no_draws(*args, **kwargs):
             raise AssertionError("field-check drew before its budget check")
 
@@ -422,12 +422,13 @@ class TestFieldCheck:
         assert "(lower --fields)" in err
 
     def test_budget_exceeded_names_field_check_flags(self, capsys, monkeypatch):
-        # 2 * 64**5 = 2**31 coefficients per field: refused before any draw
+        # 2 * (C(128, 5) + C(128, 3) + 128) = 529 815 808 coefficients per
+        # field: refused before any draw
         def no_draws(*args, **kwargs):
             raise AssertionError("field-check drew before its budget check")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        code, _, err = run_cli(capsys, "field-check", "--k-tot", "64", "--lambda", "5")
+        code, _, err = run_cli(capsys, "field-check", "--k-tot", "128", "--lambda", "5")
         assert code == 3
         assert "(lower --k-tot, --lambda or --n-out)" in err
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from gfwiretap.field import (
     evaluate_flipped,
     sample_field,
 )
-from oracles import covariance_probe_reference, evaluate_rows_reference
+from oracles import covariance_probe_reference, evaluate_rows_reference, support_reference
 
 
 def bipolar(rng, dim):
@@ -32,20 +33,42 @@ class TestSampling:
         assert not np.array_equal(a.coeffs, other.coeffs)
 
     def test_shapes_and_scale(self):
+        # order 3 on 4 inputs: 4 singletons and 4 triples per output
         spec = FieldSpec(n_out=3, dim=4, order=3, power=2.0, seed=0)
         fld = sample_field(spec)
-        assert fld.coeffs.shape == (3, 4, 4, 4)
+        assert fld.coeffs.shape == (3, 8)
+        assert spec.coeff_count == 24
         assert fld.scale == pytest.approx(math.sqrt(2.0 / 4**3))
 
     def test_coefficients_standard_normal(self):
+        # each set's coefficients are sqrt(count) times standard normals
         spec = FieldSpec(n_out=8, dim=8, order=2, power=1.0, seed=7)
-        c = sample_field(spec).coeffs.ravel()
+        _, counts = support_reference(8, 2)
+        c = (sample_field(spec).coeffs / np.sqrt(counts)).ravel()
         assert abs(c.mean()) <= 4.0 / math.sqrt(c.size)
         assert abs(c.std() - 1.0) <= 4.0 / math.sqrt(c.size)
 
     def test_budget_error_names_count(self):
-        spec = FieldSpec(n_out=64, dim=32, order=5, power=1.0, seed=0)
+        # 64 * (C(64, 5) + C(64, 3) + 64) = 490 639 360 coefficients
+        spec = FieldSpec(n_out=64, dim=64, order=5, power=1.0, seed=0)
         with pytest.raises(BudgetError, match=str(spec.coeff_count)):
+            sample_field(spec)
+
+    def test_huge_spec_refused_before_building_the_support(self):
+        # ~8.3e22 sets: counted by binomials, never enumerated
+        spec = FieldSpec(n_out=1, dim=10**5, order=5, power=1.0, seed=0)
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match=str(spec.coeff_count)):
+            sample_field(spec)
+        assert time.perf_counter() - started < 0.5
+        assert spec.coeff_count == sum(math.comb(10**5, j) for j in (1, 3, 5))
+
+    def test_budget_bounds_support_indices(self):
+        # one output on C(64,5) + C(64,3) + 64 sets fits as coefficients,
+        # but not as five indices a set
+        spec = FieldSpec(n_out=1, dim=64, order=5, power=1.0, seed=0)
+        assert spec.coeff_count <= field_module.DEFAULT_COEFF_BUDGET
+        with pytest.raises(BudgetError, match=str(5 * spec.coeff_count)):
             sample_field(spec)
 
     def test_spec_validation(self):
@@ -64,10 +87,45 @@ class TestSampling:
             fld.coeffs[0, 0] = 0.0
 
 
+class TestSupport:
+    ORDERS_AND_DIMS = [(order, dim) for order in range(1, 7) for dim in range(1, 9)]
+
+    @pytest.mark.parametrize("order,dim", ORDERS_AND_DIMS)
+    def test_character_sum_is_inner_product_power(self, order, dim):
+        # sum_S count(S) chi_S(s1) chi_S(s2) == (s1.s2)**order, exactly,
+        # over every pair of inputs
+        idx, root = field_module._support(dim, order)
+        counts = np.rint(root**2).astype(np.int64)
+        inputs = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2 - 1
+        chars = np.prod(inputs[:, idx], axis=2)
+        assert np.array_equal((chars * counts) @ chars.T, (inputs @ inputs.T) ** order)
+
+    @pytest.mark.parametrize("order,dim", ORDERS_AND_DIMS)
+    def test_counts_match_brute_force_fold(self, order, dim):
+        sets, counts = support_reference(dim, order)
+        idx, root = field_module._support(dim, order)
+        # each row's set is the indices it holds an odd number of times
+        odd = [tuple(sorted(i for i in set(row) if row.count(i) % 2)) for row in idx.tolist()]
+        assert odd == sets
+        assert np.rint(root**2).astype(np.int64).tolist() == counts
+        assert np.array_equal(root, np.sqrt(counts))
+        assert FieldSpec(1, dim, order, 1.0, 0).coeff_count == len(sets)
+
+    def test_tables_are_read_only_and_cache_is_bounded(self):
+        idx, root = field_module._support(6, 3)
+        for table in (idx, root):
+            with pytest.raises(ValueError):
+                table[0] = 1
+        assert field_module._support.cache_info().maxsize is not None
+
+
 class TestEvaluate:
     def test_linear_case_is_matrix_product(self):
+        # order 1: the support is the singletons with count 1, so the
+        # coefficients are the seed's first (n_out, dim) normals
         spec = FieldSpec(n_out=6, dim=5, order=1, power=1.0, seed=3)
         fld = sample_field(spec)
+        assert np.array_equal(fld.coeffs, np.random.default_rng(3).standard_normal((6, 5)))
         rng = np.random.default_rng(0)
         s = bipolar(rng, 5)
         expected = fld.scale * (fld.coeffs @ s)
@@ -194,12 +252,13 @@ class TestCovarianceLaw:
             raise AssertionError("covariance_probe drew before its budget check")
 
         monkeypatch.setattr(field_module.np.random, "default_rng", no_draws)
-        # 2 * 64**5 = 2**31 coefficients per field, over the 2**25 budget
-        spec = FieldSpec(n_out=2, dim=64, order=5, power=1.0, seed=0)
+        # 2 * (C(128, 5) + C(128, 3) + 128) = 529 815 808 coefficients per
+        # field, over the 2**25 budget
+        spec = FieldSpec(n_out=2, dim=128, order=5, power=1.0, seed=0)
         with pytest.raises(BudgetError) as want:
             sample_field(spec)
         with pytest.raises(BudgetError) as got:
-            covariance_probe(spec, np.ones(64), [np.ones(64)], 100, 0)
+            covariance_probe(spec, np.ones(128), [np.ones(128)], 100, 0)
         assert str(got.value) == str(want.value)
 
     def test_probe_validation(self):
