@@ -54,13 +54,20 @@ _TAG_LEAK_NOISE = 6
 #: Memory guard for the leakage estimator's codeword table, and for its
 #: sample arrays (floats).
 _TABLE_BUDGET = 2**26
-#: Caps on one leakage scoring block: log-likelihood floats held at once,
-#: and multiply-adds in its matrix product.  OpenBLAS, numpy's default BLAS,
-#: runs a product of fewer than 2**19 multiply-adds on one thread; at this
-#: size a two-thread product measured slower, and several times slower
-#: while another process held a core.
+#: Caps on one leakage scoring block: shifted log-likelihood floats in the
+#: buffer that every block's product is written into, and multiply-adds in
+#: that product.  A buffer allocated per block page-faults on every block.
+#: OpenBLAS, numpy's default BLAS, runs a product of fewer than 2**19
+#: multiply-adds on one thread; at this size a two-thread product measured
+#: slower, and several times slower while another process held a core.
 _SCORE_FLOATS = 2**15
 _SCORE_MADDS = 2**19 - 1
+#: Largest distance ``W`` (nats) from a sample to its own codeword at which
+#: the scorer shifts by the own log-likelihood: shifted entries are at most
+#: ``W``, and ``e**600 * 2**20`` is far below the largest double.  Farther
+#: samples shift by their row maximum.  ``W`` is ``chi2_n / 2`` whatever the
+#: noise variance, so only ``n`` above ~1100 reaches it.
+_FAR_NATS = 600.0
 
 
 def _stream(seed: int, trial_id: int, tag: int) -> np.random.Generator:
@@ -305,36 +312,64 @@ def _leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq):
 
     Sample ``i`` is the observation ``ys[i]`` of pattern ``patterns[i]``;
     ``table`` holds the codeword of every pattern ``(message << k_tilde) |
-    key``.  Each block of samples is one matrix product against every
-    codeword, so memory beyond the table and the samples is one block of
-    at most ``2**15`` floats, or one sample's row when ``2**dim`` is larger.
+    key``.  Each sample's log-likelihoods are shifted by its own codeword's,
+    ``-W_i`` with ``W_i = |y_i - t_{p_i}|^2 / (2 sigma_sq)``, folded into the
+    constant column of its observation row.  Each block of samples is then
+    one matrix product into a reused buffer, one in-place ``exp`` and one
+    row sum: shifted entries are at most ``W_i`` and the own entry is ~0, so
+    no sum underflows, and none overflows while ``W_i <= _FAR_NATS``.  A
+    farther sample shifts by its row maximum instead, decided per sample,
+    so no sample's terms depend on the others in its block.  The
+    own-message log-sum-exp runs on the sample's ``2**k_tilde`` slice before
+    the ``exp``.  Memory beyond the table and the samples is the shifted
+    codeword table (``n + 2`` floats per codeword), one block of at most
+    ``2**15`` floats (one sample's row when ``2**dim`` is larger) and a few
+    floats per sample.
     """
     dim = k + k_tilde
     n = table.shape[1]
     inv = 0.5 / sigma_sq
-    # log-likelihood inv * (2 y.t - |t|^2 - |y|^2) as one product of the
-    # rows [2 inv y, -1, -inv |y|^2] against the rows [t, inv |t|^2, 1]
-    codes = np.column_stack(
-        [table, inv * np.einsum("ij,ij->i", table, table), np.ones(len(table))]
+    resid = table[patterns]
+    np.subtract(ys, resid, out=resid)
+    w = inv * np.einsum("ij,ij->i", resid, resid)
+    del resid
+    # log-likelihood minus the sample's own, inv (2 y.t - |t|^2 - |y|^2) +
+    # W, as one product of the rows [2 inv y, -1, W - inv |y|^2] against the
+    # columns [t, inv |t|^2, 1]
+    codes = np.vstack(
+        [table.T, inv * np.einsum("ij,ij->i", table, table), np.ones(len(table))]
     )
     obs = np.column_stack(
-        [2.0 * inv * ys, np.full(len(ys), -1.0), -inv * np.einsum("ij,ij->i", ys, ys)]
+        [2.0 * inv * ys, np.full(len(ys), -1.0), w - inv * np.einsum("ij,ij->i", ys, ys)]
     )
+    far = w > _FAR_NATS
+    any_far = far.any()
+    key_mask = (1 << k_tilde) - 1
+    shift = np.zeros(len(ys))
+    total = np.empty(len(ys))
     lp_joint = np.empty(len(ys))
     lp_given_msg = np.empty(len(ys))
-    lp_marginal = np.empty(len(ys))
     step = _score_rows(n, dim)
+    buf = np.empty((min(step, len(ys)), 1 << dim))
+    index = np.arange(len(buf))
     for start in range(0, len(ys), step):
         block = slice(start, start + step)
-        log_like = obs[block] @ codes.T
         pattern = patterns[block]
-        rows = np.arange(len(pattern))
-        lp_joint[block] = log_like[rows, pattern]
-        by_message = log_like.reshape(-1, 1 << k, 1 << k_tilde)
-        lp_given_msg[block] = _logsumexp_rows(by_message[rows, pattern >> k_tilde])
-        lp_marginal[block] = _logsumexp_rows(log_like)
+        shifted = buf[: len(pattern)]
+        np.matmul(obs[block], codes, out=shifted)
+        rows = index[: len(pattern)]
+        own_msg = shifted.reshape(-1, 1 << k, 1 << k_tilde)[rows, pattern >> k_tilde]
+        lp_joint[block] = own_msg[rows, pattern & key_mask]
+        lp_given_msg[block] = _logsumexp_rows(own_msg)
+        if any_far and far[block].any():
+            shift[block] = np.where(far[block], shifted.max(axis=1), 0.0)
+            shifted -= shift[block, None]
+        np.exp(shifted, out=shifted)
+        shifted.sum(axis=1, out=total[block])
+    # all three less W; lp_joint is the product's own entry, ~0, so that its
+    # rounding cancels against the same entry in both sums
     lp_given_msg -= k_tilde * LOG2
-    lp_marginal -= dim * LOG2
+    lp_marginal = shift + np.log(total) - dim * LOG2
     return (
         (lp_given_msg - lp_marginal) / n,
         (lp_joint - lp_marginal) / n,
@@ -362,10 +397,13 @@ def estimate_leakage(
     k, k_tilde = cfg.k, cfg.k_tilde
     dim = k + k_tilde
     _check_enum_budget(dim)
-    # the samples hold their noisy codewords, scoring rows and temporaries
+    # per sample: three n-vectors at the peak (the codeword, the noise and
+    # their sum in transmit; then the sample, a scaled copy and its n + 2
+    # observation row in the scorer), and at most 18 floats of indices,
+    # distances, shifts, sums and terms
     for what, floats in (
         ("codeword table", (1 << dim) * cfg.n),
-        (f"leakage samples (n_samples={n_samples}, n={cfg.n})", n_samples * 3 * (cfg.n + 4)),
+        (f"leakage samples (n_samples={n_samples}, n={cfg.n})", n_samples * (3 * cfg.n + 18)),
     ):
         if floats > _TABLE_BUDGET:
             raise BudgetError(f"{what} would hold {floats} floats; budget is {_TABLE_BUDGET}")

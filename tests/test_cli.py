@@ -292,7 +292,7 @@ class TestSimulate:
 
 class TestLeakageCommand:
     def test_sample_count_over_budget_names_samples(self, capsys, monkeypatch):
-        # 100 samples * 3 * (8 + 4) floats exceed a 1000-float budget, while
+        # 100 samples * (3 * 8 + 18) floats exceed a 1000-float budget, while
         # the 16 * 8-float codeword table fits; refused before the table
         def no_enumeration(*args, **kwargs):
             raise AssertionError("leakage built its table before its budget check")

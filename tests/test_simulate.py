@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,7 +237,8 @@ class TestLeakage:
 
     def test_matches_per_sample_reference(self):
         # block seams at dim 10: a partial block, exactly one block, one
-        # block plus one sample; at dim 16 every block holds a single sample
+        # block plus one sample; at dim 16 every block holds a single sample;
+        # at n 3000 every sample is farther than _FAR_NATS from its codeword
         per_block = simulate._score_rows(8, 10)
         cases = [
             (small_cfg(n=8, k=6, k_tilde=4), n_samples)
@@ -243,6 +246,9 @@ class TestLeakage:
         ] + [(small_cfg(n=4, k=10, k_tilde=6), 2)] + [
             (small_cfg(n=8, k=6, k_tilde=4, sigma_e_sq=s2), 70)
             for s2 in (1e-2, 1.0, 1e6)
+        ] + [
+            (small_cfg(n=3000, k=1, k_tilde=1, sigma_e_sq=s2), 40)
+            for s2 in (1.0, 1e-2)
         ]
         for cfg, n_samples in cases:
             fld = _trial_field(cfg, 0)
@@ -266,6 +272,106 @@ class TestLeakage:
             assert est.n_samples == n_samples
             for name, value in expected.items():
                 assert abs(getattr(est, name) - value) <= 1e-12, (cfg, n_samples, name)
+
+    def test_far_and_near_samples_share_blocks(self):
+        # samples past _FAR_NATS from their codewords, in blocks of near
+        # ones: three with huge noise, and three observed next to the
+        # codeword farthest from their own, whose shifted entry there would
+        # overflow exp unless the sample shifts by its row maximum
+        n, k, k_tilde, sigma_sq = 8, 6, 4, 1e-2
+        cfg = small_cfg(n=n, k=k, k_tilde=k_tilde, sigma_e_sq=sigma_sq)
+        table = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        rng = np.random.default_rng(31)
+        n_samples = 70
+        patterns = rng.integers(0, 1 << (k + k_tilde), n_samples)
+        noise = rng.normal(0.0, math.sqrt(sigma_sq), size=(n_samples, n))
+        huge, swapped = [0, 5, 31], [32, 33, 69]
+        noise[huge] *= np.sqrt(2000.0 * sigma_sq / np.sum(noise[huge] ** 2, axis=1))[:, None]
+        ys = table[patterns] + noise
+        for i in swapped:
+            gap = np.sum((table - table[patterns[i]]) ** 2, axis=1)
+            ys[i] = table[np.argmax(gap)] + noise[i]
+            assert gap.max() / (2.0 * sigma_sq) > 750.0
+        w = np.sum((ys - table[patterns]) ** 2, axis=1) / (2.0 * sigma_sq)
+        assert np.flatnonzero(w > simulate._FAR_NATS).tolist() == huge + swapped
+        assert simulate._score_rows(n, k + k_tilde) == 32
+
+        terms = np.array(_leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq))
+        assert np.all(np.isfinite(terms))
+        for i in range(n_samples):
+            diff = table - ys[i]
+            log_like = -np.einsum("ij,ij->i", diff, diff) / (2.0 * sigma_sq)
+            lp_joint = log_like[patterns[i]]
+            lp_given_msg = float(
+                logsumexp(log_like.reshape(1 << k, 1 << k_tilde)[patterns[i] >> k_tilde])
+            ) - k_tilde * math.log(2.0)
+            lp_marginal = float(logsumexp(log_like)) - (k + k_tilde) * math.log(2.0)
+            expected = [
+                (lp_given_msg - lp_marginal) / n,
+                (lp_joint - lp_marginal) / n,
+                (lp_joint - lp_given_msg) / n,
+            ]
+            assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
+
+    def test_far_samples_leave_their_block_bit_identical(self):
+        # the shift is chosen per sample: a near sample's terms do not move
+        # when some samples of its block are pushed past _FAR_NATS
+        cfg = small_cfg(n=8, k=6, k_tilde=4)
+        table = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        rng = np.random.default_rng(33)
+        patterns = rng.integers(0, 1 << cfg.k_tot, 70)
+        noise = rng.normal(size=(70, cfg.n))
+        near = np.array(_leakage_terms(table, patterns, table[patterns] + noise, 6, 4, 1.0))
+        huge = [0, 5, 31, 32, 69]
+        noise[huge] *= 20.0
+        assert np.all(np.sum(noise[huge] ** 2, axis=1) / 2.0 > simulate._FAR_NATS)
+        mixed = np.array(_leakage_terms(table, patterns, table[patterns] + noise, 6, 4, 1.0))
+        kept = np.ones(70, dtype=bool)
+        kept[huge] = False
+        assert np.array_equal(mixed[:, kept], near[:, kept])
+
+    def test_scoring_memory_is_blocks_not_samples_by_codewords(self):
+        # at dim 15 a block is one sample's row of 2**15 floats; 64 samples
+        # by 2**14 own-message terms would be 2**20 floats, and 64 by 2**15
+        # log-likelihoods 2**21.  No binning plan has k_tilde > k + 1, so
+        # the table is drawn directly.
+        n, k, k_tilde, n_samples = 4, 1, 14, 64
+        rng = np.random.default_rng(32)
+        table = rng.normal(size=(1 << (k + k_tilde), n))
+        patterns = rng.integers(0, 1 << (k + k_tilde), n_samples)
+        ys = table[patterns] + rng.normal(size=(n_samples, n))
+        tracemalloc.start()
+        try:
+            _leakage_terms(table, patterns, ys, k, k_tilde, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        codewords = 1 << (k + k_tilde)
+        assert simulate._score_rows(n, k + k_tilde) == 1
+        # the shifted table while its two extra columns are formed, the block
+        # and its own-message slice, and the per-sample rows and terms
+        bound = (n + 4) * codewords + 2 * codewords + n_samples * (n + 8) * 4
+        assert peak <= 8 * bound, (peak, 8 * bound)
+        assert bound < n_samples << k_tilde
+
+    def test_sample_budget_bounds_measured_memory(self, monkeypatch):
+        # with a 16-codeword table the peak is the sample arrays; the budget
+        # counted for them bounds it and is not far above it
+        cfg = small_cfg(n=8, k=2, k_tilde=2)
+        fld, plan = _trial_field(cfg, 0), _trial_plan(cfg, 0)
+        n_samples = 20_000
+        monkeypatch.setattr(simulate, "_TABLE_BUDGET", 16 * cfg.n)
+        with pytest.raises(BudgetError, match="leakage samples") as refused:
+            estimate_leakage(cfg, fld, plan, n_samples)
+        budget = int(re.search(r"would hold (\d+) floats", str(refused.value)).group(1))
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            estimate_leakage(cfg, fld, plan, n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.6 * 8 * budget <= peak <= 8 * budget, (peak, 8 * budget)
 
     def test_budget_errors(self):
         cfg = small_cfg(n=8, k=20, k_tilde=5)
