@@ -350,47 +350,53 @@ def leakage_by_quadrature(table, k, k_tilde, n, sigma_sq, nodes_per_dim=24):
     return total / n
 
 
+def sample_leakage_terms(table, pattern, y, k, k_tilde, sigma_sq):
+    """``(leak, full, genie)`` of one observation ``y`` of ``pattern``.
+
+    Scores ``table - y`` over every codeword by direct differences, with two
+    ``logsumexp`` calls.
+    """
+    from scipy.special import logsumexp
+
+    LOG2 = math.log(2.0)
+    n = table.shape[1]
+    diff = table - y
+    log_like = -(0.5 / sigma_sq) * np.einsum("ij,ij->i", diff, diff)
+    by_message = log_like.reshape(1 << k, 1 << k_tilde)
+
+    lp_joint = log_like[pattern]
+    lp_given_msg = float(logsumexp(by_message[pattern >> k_tilde])) - k_tilde * LOG2
+    lp_marginal = float(logsumexp(log_like)) - (k + k_tilde) * LOG2
+    return (
+        (lp_given_msg - lp_marginal) / n,
+        (lp_joint - lp_marginal) / n,
+        (lp_joint - lp_given_msg) / n,
+    )
+
+
 def leakage_terms_reference(cfg, table, n_samples):
     """Per-sample ``(leak, full, genie)`` terms of the leakage estimator.
 
     The one-sample-at-a-time loop the block scorer replaced: each sample
     draws its message and key as scalars and its noise as one length-``n``
-    vector from the estimator's streams, then scores ``table - y`` over
-    every codeword with two ``logsumexp`` calls.
+    vector from the estimator's streams, then is scored by
+    :func:`sample_leakage_terms`.
     """
-    from scipy.special import logsumexp
-
     from gfwiretap.simulate import _TAG_LEAK_INPUT, _TAG_LEAK_NOISE, _stream
 
-    LOG2 = math.log(2.0)
     k, k_tilde, n = cfg.k, cfg.k_tilde, cfg.n
-    dim = k + k_tilde
     sigma = math.sqrt(cfg.sigma_e_sq)
-    inv_two_sigma_sq = 0.5 / cfg.sigma_e_sq
     rng_input = _stream(cfg.key_seed, 0, _TAG_LEAK_INPUT)
     rng_noise = _stream(cfg.noise_seed, 0, _TAG_LEAK_NOISE)
 
-    leak = np.empty(n_samples)
-    full = np.empty(n_samples)
-    genie = np.empty(n_samples)
+    terms = np.empty((3, n_samples))
     for i in range(n_samples):
         msg_pattern = int(rng_input.integers(0, 1 << k))
         key_pattern = int(rng_input.integers(0, 1 << k_tilde))
         pattern = (msg_pattern << k_tilde) | key_pattern
         y = table[pattern] + rng_noise.normal(0.0, sigma, size=n)
-
-        diff = table - y
-        log_like = -inv_two_sigma_sq * np.einsum("ij,ij->i", diff, diff)
-        by_message = log_like.reshape(1 << k, 1 << k_tilde)
-
-        lp_joint = log_like[pattern]
-        lp_given_msg = float(logsumexp(by_message[msg_pattern])) - k_tilde * LOG2
-        lp_marginal = float(logsumexp(log_like)) - dim * LOG2
-
-        leak[i] = (lp_given_msg - lp_marginal) / n
-        full[i] = (lp_joint - lp_marginal) / n
-        genie[i] = (lp_joint - lp_given_msg) / n
-    return leak, full, genie
+        terms[:, i] = sample_leakage_terms(table, pattern, y, k, k_tilde, cfg.sigma_e_sq)
+    return terms
 
 
 def covariance_probe_reference(spec, s1, s2_list, n_fields, seed):

@@ -20,7 +20,7 @@ from gfwiretap.simulate import (
     run_trial,
     transmit,
 )
-from oracles import codeword_table_reference, leakage_terms_reference
+from oracles import codeword_table_reference, leakage_terms_reference, sample_leakage_terms
 
 
 def small_cfg(**kw):
@@ -299,18 +299,7 @@ class TestLeakage:
         terms = np.array(_leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq))
         assert np.all(np.isfinite(terms))
         for i in range(n_samples):
-            diff = table - ys[i]
-            log_like = -np.einsum("ij,ij->i", diff, diff) / (2.0 * sigma_sq)
-            lp_joint = log_like[patterns[i]]
-            lp_given_msg = float(
-                logsumexp(log_like.reshape(1 << k, 1 << k_tilde)[patterns[i] >> k_tilde])
-            ) - k_tilde * math.log(2.0)
-            lp_marginal = float(logsumexp(log_like)) - (k + k_tilde) * math.log(2.0)
-            expected = [
-                (lp_given_msg - lp_marginal) / n,
-                (lp_joint - lp_marginal) / n,
-                (lp_joint - lp_given_msg) / n,
-            ]
+            expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, sigma_sq)
             assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
 
     def test_far_samples_leave_their_block_bit_identical(self):
