@@ -334,13 +334,21 @@ def _refine_minimum(f, stationary, a, b, tol):
     return _golden_section(f, a, b, tol)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``np.linspace(lo, hi, points)``, cached and read-only."""
+    grid = np.linspace(lo, hi, points)
+    grid.setflags(write=False)
+    return grid
+
+
 def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None):
     """Grid-then-refine minimization returning interior candidates as well.
 
     ``f`` takes an array of abscissae and returns one value each; the whole
-    grid goes to it in one call.  Each interior grid point no higher than
-    both neighbours is refined on the bracket of its two neighbours.
-    ``stationary``, if given, is a scalar function that is
+    grid goes to it in one call, as a cached read-only array.  Each interior
+    grid point no higher than both neighbours is refined on the bracket of
+    its two neighbours.  ``stationary``, if given, is a scalar function that is
     negative where ``f`` falls and positive where it rises (a positive
     multiple of ``f'``); where it changes sign strictly from negative to
     positive across the bracket, the minimum is its Brent root, with one
@@ -359,7 +367,7 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     n_cells = max(1, int(math.ceil((hi - lo) / grid_step - 1e-12)))
-    grid = np.linspace(lo, hi, n_cells + 1)
+    grid = _grid(lo, hi, n_cells + 1)
     vals = np.asarray(f(grid), dtype=float).reshape(-1)
     if vals.shape != grid.shape:
         raise ValueError(

@@ -16,16 +16,20 @@ or bins.
 
 The decoupled channel's mutual information ``I(e)`` and fixed-point map
 ``F(e)`` are fixed functions of the effective SNR ``e`` alone.  They are
-tabulated once per process, at first use, as piecewise Chebyshev series on
-the pieces cut at ``CHANNEL_CUTS`` (degree ``CHANNEL_DEGREE``), fitted on
+tabulated once per process, at first use.  Chebyshev series of degree
+``CHANNEL_DEGREE`` are fitted on the pieces cut at ``CHANNEL_CUTS``, on
 ``numerics.default_rule()`` (the trapezoidal rule of step 1/16 on
-``|w| <= 9``, 289 nodes, self-checked against the half-step rule) and
-checked against it between the fitting points.  Against 50-digit
-integrals, the table is within 1.5e-15 (relative above 1) on ``I`` and
-``F`` at its piece ends and where the rule's error peaks.
-Above the last cut the table holds ``I = log 2`` and ``F = 1``, the floats
-the true values round to.  A float SNR takes the same piece and the same
-operations as its entry in an array, so it gets the same value bit for bit.
+``|w| <= 9``, 289 nodes, self-checked against the half-step rule), and
+checked against it between the fitting points.  Each piece is then split
+into ``_SPLIT`` sub-pieces, on which series of the lower degree
+``_EVAL_DEGREE`` interpolate the fitted ones, checked against them in turn;
+only these are kept and evaluated.  Against 50-digit integrals, the table
+is within 1.5e-15 (relative above 1) on ``I`` and ``F`` at its piece
+ends and where the rule's error peaks, and within 4.5e-16 of the fitted
+series.  Above the last cut the table holds ``I = log 2`` and
+``F = 1``, the floats the true values round to.  A float SNR takes the same
+piece and the same operations as its entry in an array, so it gets the same
+value bit for bit.
 
 ``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime``, ``energy`` and
 ``fixed_point_map`` accept a float or an array of overlaps ``m`` through one
@@ -88,18 +92,25 @@ REGIME_CLAMP = 1e-9
 GRID_STEP = 1e-3
 #: Tolerance to which an interior minimum is refined.
 REFINE_TOL = 1e-10
-#: Upper ends of the pieces of the scalar-channel table: 28 pieces evenly
+#: Upper ends of the pieces the scalar-channel series are fitted on: 28 evenly
 #: spaced in ``sqrt(e)`` up to ``e = 80``, so they narrow towards ``e = 0``,
 #: where ``I`` and ``F`` are smooth but not analytic (the first piece ends
 #: at 0.102).  Above 80, ``log 2 - I`` and ``1 - F`` are below 6e-19, under
 #: half an ulp of ``log 2`` and of 1.
 CHANNEL_CUTS = tuple(80.0 * (k / 28) ** 2 for k in range(1, 29))
-#: Degree of the Chebyshev series on each piece.
+#: Degree of the Chebyshev series fitted on each piece.
 CHANNEL_DEGREE = 16
-#: Largest error, relative above 1, that the table may show against the rule
-#: it is fitted on, midway between its fitting points, before its build
-#: fails; the shipped table's worst such error is 1.1e-15.
+#: Largest error, relative above 1, that the fitted series may show against
+#: the rule they are fitted on, midway between their fitting points, before
+#: the build fails; the shipped fit's worst such error is 1.1e-15.
 CHANNEL_TOL = 1e-14
+#: Sub-pieces each fitted piece is split into for evaluation.
+_SPLIT = 8
+#: Degree of the Chebyshev series evaluated on each sub-piece.
+_EVAL_DEGREE = 7
+#: Largest error, relative above 1, that the split table may show against
+#: the fitted series midway between its points before the build fails.
+_SPLIT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -190,14 +201,14 @@ def _as_float(x):
 class _ChannelTable:
     """Piecewise Chebyshev series of ``I(e)`` and ``F(e)``.
 
-    Piece ``p`` covers ``[CHANNEL_CUTS[p - 1], CHANNEL_CUTS[p])`` (from 0 for
-    ``p = 0``) and the last piece everything from ``CHANNEL_CUTS[-1]`` up,
-    where its series is the constant ``log 2`` or 1.  On piece ``p`` the
-    series runs in ``t = (e - centers[p]) * scales[p]``; the first piece
-    holds ``I(e) / e`` and ``F(e) / e``, so both are exactly 0 at ``e = 0``.
-    ``coefs[q]`` has shape ``(CHANNEL_DEGREE + 1, pieces)``, ``q`` being 0
-    for ``I`` and 1 for ``F``.  ``lists`` repeats ``(cuts, centers, scales,
-    coefs)`` as Python lists, ``coefs`` by piece, for float calls.
+    Piece ``p`` covers ``[cuts[p - 1], cuts[p])`` (from 0 for ``p = 0``) and
+    the last piece everything from ``cuts[-1] = 80`` up, where its series is
+    the constant ``log 2`` or 1.  On piece ``p`` the series runs in
+    ``t = (e - centers[p]) * scales[p]``; the first piece holds ``I(e) / e``
+    and ``F(e) / e``, so both are exactly 0 at ``e = 0``.  ``coefs[q]`` has
+    shape ``(degree + 1, pieces)``, ``q`` being 0 for ``I`` and 1 for ``F``.
+    ``lists`` repeats ``(cuts, centers, scales, coefs)`` as Python lists,
+    ``coefs`` by piece, for float calls.
     """
 
     cuts: np.ndarray
@@ -239,48 +250,120 @@ def _by_rule(e, rule):
     return np.stack([mi, fp]).reshape((2,) + e.shape)
 
 
-@functools.lru_cache(maxsize=1)
-def _channel_table() -> _ChannelTable:
-    """The scalar-channel table, fitted on first use and cached.
-
-    The fit runs on ``default_rule()``: 289 nodes ``k / 16`` on
-    ``|w| <= 9``, within 8e-16 of 50-digit integrals, whose self-check
-    against the half-step rule at ``e = 15.5`` gates it.  Each piece
-    interpolates the rule's ``I`` and ``F`` at its ``CHANNEL_DEGREE + 1``
-    Chebyshev points; the table is then checked against the rule midway
-    between each pair of adjacent points, and a miss above ``CHANNEL_TOL``
-    (relative above 1) raises :class:`NumericalError`.
-    """
-    rule = default_rule()
-    ends = np.array((0.0,) + CHANNEL_CUTS)
-    lo, hi = ends[:-1, None], ends[1:, None]
-    points = chebyshev_points(lo, hi, CHANNEL_DEGREE)
-    values = _by_rule(points, rule)
-    values[:, 0] /= points[0]
-    # the top piece is the constant log 2 or 1
-    coefs = np.zeros((2, len(CHANNEL_CUTS) + 1, CHANNEL_DEGREE + 1))
-    coefs[:, :-1] = chebyshev_coefficients(values)
-    coefs[:, -1, 0] = LOG2, 1.0
-    centers = np.append(0.5 * (lo + hi)[:, 0], CHANNEL_CUTS[-1])
-    scales = np.append(2.0 / (hi - lo)[:, 0], 0.0)
-    table = _ChannelTable(
-        cuts=ends[1:],
+def _series_table(ends, coefs) -> _ChannelTable:
+    """The table of the series ``coefs[q, p]`` on the pieces between
+    ``ends``, topped by the constant piece of ``log 2`` and 1."""
+    lo, hi = ends[:-1], ends[1:]
+    full = np.zeros((2, len(hi) + 1, coefs.shape[-1]))
+    full[:, :-1] = coefs
+    full[:, -1, 0] = LOG2, 1.0
+    centers = np.append(0.5 * (lo + hi), hi[-1])
+    scales = np.append(2.0 / (hi - lo), 0.0)
+    return _ChannelTable(
+        cuts=hi,
         centers=centers,
         scales=scales,
-        coefs=coefs.transpose(0, 2, 1).copy(),
-        lists=(list(CHANNEL_CUTS), centers.tolist(), scales.tolist(), coefs.tolist()),
+        coefs=full.transpose(0, 2, 1).copy(),
+        lists=(hi.tolist(), centers.tolist(), scales.tolist(), full.tolist()),
     )
-    mids = 0.5 * (points[:, 1:] + points[:, :-1])
-    want = _by_rule(mids, rule)
+
+
+def _check_table(table, mids, want, tol, against):
+    """Raise :class:`NumericalError` where ``table`` is off from ``want`` at
+    ``mids`` by more than ``tol``, relative above 1."""
     err = np.abs(np.stack([table.value(0, mids), table.value(1, mids)]) - want)
     err /= np.maximum(1.0, mids)
-    if not err.max() <= CHANNEL_TOL:
+    if not err.max() <= tol:
         q, p, j = np.unravel_index(np.argmax(err), err.shape)
         raise NumericalError(
             f"scalar-channel table failed its check: {'IF'[q]}({mids[p, j]!r}) "
-            f"is off by {err[q, p, j]:.3e} against the quadrature it is fitted on"
+            f"is off by {err[q, p, j]:.3e} against {against}"
         )
+
+
+def _fitted_table() -> _ChannelTable:
+    """The series fitted on ``default_rule()``, degree ``CHANNEL_DEGREE`` on
+    the pieces cut at ``CHANNEL_CUTS``.
+
+    The rule has 289 nodes ``k / 16`` on ``|w| <= 9``, within 8e-16 of
+    50-digit integrals, and its self-check against the half-step rule at
+    ``e = 15.5`` gates it.  Each piece interpolates the rule's ``I`` and
+    ``F`` at its ``CHANNEL_DEGREE + 1`` Chebyshev points; the series are
+    then checked against the rule midway between each pair of adjacent
+    points, and a miss above ``CHANNEL_TOL`` (relative above 1) raises
+    :class:`NumericalError`.
+    """
+    rule = default_rule()
+    ends = np.array((0.0,) + CHANNEL_CUTS)
+    points = chebyshev_points(ends[:-1, None], ends[1:, None], CHANNEL_DEGREE)
+    values = _by_rule(points, rule)
+    values[:, 0] /= points[0]
+    fitted = _series_table(ends, chebyshev_coefficients(values))
+    mids = 0.5 * (points[:, 1:] + points[:, :-1])
+    _check_table(
+        fitted, mids, _by_rule(mids, rule), CHANNEL_TOL, "the quadrature it is fitted on"
+    )
+    return fitted
+
+
+@functools.lru_cache(maxsize=1)
+def _channel_table() -> _ChannelTable:
+    """The scalar-channel table, built on first use from the fitted series
+    and cached; only it is kept.
+
+    Each piece of :func:`_fitted_table` is cut into ``_SPLIT`` sub-pieces at
+    ``80 (k / (28 _SPLIT))**2``, and each sub-piece interpolates the fitted
+    series at its ``_EVAL_DEGREE + 1`` Chebyshev points, so no quadrature
+    runs for it.  A Chebyshev series converges geometrically in its degree,
+    faster on a narrower piece (Trefethen, *Approximation Theory and
+    Approximation Practice*, ch. 8), so the lower degree keeps the accuracy
+    at fewer operations per evaluation.  The split is checked against the
+    fitted series midway between its points, and a miss above
+    ``_SPLIT_TOL`` (relative above 1) raises :class:`NumericalError`.
+    """
+    fitted = _fitted_table()
+    subs = len(CHANNEL_CUTS) * _SPLIT
+    # k / subs at k = _SPLIT p rounds as p / 28 does, so the fitted cuts
+    # are among these
+    ends = np.array([80.0 * (k / subs) ** 2 for k in range(subs + 1)])
+    points = chebyshev_points(ends[:-1, None], ends[1:, None], _EVAL_DEGREE)
+    # the fitted series, without the first piece's factor e, at every point;
+    # the first sub-piece holds I / e and F / e, the rest of its piece I and F
+    parent = np.arange(subs) // _SPLIT
+    t = (points - fitted.centers[parent, None]) * fitted.scales[parent, None]
+    values = chebyshev_series(np.moveaxis(fitted.coefs[:, :, parent, None], 1, 0), t)
+    values[:, 1:_SPLIT] *= points[1:_SPLIT]
+    table = _series_table(ends, chebyshev_coefficients(values))
+    mids = 0.5 * (points[:, 1:] + points[:, :-1])
+    want = np.stack([fitted.value(0, mids), fitted.value(1, mids)])
+    _check_table(table, mids, want, _SPLIT_TOL, "the fitted series it is split from")
     return table
+
+
+def _overlap_terms(m, cfg: ReplicaConfig):
+    """``(phi(m), phi'(m), sigma_sq + phi(1) - phi(m))``, which every
+    quantity below is formed from."""
+    u = phi(m, cfg.power, cfg.order)
+    return u, phi_prime(m, cfg.power, cfg.order), cfg.sigma_sq + cfg.power - u
+
+
+def _snr(terms, cfg: ReplicaConfig):
+    _, slope, resid = terms
+    return slope / (cfg.rate * resid)
+
+
+def _mi(snr):
+    val = _channel_table().value(0, snr)
+    return np.minimum(np.maximum(val, 0.0), LOG2)
+
+
+def _cd(terms, cfg: ReplicaConfig):
+    return 0.5 * np.log1p((cfg.power - terms[0]) / cfg.sigma_sq)
+
+
+def _cd_prime(terms):
+    _, slope, resid = terms
+    return -slope / (2.0 * resid)
 
 
 def effective_snr(m, cfg: ReplicaConfig):
@@ -289,9 +372,7 @@ def effective_snr(m, cfg: ReplicaConfig):
     The denominator is at least ``rate * sigma_sq``, so the value is finite
     everywhere on [0, 1].
     """
-    num = phi_prime(m, cfg.power, cfg.order)
-    den = cfg.rate * (cfg.sigma_sq + cfg.power - phi(m, cfg.power, cfg.order))
-    return _as_float(num / den)
+    return _as_float(_snr(_overlap_terms(m, cfg), cfg))
 
 
 def decoupled_mi(m, cfg: ReplicaConfig):
@@ -300,29 +381,31 @@ def decoupled_mi(m, cfg: ReplicaConfig):
     ``E - E_w[log cosh(E + sqrt(E) w)]`` with ``E = effective_snr(m)``;
     bounded by log 2 (binary input).
     """
-    val = _channel_table().value(0, effective_snr(m, cfg))
-    return _as_float(np.minimum(np.maximum(val, 0.0), LOG2))
+    return _as_float(_mi(effective_snr(m, cfg)))
 
 
 def cd(m, cfg: ReplicaConfig):
     """Residual-power capacity term ``C((phi(1) - phi(m)) / sigma_sq)``."""
-    gap = cfg.power - phi(m, cfg.power, cfg.order)
-    return _as_float(0.5 * np.log1p(gap / cfg.sigma_sq))
+    return _as_float(_cd(_overlap_terms(m, cfg), cfg))
 
 
 def cd_prime(m, cfg: ReplicaConfig):
     """Analytic derivative ``-phi'(m) / (2 (sigma_sq + phi(1) - phi(m)))``."""
-    num = phi_prime(m, cfg.power, cfg.order)
-    den = 2.0 * (cfg.sigma_sq + cfg.power - phi(m, cfg.power, cfg.order))
-    return _as_float(-num / den)
+    return _as_float(_cd_prime(_overlap_terms(m, cfg)))
 
 
 def energy(m, cfg: ReplicaConfig):
-    """Energy ``rate * I_D(m) + C_D(m) + (1 - m) * C_D'(m)``, in nats."""
+    """Energy ``rate * I_D(m) + C_D(m) + (1 - m) * C_D'(m)``, in nats.
+
+    ``phi(m)`` and ``phi'(m)`` are formed once for the three terms, by the
+    operations the functions above take, so the energy equals their sum bit
+    for bit.
+    """
+    terms = _overlap_terms(m, cfg)
     return _as_float(
-        cfg.rate * decoupled_mi(m, cfg)
-        + cd(m, cfg)
-        + (1.0 - m) * cd_prime(m, cfg)
+        cfg.rate * _mi(_snr(terms, cfg))
+        + _cd(terms, cfg)
+        + (1.0 - m) * _cd_prime(terms)
     )
 
 

@@ -397,12 +397,14 @@ def estimate_leakage(
     k, k_tilde = cfg.k, cfg.k_tilde
     dim = k + k_tilde
     _check_enum_budget(dim)
-    # per sample: three n-vectors at the peak (the codeword, the noise and
-    # their sum in transmit; then the sample, a scaled copy and its n + 2
-    # observation row in the scorer), and at most 18 floats of indices,
-    # distances, shifts, sums and terms
+    # per codeword: the table's n floats, and in the scorer its n + 2
+    # shifted copy plus the two rows np.vstack forms that from; per sample:
+    # three n-vectors at the peak (the codeword, the noise and their sum in
+    # transmit; then the sample, a scaled copy and its n + 2 observation row
+    # in the scorer), and at most 18 floats of indices, distances, shifts,
+    # sums and terms
     for what, floats in (
-        ("codeword table", (1 << dim) * cfg.n),
+        ("codeword table", (2 * cfg.n + 4) << dim),
         (f"leakage samples (n_samples={n_samples}, n={cfg.n})", n_samples * (3 * cfg.n + 18)),
     ):
         if floats > _TABLE_BUDGET:

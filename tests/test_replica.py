@@ -216,7 +216,7 @@ class TestChannelTable:
     def test_matches_fine_trapezoid_across_every_piece(self):
         # the same points against a reference within 6e-16 of the 50-digit
         # integrals; the table is off by up to 1.2e-15 on I (near e = 71)
-        # and 6.1e-16 on F
+        # and 8.2e-16 on F (at e = 0.102; the fitted series, 6.1e-16)
         e = np.concatenate(
             [np.linspace(lo, hi, 201) for lo, hi in zip(self.ENDS, self.ENDS[1:])]
             + [np.geomspace(1e-12, 1e-2, 50), np.linspace(self.TOP, 120.0, 201)]
@@ -273,6 +273,31 @@ class TestChannelTable:
         finally:
             replica._channel_table.cache_clear()
 
+    def test_split_fails_when_off_between_its_points(self, monkeypatch):
+        # degree 3 cannot follow the fitted series to _SPLIT_TOL on the
+        # sub-pieces; the fit itself passes its check
+        replica._channel_table.cache_clear()
+        monkeypatch.setattr(replica, "_EVAL_DEGREE", 3)
+        try:
+            with pytest.raises(NumericalError, match="against the fitted series"):
+                energy(0.5, make_config(rate=1.0))
+        finally:
+            replica._channel_table.cache_clear()
+
+    def test_split_matches_the_fitted_series(self):
+        # at every sub-piece's ends and midpoint, floats and arrays; the
+        # worst is 1.7e-16 on I (e = 0.74) and 4.4e-16 on F (e = 0.38)
+        tab, fitted = replica._channel_table(), replica._fitted_table()
+        ends = np.concatenate([[0.0], tab.cuts])
+        assert np.array_equal(ends[replica._SPLIT :: replica._SPLIT], CHANNEL_CUTS)
+        e = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])])
+        for q in (0, 1):
+            err = np.abs(tab.value(q, e) - fitted.value(q, e)) / np.maximum(1.0, e)
+            assert err.max() <= 1e-15, ("IF"[q], e[np.argmax(err)], err.max())
+            for x in e[::7]:
+                got, want = tab.value(q, float(x)), fitted.value(q, float(x))
+                assert abs(got - want) <= 1e-15 * max(1.0, x), ("IF"[q], x)
+
     def test_scalar_calls_are_cheap(self):
         # best of several repeats, so load on the host cannot fail it: the
         # Gauss-Hermite path took ~38 us per energy and ~20 us per map call
@@ -312,10 +337,10 @@ class TestNodeBlocks:
                 ), (order, m)
 
     def test_float_snr_equals_its_row(self):
-        # at every cut and the next float above it, and on two solver grids:
-        # the solver's refinement relies on a float SNR taking the piece,
-        # and giving the value, of its row on the grid
-        cuts = np.array(CHANNEL_CUTS)
+        # at every evaluation cut and the next float above it, and on two
+        # solver grids: the solver's refinement relies on a float SNR taking
+        # the piece, and giving the value, of its row on the grid
+        cuts = replica._channel_table().cuts
         grids = [effective_snr(self.GRID, make_config(rate=1.7, order=o)) for o in (1, 3)]
         es = np.concatenate([[0.0, 5e-324], cuts, np.nextafter(cuts, np.inf)] + grids)
         for q in (0, 1):
@@ -323,6 +348,20 @@ class TestNodeBlocks:
             singles = [replica._channel_table().value(q, float(e)) for e in es]
             assert all(type(v) is float for v in singles)
             assert stacked.tolist() == singles
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_energy_equals_its_composed_terms(self, order):
+        # one pass over phi(m) and phi'(m), bit for bit the sum of the terms
+        for rate, sigma_sq in ((0.5, 0.05), (1.7, 0.1), (3.0, 1.0)):
+            cfg = make_config(rate=rate, sigma_sq=sigma_sq, order=order)
+            for m in (self.GRID, 0.0, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0):
+                composed = (
+                    cfg.rate * decoupled_mi(m, cfg)
+                    + cd(m, cfg)
+                    + (1 - m) * cd_prime(m, cfg)
+                )
+                got = energy(m, cfg)
+                assert type(got) is type(composed) and np.array_equal(got, composed), (rate, m)
 
     def test_log_cosh_expectation_against_50_digits(self):
         # E[log cosh(e + sqrt(e) w)] = e - I(e), from an array and from floats

@@ -349,7 +349,7 @@ class TestLeakage:
         cfg = small_cfg(n=8, k=2, k_tilde=2)
         fld, plan = _trial_field(cfg, 0), _trial_plan(cfg, 0)
         n_samples = 20_000
-        monkeypatch.setattr(simulate, "_TABLE_BUDGET", 16 * cfg.n)
+        monkeypatch.setattr(simulate, "_TABLE_BUDGET", 16 * (2 * cfg.n + 4))
         with pytest.raises(BudgetError, match="leakage samples") as refused:
             estimate_leakage(cfg, fld, plan, n_samples)
         budget = int(re.search(r"would hold (\d+) floats", str(refused.value)).group(1))
@@ -361,6 +361,28 @@ class TestLeakage:
         finally:
             tracemalloc.stop()
         assert 0.6 * 8 * budget <= peak <= 8 * budget, (peak, 8 * budget)
+
+    def test_table_budget_bounds_measured_memory(self, monkeypatch):
+        # with 4096 codewords and 2 samples the peak is the codeword table,
+        # its shifted copy and the two rows that copy is formed from; the
+        # floats counted for the table and the samples bound it, beside the
+        # call's interpreter objects (generators, array headers: ~1 KiB)
+        cfg = small_cfg(n=64, k=6, k_tilde=6)
+        fld, plan = _trial_field(cfg, 0), _trial_plan(cfg, 0)
+        monkeypatch.setattr(simulate, "_TABLE_BUDGET", 0)
+        with pytest.raises(BudgetError, match="codeword table") as refused:
+            estimate_leakage(cfg, fld, plan, 2)
+        table = int(re.search(r"would hold (\d+) floats", str(refused.value)).group(1))
+        monkeypatch.undo()
+        estimate_leakage(cfg, fld, plan, 2)
+        tracemalloc.start()
+        try:
+            estimate_leakage(cfg, fld, plan, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = 2 * (3 * cfg.n + 18)
+        assert 8 * table <= peak <= 8 * (table + samples) + 4096, (peak, 8 * table)
 
     def test_budget_errors(self):
         cfg = small_cfg(n=8, k=20, k_tilde=5)
