@@ -320,18 +320,19 @@ def _brent_root(f, a, b, xtol, fa=None, fb=None):
 
 
 def _refine_minimum(f, stationary, a, b, tol):
-    """``(x, f(x))`` at the minimum of ``f`` inside the grid bracket ``[a, b]``.
+    """``(x, f(x), rooted)`` at the minimum of ``f`` inside the grid bracket
+    ``[a, b]``.
 
     When ``stationary`` turns strictly from negative at ``a`` to positive at
-    ``b``, ``x`` is its Brent root to ``tol``; otherwise golden section on
-    ``f`` finds it.
+    ``b``, ``x`` is its Brent root to ``tol`` and ``rooted`` is true;
+    otherwise golden section on ``f`` finds it.
     """
     if stationary is not None:
         g_a, g_b = float(stationary(a)), float(stationary(b))
         if g_a < 0.0 < g_b:
             x = _brent_root(stationary, a, b, tol, fa=g_a, fb=g_b)
-            return x, float(f(x))
-    return _golden_section(f, a, b, tol)
+            return x, float(f(x)), True
+    return *_golden_section(f, a, b, tol), False
 
 
 @functools.lru_cache(maxsize=8)
@@ -353,7 +354,9 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None
     multiple of ``f'``); where it changes sign strictly from negative to
     positive across the bracket, the minimum is its Brent root, with one
     more ``f`` call there.  Everywhere else, golden section refines, with
-    scalar ``f`` calls.
+    scalar ``f`` calls; when ``stationary`` is given, such a minimum may be
+    a stretch of ``f`` flat to rounding, so it competes only when it is
+    more than ``TIE_TOL`` below both endpoints.
 
     Returns ``(argmin, min_value, interior, f_lo, f_hi)`` where ``interior``
     is a tuple of refined ``(x, f(x))`` pairs, one per interior grid minimum.
@@ -382,15 +385,19 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None
 
     inner = vals[1:-1]
     minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
-    interior = tuple(
+    refined = [
         _refine_minimum(
             f, stationary, float(grid[i - 1]), float(grid[i + 1]), refine_tol
         )
         for i in minima
-    )
+    ]
+    interior = tuple((x, v) for x, v, _ in refined)
 
     f_lo, f_hi = float(vals[0]), float(vals[-1])
-    candidates = ((float(grid[0]), f_lo), (float(grid[-1]), f_hi)) + interior
+    floor = min(f_lo, f_hi) - TIE_TOL
+    candidates = ((float(grid[0]), f_lo), (float(grid[-1]), f_hi)) + tuple(
+        (x, v) for x, v, rooted in refined if rooted or stationary is None or v < floor
+    )
     best_val = min(v for _, v in candidates)
     arg = max(x for x, v in candidates if v - best_val <= TIE_TOL)
     val = next(v for x, v in candidates if x == arg)

@@ -16,20 +16,16 @@ or bins.
 
 The decoupled channel's mutual information ``I(e)`` and fixed-point map
 ``F(e)`` are fixed functions of the effective SNR ``e`` alone.  They are
-tabulated once per process, at first use.  Chebyshev series of degree
-``CHANNEL_DEGREE`` are fitted on the pieces cut at ``CHANNEL_CUTS``, on
+tabulated once per process, at first use: Chebyshev series of degree
+``CHANNEL_DEGREE`` on the pieces cut at ``CHANNEL_CUTS`` interpolate
 ``numerics.default_rule()`` (the trapezoidal rule of step 1/16 on
-``|w| <= 9``, 289 nodes, self-checked against the half-step rule), and
-checked against it between the fitting points.  Each piece is then split
-into ``_SPLIT`` sub-pieces, on which series of the lower degree
-``_EVAL_DEGREE`` interpolate the fitted ones, checked against them in turn;
-only these are kept and evaluated.  Against 50-digit integrals, the table
-is within 1.5e-15 (relative above 1) on ``I`` and ``F`` at its piece
-ends and where the rule's error peaks, and within 4.5e-16 of the fitted
-series.  Above the last cut the table holds ``I = log 2`` and
-``F = 1``, the floats the true values round to.  A float SNR takes the same
-piece and the same operations as its entry in an array, so it gets the same
-value bit for bit.
+``|w| <= 9``, 289 nodes, self-checked against the half-step rule), and are
+checked against it between their interpolation points.  Against 50-digit
+integrals the table is within 1.1e-15 (relative above 1) on ``I`` and
+6.7e-16 on ``F`` at its piece ends and where the rule's error peaks.
+Above the last cut it holds ``I = log 2`` and ``F = 1``, the floats the
+true values round to.  A float SNR takes the same piece and the same
+operations as its entry in an array, so it gets the same value bit for bit.
 
 ``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime``, ``energy`` and
 ``fixed_point_map`` accept a float or an array of overlaps ``m`` through one
@@ -92,25 +88,18 @@ REGIME_CLAMP = 1e-9
 GRID_STEP = 1e-3
 #: Tolerance to which an interior minimum is refined.
 REFINE_TOL = 1e-10
-#: Upper ends of the pieces the scalar-channel series are fitted on: 28 evenly
-#: spaced in ``sqrt(e)`` up to ``e = 80``, so they narrow towards ``e = 0``,
-#: where ``I`` and ``F`` are smooth but not analytic (the first piece ends
-#: at 0.102).  Above 80, ``log 2 - I`` and ``1 - F`` are below 6e-19, under
-#: half an ulp of ``log 2`` and of 1.
-CHANNEL_CUTS = tuple(80.0 * (k / 28) ** 2 for k in range(1, 29))
+#: Upper ends of the pieces the scalar-channel series are fitted on: 224
+#: evenly spaced in ``sqrt(e)`` up to ``e = 80``, so they narrow towards
+#: ``e = 0``, where ``I`` and ``F`` are smooth but not analytic (the first
+#: piece ends at 0.0016).  Above 80, ``log 2 - I`` and ``1 - F`` are below
+#: 6e-19, under half an ulp of ``log 2`` and of 1.
+CHANNEL_CUTS = tuple(80.0 * (k / 224) ** 2 for k in range(1, 225))
 #: Degree of the Chebyshev series fitted on each piece.
-CHANNEL_DEGREE = 16
+CHANNEL_DEGREE = 7
 #: Largest error, relative above 1, that the fitted series may show against
 #: the rule they are fitted on, midway between their fitting points, before
-#: the build fails; the shipped fit's worst such error is 1.1e-15.
+#: the build fails; the shipped fit's worst such error is 1.35e-15.
 CHANNEL_TOL = 1e-14
-#: Sub-pieces each fitted piece is split into for evaluation.
-_SPLIT = 8
-#: Degree of the Chebyshev series evaluated on each sub-piece.
-_EVAL_DEGREE = 7
-#: Largest error, relative above 1, that the split table may show against
-#: the fitted series midway between its points before the build fails.
-_SPLIT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -161,7 +150,10 @@ class ReplicaSolution:
     section (the fallback) refines a minimum across whose grid bracket
     ``m - F(m)`` does not turn from negative to positive: 3 of 14 310 solves
     over lambda 1-5, sigma^2 0.01-3, power 0.5-2 and rates 0.05-7.95, all at
-    lambda 5, with residuals up to ~3e-10.
+    lambda 5, with residuals up to ~3e-10.  Such a minimum wins only by more
+    than 1e-12 below both endpoint energies: from lambda 6 on, ``m**order``
+    vanishes against the energy's ulp near m = 0, and golden section finds
+    "minima" there that only tie ``energy(0)``.
     ``interior_minima`` lists every refined interior local minimum as
     ``(m, energy)`` pairs, even when an endpoint wins.  ``tie_flag`` marks
     endpoint-energy coexistence ``|L(0) - L(1)| <= 1e-12``.
@@ -242,101 +234,57 @@ class _ChannelTable:
 
 
 def _by_rule(e, rule):
-    """``(I, F)`` at the SNRs ``e`` (any shape) by the quadrature ``rule``."""
-    col = e.reshape(-1, 1)
-    root = np.sqrt(col)
-    mi = col[:, 0] - gauss_expectation(lambda w: log_cosh(col + root * w), rule)
-    fp = gauss_expectation(lambda w: np.tanh(col + root * w), rule)
-    return np.stack([mi, fp]).reshape((2,) + e.shape)
+    """``(I, F)`` at the SNRs ``e``, of shape ``(pieces, points)``, by the
+    quadrature ``rule``, one column at a time, so that no integrand holds
+    more than ``pieces`` rows of the rule's nodes."""
+    out = np.empty((2,) + e.shape)
+    for j, col in enumerate(e.T[:, :, None]):
+        root = np.sqrt(col)
+        out[0, :, j] = col[:, 0] - gauss_expectation(lambda w: log_cosh(col + root * w), rule)
+        out[1, :, j] = gauss_expectation(lambda w: np.tanh(col + root * w), rule)
+    return out
 
 
-def _series_table(ends, coefs) -> _ChannelTable:
-    """The table of the series ``coefs[q, p]`` on the pieces between
-    ``ends``, topped by the constant piece of ``log 2`` and 1."""
+@functools.lru_cache(maxsize=1)
+def _channel_table() -> _ChannelTable:
+    """The scalar-channel table, fitted on ``default_rule()`` at first use
+    and cached.
+
+    The rule has 289 nodes ``k / 16`` on ``|w| <= 9``, within 8e-16 of
+    50-digit integrals, and its self-check against the half-step rule at
+    ``e = 15.5`` gates it.  Each piece between ``CHANNEL_CUTS`` interpolates
+    the rule's ``I`` and ``F`` at its ``CHANNEL_DEGREE + 1`` Chebyshev
+    points; the series are then checked against the rule midway between
+    each pair of adjacent points, and a miss above ``CHANNEL_TOL`` (relative
+    above 1) raises :class:`NumericalError`.
+    """
+    rule = default_rule()
+    ends = np.array((0.0,) + CHANNEL_CUTS)
     lo, hi = ends[:-1], ends[1:]
-    full = np.zeros((2, len(hi) + 1, coefs.shape[-1]))
-    full[:, :-1] = coefs
+    points = chebyshev_points(lo[:, None], hi[:, None], CHANNEL_DEGREE)
+    values = _by_rule(points, rule)
+    values[:, 0] /= points[0]
+    full = np.zeros((2, len(hi) + 1, CHANNEL_DEGREE + 1))
+    full[:, :-1] = chebyshev_coefficients(values)
     full[:, -1, 0] = LOG2, 1.0
     centers = np.append(0.5 * (lo + hi), hi[-1])
     scales = np.append(2.0 / (hi - lo), 0.0)
-    return _ChannelTable(
+    table = _ChannelTable(
         cuts=hi,
         centers=centers,
         scales=scales,
         coefs=full.transpose(0, 2, 1).copy(),
         lists=(hi.tolist(), centers.tolist(), scales.tolist(), full.tolist()),
     )
-
-
-def _check_table(table, mids, want, tol, against):
-    """Raise :class:`NumericalError` where ``table`` is off from ``want`` at
-    ``mids`` by more than ``tol``, relative above 1."""
-    err = np.abs(np.stack([table.value(0, mids), table.value(1, mids)]) - want)
-    err /= np.maximum(1.0, mids)
-    if not err.max() <= tol:
+    mids = 0.5 * (points[:, 1:] + points[:, :-1])
+    err = np.stack([table.value(0, mids), table.value(1, mids)]) - _by_rule(mids, rule)
+    err = np.abs(err) / np.maximum(1.0, mids)
+    if not err.max() <= CHANNEL_TOL:
         q, p, j = np.unravel_index(np.argmax(err), err.shape)
         raise NumericalError(
-            f"scalar-channel table failed its check: {'IF'[q]}({mids[p, j]!r}) "
-            f"is off by {err[q, p, j]:.3e} against {against}"
+            f"scalar-channel table failed its check: {'IF'[q]}({float(mids[p, j])!r}) "
+            f"is off by {err[q, p, j]:.3e} against the quadrature it is fitted on"
         )
-
-
-def _fitted_table() -> _ChannelTable:
-    """The series fitted on ``default_rule()``, degree ``CHANNEL_DEGREE`` on
-    the pieces cut at ``CHANNEL_CUTS``.
-
-    The rule has 289 nodes ``k / 16`` on ``|w| <= 9``, within 8e-16 of
-    50-digit integrals, and its self-check against the half-step rule at
-    ``e = 15.5`` gates it.  Each piece interpolates the rule's ``I`` and
-    ``F`` at its ``CHANNEL_DEGREE + 1`` Chebyshev points; the series are
-    then checked against the rule midway between each pair of adjacent
-    points, and a miss above ``CHANNEL_TOL`` (relative above 1) raises
-    :class:`NumericalError`.
-    """
-    rule = default_rule()
-    ends = np.array((0.0,) + CHANNEL_CUTS)
-    points = chebyshev_points(ends[:-1, None], ends[1:, None], CHANNEL_DEGREE)
-    values = _by_rule(points, rule)
-    values[:, 0] /= points[0]
-    fitted = _series_table(ends, chebyshev_coefficients(values))
-    mids = 0.5 * (points[:, 1:] + points[:, :-1])
-    _check_table(
-        fitted, mids, _by_rule(mids, rule), CHANNEL_TOL, "the quadrature it is fitted on"
-    )
-    return fitted
-
-
-@functools.lru_cache(maxsize=1)
-def _channel_table() -> _ChannelTable:
-    """The scalar-channel table, built on first use from the fitted series
-    and cached; only it is kept.
-
-    Each piece of :func:`_fitted_table` is cut into ``_SPLIT`` sub-pieces at
-    ``80 (k / (28 _SPLIT))**2``, and each sub-piece interpolates the fitted
-    series at its ``_EVAL_DEGREE + 1`` Chebyshev points, so no quadrature
-    runs for it.  A Chebyshev series converges geometrically in its degree,
-    faster on a narrower piece (Trefethen, *Approximation Theory and
-    Approximation Practice*, ch. 8), so the lower degree keeps the accuracy
-    at fewer operations per evaluation.  The split is checked against the
-    fitted series midway between its points, and a miss above
-    ``_SPLIT_TOL`` (relative above 1) raises :class:`NumericalError`.
-    """
-    fitted = _fitted_table()
-    subs = len(CHANNEL_CUTS) * _SPLIT
-    # k / subs at k = _SPLIT p rounds as p / 28 does, so the fitted cuts
-    # are among these
-    ends = np.array([80.0 * (k / subs) ** 2 for k in range(subs + 1)])
-    points = chebyshev_points(ends[:-1, None], ends[1:, None], _EVAL_DEGREE)
-    # the fitted series, without the first piece's factor e, at every point;
-    # the first sub-piece holds I / e and F / e, the rest of its piece I and F
-    parent = np.arange(subs) // _SPLIT
-    t = (points - fitted.centers[parent, None]) * fitted.scales[parent, None]
-    values = chebyshev_series(np.moveaxis(fitted.coefs[:, :, parent, None], 1, 0), t)
-    values[:, 1:_SPLIT] *= points[1:_SPLIT]
-    table = _series_table(ends, chebyshev_coefficients(values))
-    mids = 0.5 * (points[:, 1:] + points[:, :-1])
-    want = np.stack([fitted.value(0, mids), fitted.value(1, mids)])
-    _check_table(table, mids, want, _SPLIT_TOL, "the fitted series it is split from")
     return table
 
 

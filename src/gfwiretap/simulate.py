@@ -30,7 +30,7 @@ from .codec import (
     mmse_estimate,
     random_key,
 )
-from .errors import BudgetError
+from .errors import BudgetError, NumericalError
 from .field import FieldSpec, GaussianField, enumerate_outputs, sample_field
 
 __all__ = [
@@ -239,8 +239,8 @@ def run_experiment(
     By default the field and the binning permutation are resampled per trial
     (averaging over encoder realizations); the freeze flags pin them to the
     trial-0 realization instead.  Trials run one after another.  ``threads``
-    must be 1: the keyword stays only until the benchmark stops passing it
-    (ROADMAP item 1).
+    must be 1: the keyword stays only while ``DecodeFresh.run`` in
+    ``benchmarks/workloads.py`` passes it.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -420,6 +420,13 @@ def estimate_leakage(
     patterns = (inputs[0::2] << k_tilde) | inputs[1::2]
     ys = transmit(table[patterns], cfg.sigma_e_sq, rng_noise)
     leak, full, genie = _leakage_terms(table, patterns, ys, k, k_tilde, cfg.sigma_e_sq)
+    # the scorer's expanded square loses ~eps |t|^2 / (2 sigma_e_sq) nats on
+    # each sample's own entry, which overflows the exp at tiny noise
+    if not np.isfinite([leak, full, genie]).all():
+        raise NumericalError(
+            f"leakage terms are not finite at sigma_e_sq={cfg.sigma_e_sq!r}: "
+            f"the eavesdropper noise is too small to score in floats"
+        )
 
     leak_mean, leak_se = _mean_and_se(leak)
     full_mean, full_se = _mean_and_se(full)

@@ -149,6 +149,15 @@ class TestCriticalRate:
             located[tol] = float(data_rows(out)[1].split(",")[0])
         assert abs(located["1e-20"] - located["1e-4"]) <= 1e-4
 
+    @pytest.mark.parametrize("lam", ["6", "8"])
+    def test_high_orders_reach_the_zero_regime(self, capsys, lam):
+        # from lambda 6 on, m**order vanishes against the energy's ulp near
+        # m = 0; the flat stretch there must not displace the zero overlap
+        code, out, _ = run_cli(capsys, "critical-rate", "--lambda", lam)
+        assert code == 0
+        located, heuristic, _ = (float(v) for v in data_rows(out)[1].split(","))
+        assert abs(located - heuristic) <= 0.005
+
     def test_bracket_without_transition_is_numerical_failure(self, capsys):
         # both endpoints are past the collapse, so no regime change exists
         code, _, err = run_cli(
@@ -320,6 +329,18 @@ class TestLeakageCommand:
         assert names == ["leakage", "mi_all_symbols", "mi_key_given_msg", "chain_residual"]
         chain = float(rows[4].split(",")[1])
         assert chain <= 1e-12
+
+    def test_tiny_noise_is_numerical_failure(self, capsys):
+        # the per-sample terms overflow rather than print as NaN
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                capsys,
+                "leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
+                "--sigma-e-sq", "1e-20", "--samples", "200",
+            )
+        assert code == 4
+        assert out == ""
+        assert "numerical failure" in err and "sigma_e_sq=1e-20" in err
 
     def test_huge_noise_gives_zero_within_error(self, capsys):
         code, out, _ = run_cli(

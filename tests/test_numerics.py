@@ -80,7 +80,7 @@ class TestQuadratureRule:
             got = gauss_expectation(lambda w, d=deg: w**d, rule)
             assert abs(got - moment(deg)) <= 1e-12 * max(1.0, moment(deg)), deg
 
-    def test_drops_nodes_at_or_below_weight_floor(self):
+    def test_is_the_wider_rule_cut_at_half_width(self):
         # the default rule is the wider rule cut at |w| = 9, and every node
         # the cut drops has a normalised weight below 7e-20
         rule, wide = default_rule(), trapezoid_rule(RULE_STEP, 12.0)
@@ -107,7 +107,7 @@ class TestQuadratureRule:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), deg
 
     @pytest.mark.parametrize("g", [log_cosh, np.tanh], ids=["log_cosh", "tanh"])
-    def test_pruned_rule_matches_unpruned_on_engine_integrands(self, g):
+    def test_cut_rule_matches_wider_rule_on_engine_integrands(self, g):
         # the cut at |w| = 9 changes the expectation only by the rounding of
         # the sum, across the SNRs the scalar-channel table is fitted on;
         # the bound is relative above 1 because E[log cosh] reaches ~79 at
@@ -424,6 +424,19 @@ class TestStationaryRefinement:
         got = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12, stationary=g)
         assert got == _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12)
         assert len(got[2]) == 1
+
+    def test_flat_minimum_does_not_displace_a_tied_endpoint(self):
+        # every grid point of the flat stretch next to m = 0 is a minimum,
+        # and golden section ties f(0) on it; without a sign change of
+        # stationary the endpoint keeps the tie, which the plain tie rule
+        # would hand to the largest argmin
+        f = lambda m: np.maximum(m - 0.0105, 0.0)
+        arg, val, interior, *_ = _minimize_with_diagnostics(
+            f, 0.0, 1.0, 1e-3, 1e-12, stationary=lambda m: 1.0
+        )
+        assert (arg, val) == (0.0, 0.0)
+        assert interior and all(v == 0.0 for _, v in interior)
+        assert _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12)[0] > 0.0
 
 
 class TestBrentRoot:

@@ -194,7 +194,9 @@ class TestChannelTable:
     error peaks, exact at 0, refusing SNRs it does not hold, cheap to call,
     and a build that fails loudly."""
 
-    ENDS = (0.0,) + CHANNEL_CUTS
+    # every eighth cut, 28 spans of 8 pieces each: the dense checks' 201
+    # points per span reach every piece
+    ENDS = (0.0,) + CHANNEL_CUTS[7::8]
     TOP = CHANNEL_CUTS[-1]
 
     @staticmethod
@@ -215,8 +217,8 @@ class TestChannelTable:
 
     def test_matches_fine_trapezoid_across_every_piece(self):
         # the same points against a reference within 6e-16 of the 50-digit
-        # integrals; the table is off by up to 1.2e-15 on I (near e = 71)
-        # and 8.2e-16 on F (at e = 0.102; the fitted series, 6.1e-16)
+        # integrals; the table is off by up to 1.3e-15 on I (near e = 18.6)
+        # and 7.3e-16 on F (near e = 1.07)
         e = np.concatenate(
             [np.linspace(lo, hi, 201) for lo, hi in zip(self.ENDS, self.ENDS[1:])]
             + [np.geomspace(1e-12, 1e-2, 50), np.linspace(self.TOP, 120.0, 201)]
@@ -228,8 +230,9 @@ class TestChannelTable:
 
     def test_against_50_digit_integrals(self):
         # relative above 1, since I = e - E[log cosh] cancels to ~ulp(e);
-        # the worst is 1.5e-15 on I at e = 33.1; the rule it is fitted on
-        # is off most near e = 15.5, and the order-800 rule near e = 18.8
+        # the worst is 6.7e-16 on F at e = 0.918 (over all 225 piece ends,
+        # 1.1e-15 on I at e = 67.0); the rule it is fitted on is off most
+        # near e = 15.5, and the order-800 rule near e = 18.8
         es = self.ENDS + (0.01, 0.5, 2.0, 10.0, 14.8, 15.5, 15.8, 18.8, 25.0, 50.0, 100.0)
         for e in es:
             i_mp, f_mp, _, _ = scalar_channel_mp(e)
@@ -264,7 +267,7 @@ class TestChannelTable:
                     tab.value(0, e)
 
     def test_build_fails_when_off_between_its_points(self, monkeypatch):
-        # degree 4 cannot follow I and F to CHANNEL_TOL on these pieces
+        # degree 4 cannot follow I and F to CHANNEL_TOL on all 224 pieces
         replica._channel_table.cache_clear()
         monkeypatch.setattr(replica, "CHANNEL_DEGREE", 4)
         try:
@@ -272,31 +275,6 @@ class TestChannelTable:
                 energy(0.5, make_config(rate=1.0))
         finally:
             replica._channel_table.cache_clear()
-
-    def test_split_fails_when_off_between_its_points(self, monkeypatch):
-        # degree 3 cannot follow the fitted series to _SPLIT_TOL on the
-        # sub-pieces; the fit itself passes its check
-        replica._channel_table.cache_clear()
-        monkeypatch.setattr(replica, "_EVAL_DEGREE", 3)
-        try:
-            with pytest.raises(NumericalError, match="against the fitted series"):
-                energy(0.5, make_config(rate=1.0))
-        finally:
-            replica._channel_table.cache_clear()
-
-    def test_split_matches_the_fitted_series(self):
-        # at every sub-piece's ends and midpoint, floats and arrays; the
-        # worst is 1.7e-16 on I (e = 0.74) and 4.4e-16 on F (e = 0.38)
-        tab, fitted = replica._channel_table(), replica._fitted_table()
-        ends = np.concatenate([[0.0], tab.cuts])
-        assert np.array_equal(ends[replica._SPLIT :: replica._SPLIT], CHANNEL_CUTS)
-        e = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])])
-        for q in (0, 1):
-            err = np.abs(tab.value(q, e) - fitted.value(q, e)) / np.maximum(1.0, e)
-            assert err.max() <= 1e-15, ("IF"[q], e[np.argmax(err)], err.max())
-            for x in e[::7]:
-                got, want = tab.value(q, float(x)), fitted.value(q, float(x))
-                assert abs(got - want) <= 1e-15 * max(1.0, x), ("IF"[q], x)
 
     def test_scalar_calls_are_cheap(self):
         # best of several repeats, so load on the host cannot fail it: the
@@ -307,6 +285,15 @@ class TestChannelTable:
             best = min(timeit.repeat(lambda: f(0.4, cfg), number=200, repeat=7)) / 200
             assert best < limit, (f.__name__, best)
 
+    def test_build_is_cheap(self):
+        # best of 3 cold builds; one takes ~20-30 ms
+        def build():
+            replica._channel_table.cache_clear()
+            replica._channel_table()
+
+        best = min(timeit.repeat(build, number=1, repeat=3))
+        assert best < 0.1, best
+
 
 class TestNodeBlocks:
     """The table as the solver calls it, on its 1001-point overlap grid and
@@ -316,7 +303,7 @@ class TestNodeBlocks:
     GRID = np.linspace(0.0, 1.0, 1001)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_grid_energy_equals_block_reference(self, order):
+    def test_grid_energy_equals_reference(self, order):
         for rate in (0.5, 1.7, 3.0):
             for sigma_sq in (0.05, 0.1, 1.0):
                 cfg = make_config(rate=rate, sigma_sq=sigma_sq, order=order)
@@ -374,7 +361,7 @@ class TestNodeBlocks:
             for val in (got, single):
                 assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), (e, val, ref)
 
-    def test_band_seams_add_no_grid_minimum(self):
+    def test_piece_cuts_add_no_grid_minimum(self):
         # a seam moves the energy by ~1e-15, which on a flat stretch could
         # pass ``inner <= neighbours``; the table's grid energy must find
         # the same interior grid minima as the order-1600 reference energy
@@ -406,6 +393,15 @@ class TestSolveOverlap:
         sol = solve_overlap(make_config(rate=2.02, order=3))
         assert sol.info_rate == pytest.approx(C0, abs=1e-6)
         assert sol.m_star == 0.0
+
+    def test_flat_stretch_at_high_order_does_not_displace_zero(self):
+        # at lambda 6, m**6 vanishes against the energy's ulp near m = 0, so
+        # the grid energy there ties energy(0) bit for bit; the "minima"
+        # golden section finds on that stretch must not win the tie
+        sol = solve_overlap(make_config(rate=3.4, sigma_sq=0.1, order=6))
+        assert sol.m_star == 0.0 and sol.fixed_point_residual == 0.0
+        assert sol.interior_minima
+        assert all(v == sol.energy_at_0 for _, v in sol.interior_minima)
 
     def test_info_rate_is_energy_at_minimizer(self):
         cfg = make_config(rate=3.0, order=1)

@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from gfwiretap import cli, codec, field, simulate
 from gfwiretap.codec import CodecConfig, build_binning, random_key
-from gfwiretap.errors import BudgetError
+from gfwiretap.errors import BudgetError, NumericalError
 from gfwiretap.field import FieldSpec, sample_field
 from gfwiretap.simulate import (
     _codeword_table,
@@ -197,6 +197,18 @@ class TestLeakage:
         cfg = small_cfg(n=8, k=2, k_tilde=2, sigma_e_sq=1e6)
         est = estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 600)
         assert abs(est.leakage) <= 3.0 * est.leakage_se
+
+    def test_tiny_eavesdropper_noise_is_refused(self):
+        # the scorer's expanded square loses ~eps |t|^2 / (2 sigma_e_sq) nats
+        # per sample: at 1e-20 that overflows the exp, at 1e-16 the message
+        # is still read exactly
+        cfg = small_cfg(n=8, k=2, k_tilde=2, sigma_e_sq=1e-16)
+        est = estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 200)
+        assert est.leakage == pytest.approx(cfg.k * math.log(2.0) / cfg.n, rel=1e-12)
+        cfg = small_cfg(n=8, k=2, k_tilde=2, sigma_e_sq=1e-20)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="sigma_e_sq=1e-20"):
+                estimate_leakage(cfg, _trial_field(cfg, 0), _trial_plan(cfg, 0), 200)
 
     def test_nonnegative_and_entropy_bounded(self):
         cfg = small_cfg(n=8, k=3, k_tilde=2, sigma_e_sq=0.5)
