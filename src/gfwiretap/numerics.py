@@ -226,10 +226,12 @@ def chebyshev_series(coefs, t):
     sums in plain Python arithmetic, and rows of arrays that broadcast
     against an array ``t`` give an array.  Both take the same operations in
     the same order, so a float agrees bit for bit with its entry in an array.
+    The recurrence starts from the last coefficient, the value its first
+    step would give it, ``c + t2 * 0 - 0``.
     """
     t2 = t + t
-    b1 = b2 = 0.0
-    for c in coefs[:0:-1]:
+    b1, b2 = (coefs[-1], 0.0) if len(coefs) > 1 else (0.0, 0.0)
+    for c in coefs[-2:0:-1]:
         b1, b2 = c + t2 * b1 - b2, b1
     return coefs[0] + t * b1 - b2
 
@@ -343,6 +345,13 @@ def _grid(lo: float, hi: float, points: int) -> np.ndarray:
     return grid
 
 
+def _step_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
+    """The cached grid of cells at most ``grid_step`` wide on ``[lo, hi]``,
+    the one :func:`_minimize_with_diagnostics` hands its objective."""
+    n_cells = max(1, int(math.ceil((hi - lo) / grid_step - 1e-12)))
+    return _grid(lo, hi, n_cells + 1)
+
+
 def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None):
     """Grid-then-refine minimization returning interior candidates as well.
 
@@ -369,8 +378,7 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-    n_cells = max(1, int(math.ceil((hi - lo) / grid_step - 1e-12)))
-    grid = _grid(lo, hi, n_cells + 1)
+    grid = _step_grid(lo, hi, grid_step)
     vals = np.asarray(f(grid), dtype=float).reshape(-1)
     if vals.shape != grid.shape:
         raise ValueError(

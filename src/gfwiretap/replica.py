@@ -24,18 +24,23 @@ checked against it between their interpolation points.  Against 50-digit
 integrals the table is within 1.1e-15 (relative above 1) on ``I`` and
 6.7e-16 on ``F`` at its piece ends and where the rule's error peaks.
 Above the last cut it holds ``I = log 2`` and ``F = 1``, the floats the
-true values round to.  A float SNR takes the same piece and the same
-operations as its entry in an array, so it gets the same value bit for bit.
+true values round to.  Each piece's centre, scale and coefficients are
+packed in one row, so an array of SNRs reads its pieces with one gather.
+A float SNR takes the same piece and the same operations as its entry in
+an array, so it gets the same value bit for bit.
 
 ``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime``, ``energy`` and
 ``fixed_point_map`` accept a float or an array of overlaps ``m`` through one
 code path: a float gives a Python float, an array gives an array of the
 same shape.  The solver evaluates the energy on its whole grid in one call
 this way.  It works at one resolution, the module constants ``GRID_STEP``
-and ``REFINE_TOL``.
+and ``REFINE_TOL``.  On that grid only ``I`` depends on the rate: ``phi``,
+``phi'``, the residual power, ``C_D`` and ``(1 - m) C_D'`` are cached per
+``(sigma_sq, power, order)``, read-only, so a rate scan forms them once.
 
-All operations are pure apart from the table's one-time build; rate scans
-may run concurrently without shared state.
+All operations are pure apart from the table's one-time build and the
+cache of grid terms, which holds only values that any call would compute
+alike; rate scans may run concurrently.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .numerics import (
     _brent_root,
     _dyadic_bracket,
     _minimize_with_diagnostics,
+    _step_grid,
     bisect_transition,
     chebyshev_coefficients,
     chebyshev_points,
@@ -148,10 +154,11 @@ class ReplicaSolution:
     of at most ~2e-11 (median ~1e-14 over lambda 1-4, sigma^2 0.1/0.3/1 and
     rates 0.7-3.0, where every interior minimum took that path).  Golden
     section (the fallback) refines a minimum across whose grid bracket
-    ``m - F(m)`` does not turn from negative to positive: 3 of 14 310 solves
-    over lambda 1-5, sigma^2 0.01-3, power 0.5-2 and rates 0.05-7.95, all at
-    lambda 5, with residuals up to ~3e-10.  Such a minimum wins only by more
-    than 1e-12 below both endpoint energies: from lambda 6 on, ``m**order``
+    ``m - F(m)`` does not turn from negative to positive: 2 of 14 310
+    solves over lambda 1-5, sigma^2 0.01/0.03/0.1/0.3/1/3, power 0.5/1/2
+    and rates 0.05-7.95 in steps of 0.05, both at lambda 5, with residuals
+    of ~1e-11 and ~5e-11 (``m = 0`` won both).  Such a minimum wins only by
+    more than 1e-12 below both endpoint energies: from lambda 6 on, ``m**order``
     vanishes against the energy's ulp near m = 0, and golden section finds
     "minima" there that only tie ``energy(0)``.
     ``interior_minima`` lists every refined interior local minimum as
@@ -195,42 +202,46 @@ class _ChannelTable:
 
     Piece ``p`` covers ``[cuts[p - 1], cuts[p])`` (from 0 for ``p = 0``) and
     the last piece everything from ``cuts[-1] = 80`` up, where its series is
-    the constant ``log 2`` or 1.  On piece ``p`` the series runs in
-    ``t = (e - centers[p]) * scales[p]``; the first piece holds ``I(e) / e``
-    and ``F(e) / e``, so both are exactly 0 at ``e = 0``.  ``coefs[q]`` has
-    shape ``(degree + 1, pieces)``, ``q`` being 0 for ``I`` and 1 for ``F``.
-    ``lists`` repeats ``(cuts, centers, scales, coefs)`` as Python lists,
-    ``coefs`` by piece, for float calls.
+    the constant ``log 2`` or 1.  ``rows[q, p]`` is ``[center, scale, c_0,
+    ..., c_degree]``, ``q`` being 0 for ``I`` and 1 for ``F``: on piece
+    ``p`` the series runs in ``t = (e - center) * scale``, and the first
+    piece holds ``I(e) / e`` and ``F(e) / e``, so both are exactly 0 at
+    ``e = 0``.  ``lists`` repeats ``(cuts, rows)`` as Python lists for
+    float calls.
     """
 
     cuts: np.ndarray
-    centers: np.ndarray
-    scales: np.ndarray
-    coefs: np.ndarray
+    rows: np.ndarray
     lists: tuple
 
     def value(self, q: int, e):
         """``I(e)`` (``q = 0``) or ``F(e)`` (``q = 1``) for a float or array ``e``.
 
-        A negative, NaN or infinite SNR raises :class:`NumericalError`.
+        A negative, NaN or infinite SNR raises :class:`NumericalError`.  An
+        array's pieces are read with one gather of their rows.
         """
-        scalar = not _is_array(e)
-        e = float(e) if scalar else e.astype(float, copy=False)
-        valid = (e >= 0.0) & (e < math.inf)
-        if not (valid if scalar else valid.all()):
-            bad = e if scalar else e[~valid][0]
-            raise NumericalError(
-                f"effective SNR must be finite and >= 0, got {float(bad)!r}"
-            )
-        if scalar:
-            cuts, centers, scales, coefs = self.lists
+        if not _is_array(e):
+            e = float(e)
+            if not 0.0 <= e < math.inf:
+                raise _refused(e)
+            cuts, rows = self.lists
             p = bisect.bisect_right(cuts, e)
-            coef, lead = coefs[q][p], e if p == 0 else 1.0
-        else:
-            centers, scales = self.centers, self.scales
-            p = np.searchsorted(self.cuts, e, side="right")
-            coef, lead = self.coefs[q][:, p], np.where(p == 0, e, 1.0)
-        return chebyshev_series(coef, (e - centers[p]) * scales[p]) * lead
+            row = rows[q][p]
+            out = chebyshev_series(row[2:], (e - row[0]) * row[1])
+            return out * e if p == 0 else out
+        e = e.astype(float, copy=False)
+        # NaN fails both comparisons
+        if e.size and not (e.min() >= 0.0 and e.max() < math.inf):
+            raise _refused(e[~((e >= 0.0) & (e < math.inf))][0])
+        p = np.searchsorted(self.cuts, e, side="right")
+        row = self.rows[q].take(p, axis=0).transpose(e.ndim, *range(e.ndim))
+        out = chebyshev_series(row[2:], (e - row[0]) * row[1])
+        # the other pieces' factor is 1.0, and multiplying by it is exact
+        return np.multiply(out, e, out=out, where=p == 0)
+
+
+def _refused(e) -> NumericalError:
+    return NumericalError(f"effective SNR must be finite and >= 0, got {float(e)!r}")
 
 
 def _by_rule(e, rule):
@@ -267,15 +278,11 @@ def _channel_table() -> _ChannelTable:
     full = np.zeros((2, len(hi) + 1, CHANNEL_DEGREE + 1))
     full[:, :-1] = chebyshev_coefficients(values)
     full[:, -1, 0] = LOG2, 1.0
-    centers = np.append(0.5 * (lo + hi), hi[-1])
-    scales = np.append(2.0 / (hi - lo), 0.0)
-    table = _ChannelTable(
-        cuts=hi,
-        centers=centers,
-        scales=scales,
-        coefs=full.transpose(0, 2, 1).copy(),
-        lists=(hi.tolist(), centers.tolist(), scales.tolist(), full.tolist()),
-    )
+    rows = np.empty((2, len(hi) + 1, CHANNEL_DEGREE + 3))
+    rows[:, :, 0] = np.append(0.5 * (lo + hi), hi[-1])
+    rows[:, :, 1] = np.append(2.0 / (hi - lo), 0.0)
+    rows[:, :, 2:] = full
+    table = _ChannelTable(cuts=hi, rows=rows, lists=(hi.tolist(), rows.tolist()))
     mids = 0.5 * (points[:, 1:] + points[:, :-1])
     err = np.stack([table.value(0, mids), table.value(1, mids)]) - _by_rule(mids, rule)
     err = np.abs(err) / np.maximum(1.0, mids)
@@ -296,13 +303,15 @@ def _overlap_terms(m, cfg: ReplicaConfig):
 
 
 def _snr(terms, cfg: ReplicaConfig):
-    _, slope, resid = terms
-    return slope / (cfg.rate * resid)
+    return terms[1] / (cfg.rate * terms[2])
 
 
 def _mi(snr):
     val = _channel_table().value(0, snr)
-    return np.minimum(np.maximum(val, 0.0), LOG2)
+    if _is_array(val):
+        return np.minimum(np.maximum(val, 0.0), LOG2)
+    # max(0.0, -0.0) is 0.0, as np.maximum(-0.0, 0.0) is
+    return min(max(0.0, val), LOG2)
 
 
 def _cd(terms, cfg: ReplicaConfig):
@@ -310,8 +319,28 @@ def _cd(terms, cfg: ReplicaConfig):
 
 
 def _cd_prime(terms):
-    _, slope, resid = terms
-    return -slope / (2.0 * resid)
+    return -terms[1] / (2.0 * terms[2])
+
+
+def _solver_grid() -> np.ndarray:
+    """The cached overlap grid that ``solve_overlap`` hands ``energy``."""
+    return _step_grid(0.0, 1.0, GRID_STEP)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_terms(sigma_sq: float, power: float, order: int) -> tuple:
+    """``(phi, phi', resid, cd, (1 - m) cd')`` on the solver's grid, read-only.
+
+    None of them depends on the rate, so a rate scan forms them once; each
+    is formed by the operations ``energy`` takes on any other ``m``.
+    """
+    m = _solver_grid()
+    cfg = ReplicaConfig(rate=1.0, sigma_sq=sigma_sq, power=power, order=order)
+    terms = _overlap_terms(m, cfg)
+    terms += (_cd(terms, cfg), (1.0 - m) * _cd_prime(terms))
+    for a in terms:
+        a.setflags(write=False)
+    return terms
 
 
 def effective_snr(m, cfg: ReplicaConfig):
@@ -347,8 +376,12 @@ def energy(m, cfg: ReplicaConfig):
 
     ``phi(m)`` and ``phi'(m)`` are formed once for the three terms, by the
     operations the functions above take, so the energy equals their sum bit
-    for bit.
+    for bit.  On the solver's own grid every term but the rate's is read
+    from :func:`_grid_terms`, cached per ``(sigma_sq, power, order)``.
     """
+    if _is_array(m) and m is _solver_grid():
+        terms = _grid_terms(cfg.sigma_sq, cfg.power, cfg.order)
+        return (cfg.rate * _mi(_snr(terms, cfg)) + terms[3]) + terms[4]
     terms = _overlap_terms(m, cfg)
     return _as_float(
         cfg.rate * _mi(_snr(terms, cfg))

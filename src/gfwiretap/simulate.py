@@ -352,24 +352,27 @@ def _leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq):
     step = _score_rows(n, dim)
     buf = np.empty((min(step, len(ys)), 1 << dim))
     index = np.arange(len(buf))
-    for start in range(0, len(ys), step):
-        block = slice(start, start + step)
-        pattern = patterns[block]
-        shifted = buf[: len(pattern)]
-        np.matmul(obs[block], codes, out=shifted)
-        rows = index[: len(pattern)]
-        own_msg = shifted.reshape(-1, 1 << k, 1 << k_tilde)[rows, pattern >> k_tilde]
-        lp_joint[block] = own_msg[rows, pattern & key_mask]
-        lp_given_msg[block] = _logsumexp_rows(own_msg)
-        if any_far and far[block].any():
-            shift[block] = np.where(far[block], shifted.max(axis=1), 0.0)
-            shifted -= shift[block, None]
-        np.exp(shifted, out=shifted)
-        shifted.sum(axis=1, out=total[block])
-    # all three less W; lp_joint is the product's own entry, ~0, so that its
-    # rounding cancels against the same entry in both sums
-    lp_given_msg -= k_tilde * LOG2
-    lp_marginal = shift + np.log(total) - dim * LOG2
+    # at tiny noise the sums overflow; the caller's finiteness check
+    # reports that, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, len(ys), step):
+            block = slice(start, start + step)
+            pattern = patterns[block]
+            shifted = buf[: len(pattern)]
+            np.matmul(obs[block], codes, out=shifted)
+            rows = index[: len(pattern)]
+            own_msg = shifted.reshape(-1, 1 << k, 1 << k_tilde)[rows, pattern >> k_tilde]
+            lp_joint[block] = own_msg[rows, pattern & key_mask]
+            lp_given_msg[block] = _logsumexp_rows(own_msg)
+            if any_far and far[block].any():
+                shift[block] = np.where(far[block], shifted.max(axis=1), 0.0)
+                shifted -= shift[block, None]
+            np.exp(shifted, out=shifted)
+            shifted.sum(axis=1, out=total[block])
+        # all three less W; lp_joint is the product's own entry, ~0, so that
+        # its rounding cancels against the same entry in both sums
+        lp_given_msg -= k_tilde * LOG2
+        lp_marginal = shift + np.log(total) - dim * LOG2
     return (
         (lp_given_msg - lp_marginal) / n,
         (lp_joint - lp_marginal) / n,

@@ -1,5 +1,9 @@
 import argparse
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -332,15 +336,34 @@ class TestLeakageCommand:
 
     def test_tiny_noise_is_numerical_failure(self, capsys):
         # the per-sample terms overflow rather than print as NaN
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(
-                capsys,
-                "leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
-                "--sigma-e-sq", "1e-20", "--samples", "200",
-            )
+        code, out, err = run_cli(
+            capsys,
+            "leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
+            "--sigma-e-sq", "1e-20", "--samples", "200",
+        )
         assert code == 4
         assert out == ""
         assert "numerical failure" in err and "sigma_e_sq=1e-20" in err
+
+    def test_tiny_noise_prints_only_the_failure_line(self):
+        # in a fresh interpreter, where numpy's warnings reach stderr: the
+        # overflowing scorer must leave the one line that explains the exit
+        src = str(pathlib.Path(gfwiretap.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "gfwiretap.cli",
+                "leakage", "--n", "8", "--k", "2", "--k-tilde", "2",
+                "--sigma-e-sq", "1e-18", "--samples", "2000",
+            ],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 4
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gfwiretap: numerical failure:"), lines
 
     def test_huge_noise_gives_zero_within_error(self, capsys):
         code, out, _ = run_cli(

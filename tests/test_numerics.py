@@ -171,6 +171,15 @@ class TestChebyshev:
         assert all(type(v) is float for v in singles)
         assert stacked.tolist() == singles
 
+    def test_low_degree_series(self):
+        # the recurrence starts from the last coefficient; a constant has
+        # none to start from
+        t = np.linspace(-1.0, 1.0, 5)
+        assert chebyshev_series([2.5], 0.3) == 2.5
+        assert chebyshev_series(np.array([2.5]), t).tolist() == [2.5] * 5
+        assert chebyshev_series([2.5, -1.0], 0.3) == 2.5 - 0.3
+        np.testing.assert_array_equal(chebyshev_series([2.5, -1.0], t), 2.5 - t)
+
     def test_interpolant_of_an_analytic_function(self):
         x = chebyshev_points(0.0, 3.0, 24)
         coefs = chebyshev_coefficients(np.exp(-x))

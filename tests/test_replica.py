@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gfwiretap import numerics, replica
 from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
@@ -180,6 +181,16 @@ class TestArrayOverlaps:
                 for m in (0.0, 0.4, 1.0, np.float64(0.4)):
                     assert type(f(m, cfg)) is float
 
+    def test_negative_zero_overlap_matches_its_entry(self):
+        # at order 2 the SNR is -0.0, which the I clip turns into +0.0
+        for order in (1, 2, 3):
+            cfg = make_config(rate=1.3, order=order)
+            for f in self.QUANTITIES + (fixed_point_map,):
+                single, stacked = f(-0.0, cfg), f(np.array([-0.0, 0.5]), cfg)[0]
+                assert single == stacked and math.copysign(1.0, single) == math.copysign(
+                    1.0, stacked
+                ), (order, f.__name__, single, stacked)
+
     def test_array_in_keeps_shape(self):
         cfg = make_config(rate=1.3, order=3)
         m = np.linspace(0.0, 1.0, 12).reshape(3, 4)
@@ -265,6 +276,24 @@ class TestChannelTable:
             for e in (bad, np.array([1.0, bad])):
                 with pytest.raises(NumericalError, match="effective SNR"):
                     tab.value(0, e)
+
+    CUT_SNRS = st.sampled_from(CHANNEL_CUTS)
+    SNRS = st.one_of(
+        st.floats(min_value=0.0, max_value=120.0),
+        CUT_SNRS,
+        CUT_SNRS.map(lambda c: math.nextafter(c, math.inf)),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(es=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12), elements=SNRS))
+    def test_float_snr_equals_its_entry_in_an_array(self, es):
+        # a float takes the piece and the operations of its entry, at every
+        # cut and one ulp above it too, and an array keeps its shape
+        tab = replica._channel_table()
+        for q in (0, 1):
+            stacked = tab.value(q, es)
+            assert stacked.shape == es.shape
+            assert stacked.tolist() == [[tab.value(q, float(e)) for e in row] for row in es]
 
     def test_build_fails_when_off_between_its_points(self, monkeypatch):
         # degree 4 cannot follow I and F to CHANNEL_TOL on all 224 pieces
@@ -376,6 +405,61 @@ class TestNodeBlocks:
                     assert minima(energy(self.GRID, cfg)) == minima(
                         energy_reference(self.GRID, cfg)
                     ), (order, sigma_sq, rate)
+
+
+class TestGridTerms:
+    """The rate-free terms cached on the solver's grid: the same bits as the
+    generic path, read-only, formed once per rate scan, and found again
+    after other grids have passed through the grid cache."""
+
+    @staticmethod
+    def bits(a):
+        return a.dtype, a.shape, a.tobytes()
+
+    def test_solver_grid_equals_a_fresh_grid(self):
+        grid, fresh = replica._solver_grid(), np.linspace(0.0, 1.0, 1001)
+        assert grid is numerics._step_grid(0.0, 1.0, GRID_STEP)
+        for order in range(1, 9):
+            for sigma_sq in (0.01, 0.1, 3.0):
+                for power in (0.5, 2.0):
+                    for rate in (0.05, 1.3, 2.9, 7.95):
+                        cfg = make_config(rate=rate, sigma_sq=sigma_sq, power=power, order=order)
+                        for f in (energy, fixed_point_map):
+                            got, want = f(grid, cfg), f(fresh, cfg)
+                            assert np.array_equal(got, want), (f.__name__, cfg)
+                            assert self.bits(got) == self.bits(want), (f.__name__, cfg)
+
+    def test_cached_terms_are_read_only(self):
+        terms = replica._grid_terms(0.1, 1.0, 3)
+        assert len(terms) == 5
+        for a in terms:
+            assert a.shape == (1001,) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_formed_once_per_rate_scan(self):
+        cfg = make_config(rate=1.0, sigma_sq=0.2718, power=1.5, order=3)
+        before = replica._grid_terms.cache_info()
+        scan_rates(cfg, [0.5, 1.0, 1.5, 2.0, 2.5])
+        after = replica._grid_terms.cache_info()
+        assert after.misses == before.misses + 1
+        assert after.hits == before.hits + 4
+
+    def test_found_again_after_other_grids(self):
+        # nine other grids evict the solver's from numerics' cache of eight;
+        # the solver must still hand energy the grid it recognises
+        cfg = make_config(rate=1.3, sigma_sq=0.3141, power=0.7, order=3)
+        first = solve_overlap(cfg)
+        evicted = replica._solver_grid()
+        for cells in range(10, 100, 10):
+            numerics._minimize_with_diagnostics(
+                lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1.0 / cells, 1e-8
+            )
+        before = replica._grid_terms.cache_info()
+        assert solve_overlap(cfg) == first
+        after = replica._grid_terms.cache_info()
+        assert replica._solver_grid() is not evicted
+        assert after.hits == before.hits + 1 and after.misses == before.misses
 
 
 class TestSolveOverlap:
