@@ -37,13 +37,7 @@ from .field import (
     evaluate,
     sample_field,
 )
-from .numerics import (
-    QuadratureRule,
-    bisect_transition,
-    default_rule,
-    gauss_expectation,
-    log_cosh,
-)
+from .numerics import bisect_transition
 from .replica import (
     ReplicaConfig,
     ReplicaSolution,

@@ -1,6 +1,6 @@
 """Numerics kernel: standard-normal expectations by quadrature, Chebyshev
-interpolation, bracketed one-dimensional minimization, Brent root finding,
-and transition bisection.
+interpolation, grid minimization refined at stationarity roots, Brent root
+finding, and transition bisection.
 
 The one quadrature rule is the trapezoidal rule on a uniform grid, weighted
 by the normal density: 289 nodes ``k / 16`` on ``|w| <= 9``.  On the scalar
@@ -9,7 +9,9 @@ channel's integrands it is within 8e-16 of 50-digit integrals, and
 
 Quadrature integrands and minimization objectives are array-shaped: an
 integrand may return a stack of node values, and an objective is evaluated
-on its whole grid in one call.  A Chebyshev series is fitted from its
+on its whole grid, which the caller owns, in one call.  A grid minimum is
+refined only at a root of the objective's stationarity function, never by
+searching the objective's values.  A Chebyshev series is fitted from its
 values at the Chebyshev points by their discrete orthogonality, and
 summed by one routine for a float or an array of points.
 
@@ -49,13 +51,13 @@ RULE_STEP = 1.0 / 16.0
 RULE_HALF_WIDTH = 9.0
 
 _LOG2 = math.log(2.0)
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Relative part of ``_brent_root``'s tolerance: four machine epsilons.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAX_ITER = 100
 
-#: Tolerance for treating two candidate minima as a tie (coexistence).
+#: Tolerance for treating two candidate minima as a tie (coexistence): the
+#: largest argmin among them wins.
 TIE_TOL = 1e-12
 
 
@@ -236,31 +238,6 @@ def chebyshev_series(coefs, t):
     return coefs[0] + t * b1 - b2
 
 
-def _golden_section(f, a, b, tol):
-    """Shrink [a, b] to width <= tol; return the best evaluated point.
-
-    Both the surviving interior point and the final midpoint lie in the
-    terminal bracket, so the returned abscissa is within tol of the true
-    minimizer.
-    """
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = float(f(d))
-    best, f_best = (c, fc) if fc <= fd else (d, fd)
-    mid = 0.5 * (a + b)
-    f_mid = float(f(mid))
-    return (mid, f_mid) if f_mid <= f_best else (best, f_best)
-
-
 def _brent_root(f, a, b, xtol, fa=None, fb=None):
     """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
 
@@ -321,64 +298,43 @@ def _brent_root(f, a, b, xtol, fa=None, fb=None):
     )
 
 
-def _refine_minimum(f, stationary, a, b, tol):
-    """``(x, f(x), rooted)`` at the minimum of ``f`` inside the grid bracket
-    ``[a, b]``.
-
-    When ``stationary`` turns strictly from negative at ``a`` to positive at
-    ``b``, ``x`` is its Brent root to ``tol`` and ``rooted`` is true;
-    otherwise golden section on ``f`` finds it.
-    """
-    if stationary is not None:
-        g_a, g_b = float(stationary(a)), float(stationary(b))
-        if g_a < 0.0 < g_b:
-            x = _brent_root(stationary, a, b, tol, fa=g_a, fb=g_b)
-            return x, float(f(x)), True
-    return *_golden_section(f, a, b, tol), False
-
-
-@functools.lru_cache(maxsize=8)
-def _grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """``np.linspace(lo, hi, points)``, cached and read-only."""
-    grid = np.linspace(lo, hi, points)
-    grid.setflags(write=False)
-    return grid
+def _stationary_root(stationary, a, m, b, tol):
+    """The Brent root, to ``tol``, of ``stationary`` on the first of
+    ``[a, b]``, ``[m, b]`` and ``[a, m]`` across which it turns strictly
+    from negative to positive, or None when it turns across none of them.
+    ``stationary(m)`` is computed only when ``[a, b]`` fails."""
+    g_a, g_b = float(stationary(a)), float(stationary(b))
+    if g_a < 0.0 < g_b:
+        return _brent_root(stationary, a, b, tol, fa=g_a, fb=g_b)
+    g_m = float(stationary(m))
+    if g_m < 0.0 < g_b:
+        return _brent_root(stationary, m, b, tol, fa=g_m, fb=g_b)
+    if g_a < 0.0 < g_m:
+        return _brent_root(stationary, a, m, tol, fa=g_a, fb=g_m)
+    return None
 
 
-def _step_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
-    """The cached grid of cells at most ``grid_step`` wide on ``[lo, hi]``,
-    the one :func:`_minimize_with_diagnostics` hands its objective."""
-    n_cells = max(1, int(math.ceil((hi - lo) / grid_step - 1e-12)))
-    return _grid(lo, hi, n_cells + 1)
-
-
-def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None):
-    """Grid-then-refine minimization returning interior candidates as well.
+def _minimize_with_diagnostics(f, stationary, grid, refine_tol):
+    """Grid-then-root minimization returning interior candidates as well.
 
     ``f`` takes an array of abscissae and returns one value each; the whole
-    grid goes to it in one call, as a cached read-only array.  Each interior
-    grid point no higher than both neighbours is refined on the bracket of
-    its two neighbours.  ``stationary``, if given, is a scalar function that is
-    negative where ``f`` falls and positive where it rises (a positive
-    multiple of ``f'``); where it changes sign strictly from negative to
-    positive across the bracket, the minimum is its Brent root, with one
-    more ``f`` call there.  Everywhere else, golden section refines, with
-    scalar ``f`` calls; when ``stationary`` is given, such a minimum may be
-    a stretch of ``f`` flat to rounding, so it competes only when it is
-    more than ``TIE_TOL`` below both endpoints.
+    ``grid``, an increasing 1-d array, goes to it in one call.
+    ``stationary`` is a scalar function that is negative where ``f`` falls
+    and positive where it rises (a positive multiple of ``f'``).  Each
+    interior grid point ``i`` no higher than both neighbours is refined at
+    the root of ``stationary`` on the first of its brackets
+    ``[i - 1, i + 1]``, ``[i, i + 1]`` and ``[i - 1, i]`` across which it
+    turns strictly from negative to positive, with one more ``f`` call
+    there.  A grid minimum with no such turn is a stretch of ``f`` flat to
+    rounding, and is dropped.
 
     Returns ``(argmin, min_value, interior, f_lo, f_hi)`` where ``interior``
-    is a tuple of refined ``(x, f(x))`` pairs, one per interior grid minimum.
+    is a tuple of refined ``(x, f(x))`` pairs, one per refined grid minimum.
     Endpoints always compete as raw candidates.  Ties within ``TIE_TOL``
     resolve to the largest argmin.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-    grid = _step_grid(lo, hi, grid_step)
     vals = np.asarray(f(grid), dtype=float).reshape(-1)
     if vals.shape != grid.shape:
         raise ValueError(
@@ -393,19 +349,14 @@ def _minimize_with_diagnostics(f, lo, hi, grid_step, refine_tol, stationary=None
 
     inner = vals[1:-1]
     minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
-    refined = [
-        _refine_minimum(
-            f, stationary, float(grid[i - 1]), float(grid[i + 1]), refine_tol
-        )
+    roots = (
+        _stationary_root(stationary, *grid[i - 1 : i + 2].tolist(), refine_tol)
         for i in minima
-    ]
-    interior = tuple((x, v) for x, v, _ in refined)
+    )
+    interior = tuple((x, float(f(x))) for x in roots if x is not None)
 
     f_lo, f_hi = float(vals[0]), float(vals[-1])
-    floor = min(f_lo, f_hi) - TIE_TOL
-    candidates = ((float(grid[0]), f_lo), (float(grid[-1]), f_hi)) + tuple(
-        (x, v) for x, v, rooted in refined if rooted or stationary is None or v < floor
-    )
+    candidates = ((float(grid[0]), f_lo), (float(grid[-1]), f_hi)) + interior
     best_val = min(v for _, v in candidates)
     arg = max(x for x, v in candidates if v - best_val <= TIE_TOL)
     val = next(v for x, v in candidates if x == arg)

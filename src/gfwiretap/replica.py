@@ -33,8 +33,9 @@ an array, so it gets the same value bit for bit.
 ``fixed_point_map`` accept a float or an array of overlaps ``m`` through one
 code path: a float gives a Python float, an array gives an array of the
 same shape.  The solver evaluates the energy on its whole grid in one call
-this way.  It works at one resolution, the module constants ``GRID_STEP``
-and ``REFINE_TOL``.  On that grid only ``I`` depends on the rate: ``phi``,
+this way.  It works at one resolution: the grid is the read-only module
+constant ``_GRID``, ``GRID_STEP`` apart, and roots are refined to
+``REFINE_TOL``.  On that grid only ``I`` depends on the rate: ``phi``,
 ``phi'``, the residual power, ``C_D`` and ``(1 - m) C_D'`` are cached per
 ``(sigma_sq, power, order)``, read-only, so a rate scan forms them once.
 
@@ -59,7 +60,6 @@ from .numerics import (
     _brent_root,
     _dyadic_bracket,
     _minimize_with_diagnostics,
-    _step_grid,
     bisect_transition,
     chebyshev_coefficients,
     chebyshev_points,
@@ -92,6 +92,9 @@ REGIME_CLAMP = 1e-9
 
 #: Spacing of the solver's energy grid on [0, 1] (1001 points).
 GRID_STEP = 1e-3
+#: The solver's energy grid, read-only.
+_GRID = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
+_GRID.setflags(write=False)
 #: Tolerance to which an interior minimum is refined.
 REFINE_TOL = 1e-10
 #: Upper ends of the pieces the scalar-channel series are fitted on: 224
@@ -150,17 +153,13 @@ class ReplicaSolution:
     ``info_rate`` equals the energy at ``m_star`` (nats per channel use).
     ``fixed_point_residual`` is ``|m* - E_w[tanh(E(m*) + sqrt(E(m*)) w)]|``,
     the stationarity defect; it is only meaningful for interior minimizers.
-    An interior minimum refined at the root of ``m - F(m)`` has a residual
-    of at most ~2e-11 (median ~1e-14 over lambda 1-4, sigma^2 0.1/0.3/1 and
-    rates 0.7-3.0, where every interior minimum took that path).  Golden
-    section (the fallback) refines a minimum across whose grid bracket
-    ``m - F(m)`` does not turn from negative to positive: 2 of 14 310
-    solves over lambda 1-5, sigma^2 0.01/0.03/0.1/0.3/1/3, power 0.5/1/2
-    and rates 0.05-7.95 in steps of 0.05, both at lambda 5, with residuals
-    of ~1e-11 and ~5e-11 (``m = 0`` won both).  Such a minimum wins only by
-    more than 1e-12 below both endpoint energies: from lambda 6 on, ``m**order``
-    vanishes against the energy's ulp near m = 0, and golden section finds
-    "minima" there that only tie ``energy(0)``.
+    Every interior minimum is refined at a root of ``m - F(m)``, so its
+    residual is at most ~2.3e-11 (over lambda 1-6 and 8, sigma^2
+    0.01/0.03/0.1/0.3/1/3, power 0.5/1/2 and rates 0.05-7.95 in steps of
+    0.1 and of 0.05).  A grid minimum across which ``m - F(m)`` does not
+    turn from negative to positive is a stretch of the energy flat to
+    rounding, as near m = 0 from lambda 6 on, where ``m**order`` vanishes
+    against the energy's ulp; it is not reported.
     ``interior_minima`` lists every refined interior local minimum as
     ``(m, energy)`` pairs, even when an endpoint wins.  ``tie_flag`` marks
     endpoint-energy coexistence ``|L(0) - L(1)| <= 1e-12``.
@@ -322,19 +321,14 @@ def _cd_prime(terms):
     return -terms[1] / (2.0 * terms[2])
 
 
-def _solver_grid() -> np.ndarray:
-    """The cached overlap grid that ``solve_overlap`` hands ``energy``."""
-    return _step_grid(0.0, 1.0, GRID_STEP)
-
-
 @functools.lru_cache(maxsize=8)
 def _grid_terms(sigma_sq: float, power: float, order: int) -> tuple:
-    """``(phi, phi', resid, cd, (1 - m) cd')`` on the solver's grid, read-only.
+    """``(phi, phi', resid, cd, (1 - m) cd')`` on ``_GRID``, read-only.
 
     None of them depends on the rate, so a rate scan forms them once; each
     is formed by the operations ``energy`` takes on any other ``m``.
     """
-    m = _solver_grid()
+    m = _GRID
     cfg = ReplicaConfig(rate=1.0, sigma_sq=sigma_sq, power=power, order=order)
     terms = _overlap_terms(m, cfg)
     terms += (_cd(terms, cfg), (1.0 - m) * _cd_prime(terms))
@@ -376,10 +370,11 @@ def energy(m, cfg: ReplicaConfig):
 
     ``phi(m)`` and ``phi'(m)`` are formed once for the three terms, by the
     operations the functions above take, so the energy equals their sum bit
-    for bit.  On the solver's own grid every term but the rate's is read
-    from :func:`_grid_terms`, cached per ``(sigma_sq, power, order)``.
+    for bit.  On ``_GRID`` itself (the object, not an equal array) every
+    term but the rate's is read from :func:`_grid_terms`, cached per
+    ``(sigma_sq, power, order)``.
     """
-    if _is_array(m) and m is _solver_grid():
+    if m is _GRID:
         terms = _grid_terms(cfg.sigma_sq, cfg.power, cfg.order)
         return (cfg.rate * _mi(_snr(terms, cfg)) + terms[3]) + terms[4]
     terms = _overlap_terms(m, cfg)
@@ -398,17 +393,18 @@ def fixed_point_map(m, cfg: ReplicaConfig):
 def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
     """Minimize the energy over [0, 1] and package the solution.
 
-    The whole ``GRID_STEP`` grid goes to ``energy`` in one call, which
-    reads ``I`` from the scalar-channel table.  Interior minima are refined at the
+    The whole grid ``_GRID`` goes to ``energy`` in one call, which reads
+    ``I`` from the scalar-channel table.  Interior minima are refined at the
     root of ``m - F(m)``, ``F = fixed_point_map``: by the I-MMSE identity
     (Guo, Shamai & Verdu 2005), ``dE/dm = C_D''(m) (F(m) - m)`` with
     ``C_D'' < 0`` on (0, 1], so the energy falls where ``m - F(m) < 0`` and
     rises where it is positive.  Refinement stops at ``REFINE_TOL``.
     """
-    obj = lambda m: energy(m, cfg)
     m_star, info_rate, interior, e0, e1 = _minimize_with_diagnostics(
-        obj, 0.0, 1.0, GRID_STEP, REFINE_TOL,
-        stationary=lambda m: m - fixed_point_map(m, cfg),
+        lambda m: energy(m, cfg),
+        lambda m: m - fixed_point_map(m, cfg),
+        _GRID,
+        REFINE_TOL,
     )
     residual = abs(m_star - fixed_point_map(m_star, cfg))
     return ReplicaSolution(

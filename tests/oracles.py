@@ -182,16 +182,36 @@ def scalar_channel_mp(e):
 
 
 def minimize_reference(f, lo, hi, grid_step, refine_tol):
-    """``_minimize_with_diagnostics`` as one scalar call per grid point.
+    """Grid-then-refine minimization, as one scalar call per grid point.
 
-    The loop the row-blocked grid replaced: ``f`` is called on each grid
-    float in turn, and each interior point no higher than both neighbours is
-    refined by golden section.  Same return value as
-    ``_minimize_with_diagnostics`` called without ``stationary``; with one,
-    interior minima where it changes sign are refined at its root instead.
+    ``f`` is called on each grid float in turn, and each interior point no
+    higher than both neighbours is refined by golden section on ``f`` over
+    its two neighbours' bracket, with no stationarity function.  Returns
+    ``(argmin, min_value, interior, f_lo, f_hi)`` like
+    ``_minimize_with_diagnostics``, with the same tie rule.
     """
     from gfwiretap.errors import NumericalError
-    from gfwiretap.numerics import TIE_TOL, _golden_section
+    from gfwiretap.numerics import TIE_TOL
+
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def golden_section(a, b):
+        # shrink [a, b] to width <= refine_tol; the best evaluated point
+        c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
+        fc, fd = float(f(c)), float(f(d))
+        while (b - a) > refine_tol:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - inv_golden * (b - a)
+                fc = float(f(c))
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_golden * (b - a)
+                fd = float(f(d))
+        best, f_best = (c, fc) if fc <= fd else (d, fd)
+        mid = 0.5 * (a + b)
+        f_mid = float(f(mid))
+        return (mid, f_mid) if f_mid <= f_best else (best, f_best)
 
     n_cells = max(1, int(math.ceil((hi - lo) / grid_step - 1e-12)))
     grid = np.linspace(lo, hi, n_cells + 1)
@@ -203,9 +223,7 @@ def minimize_reference(f, lo, hi, grid_step, refine_tol):
     interior = []
     for i in range(1, len(grid) - 1):
         if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            interior.append(
-                _golden_section(f, float(grid[i - 1]), float(grid[i + 1]), refine_tol)
-            )
+            interior.append(golden_section(float(grid[i - 1]), float(grid[i + 1])))
 
     candidates = [(float(grid[0]), float(vals[0])), (float(grid[-1]), float(vals[-1]))]
     candidates.extend(interior)

@@ -12,6 +12,7 @@ from gfwiretap.numerics import (
     RULE_STEP,
     QuadratureRule,
     _brent_root,
+    TIE_TOL,
     _minimize_with_diagnostics,
     bisect_transition,
     chebyshev_coefficients,
@@ -311,34 +312,42 @@ class TestGaussExpectation:
         assert gauss_expectation(g, rule) == gauss_expectation(g, rule)
 
 
+#: The grid the minimizer tests hand it unless they say otherwise: 1000 cells.
+GRID = np.linspace(0.0, 1.0, 1001)
+
+
 class TestMinimizeScalar:
     def test_quadratic(self):
         arg, val, *_ = _minimize_with_diagnostics(
-            lambda m: (m - 0.5) ** 2, 0.0, 1.0, 1e-3, 1e-10
+            lambda m: (m - 0.5) ** 2, lambda m: m - 0.5, GRID, 1e-10
         )
         assert arg == pytest.approx(0.5, abs=1e-9)
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_monotone_returns_endpoint(self):
-        arg, val, *_ = _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, 1e-10)
+        arg, val, *_ = _minimize_with_diagnostics(lambda m: m, lambda m: 1.0, GRID, 1e-10)
         assert arg == 0.0 and val == 0.0
 
     def test_two_local_minima_lower_endpoint_wins(self):
         f = lambda m: (m * (1.0 - m)) ** 2 + 0.1 * m
-        arg, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
-        assert arg == 0.0
+        g = lambda m: 2.0 * m * (1.0 - m) * (1.0 - 2.0 * m) + 0.1
+        arg, _, interior, *_ = _minimize_with_diagnostics(f, g, GRID, 1e-10)
+        assert arg == 0.0 and len(interior) == 1
 
     def test_exact_tie_prefers_upper_end(self):
         f = lambda m: (m * (1.0 - m)) ** 2
-        arg, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
+        g = lambda m: m * (1.0 - m) * (1.0 - 2.0 * m)
+        arg, val, *_ = _minimize_with_diagnostics(f, g, GRID, 1e-10)
         assert arg == 1.0 and val == 0.0
 
     def test_interior_beats_endpoints_when_lower(self):
-        # cos is flat to double precision within ~3e-9 of the minimizer, so
-        # no value-based search can do better than that plateau
+        # cos is flat to double precision within ~3e-9 of the minimizer, but
+        # the root of its slope is not
         f = lambda m: np.cos(2 * np.pi * m)
-        arg, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
-        assert arg == pytest.approx(0.5, abs=1e-8)
+        arg, val, *_ = _minimize_with_diagnostics(
+            f, lambda m: -math.sin(2 * math.pi * m), GRID, 1e-10
+        )
+        assert arg == pytest.approx(0.5, abs=1e-9)
         assert val == pytest.approx(-1.0, abs=1e-15)
 
     @settings(max_examples=25, deadline=None)
@@ -347,40 +356,44 @@ class TestMinimizeScalar:
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=5)
         f = lambda m: np.polyval(coeffs, m)
-        _, val, *_ = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-2, 1e-10)
+        g = lambda m: np.polyval(np.polyder(coeffs), m)
         grid = np.linspace(0.0, 1.0, 101)
+        _, val, *_ = _minimize_with_diagnostics(f, g, grid, 1e-10)
         assert val <= f(grid).min() + 1e-15
 
     def test_nonfinite_objective(self):
         with pytest.raises(NumericalError, match="non-finite"):
             _minimize_with_diagnostics(
-                lambda m: np.where(m > 0.5, np.inf, m), 0.0, 1.0, 1e-2, 1e-8
+                lambda m: np.where(m > 0.5, np.inf, m),
+                lambda m: 1.0,
+                np.linspace(0.0, 1.0, 101),
+                1e-8,
             )
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            _minimize_with_diagnostics(lambda m: m, 1.0, 0.0, 1e-3, 1e-10)
-        with pytest.raises(ValueError):
-            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, -1e-3, 1e-10)
-        with pytest.raises(ValueError):
-            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, 0.0)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-    def test_nonpositive_or_nan_step_and_tolerance_are_refused(self, bad):
         # f = m has no interior minimum, so nothing downstream would trip on
         # a NaN refine_tol
-        with pytest.raises(ValueError, match="grid_step must be positive"):
-            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, bad, 1e-10)
-        with pytest.raises(ValueError, match="refine_tol must be positive"):
-            _minimize_with_diagnostics(lambda m: m, 0.0, 1.0, 1e-3, bad)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="refine_tol must be positive"):
+                _minimize_with_diagnostics(lambda m: m, lambda m: 1.0, GRID, bad)
+
+    def test_interior_tie_goes_to_the_larger_argmin(self):
+        # f(0) = f(0.5) = 0, and the root at 0.5 ties the endpoint within
+        # TIE_TOL
+        f = lambda m: m * (m - 0.5) ** 2
+        g = lambda m: (m - 0.5) * (3.0 * m - 0.5)
+        arg, val, interior, f_lo, _ = _minimize_with_diagnostics(f, g, GRID, 1e-12)
+        assert f_lo == 0.0 and interior == ((arg, val),)
+        assert abs(arg - 0.5) <= 1e-12 and 0.0 <= val <= TIE_TOL
 
 
 class TestStationaryRefinement:
-    """Interior minima refined at the root of a sign-changing ``stationary``,
-    with golden section as the fallback."""
+    """Interior minima refined at the root of ``stationary`` on the first of
+    three grid brackets across which it turns from negative to positive,
+    and dropped where it turns across none."""
 
     # one interior minimum at 0.3, where f' = 4 (m - 0.3)**3 + 2 (m - 0.3)
-    # changes sign; f is flat enough there that golden section stops short
+    # changes sign
     f = staticmethod(lambda m: (m - 0.3) ** 4 + (m - 0.3) ** 2)
     fprime = staticmethod(lambda m: 4.0 * (m - 0.3) ** 3 + 2.0 * (m - 0.3))
 
@@ -398,15 +411,15 @@ class TestStationaryRefinement:
     def test_sign_change_takes_the_root(self):
         f, calls = self._scalar_calls(self.f)
         arg, val, interior, *_ = _minimize_with_diagnostics(
-            f, 0.0, 1.0, 1e-3, 1e-12, stationary=self.fprime
+            f, self.fprime, GRID, 1e-12
         )
         root = _brent_root(self.fprime, 0.299, 0.301, 1e-12)
         assert arg == root and interior == ((root, self.f(root)),)
         assert calls == [root]
         assert abs(arg - 0.3) <= 1e-12
 
-    # the ends of the minimum's grid bracket
-    A, B = (float(x) for x in np.linspace(0.0, 1.0, 1001)[[299, 301]])
+    # the minimum's grid point and its neighbours
+    A, M, B = (float(x) for x in GRID[[299, 300, 301]])
 
     @pytest.mark.parametrize(
         "stationary",
@@ -418,34 +431,48 @@ class TestStationaryRefinement:
         ],
         ids=["no-sign-change", "wrong-direction", "zero-at-upper-end", "zero-at-lower-end"],
     )
-    def test_no_strict_sign_change_falls_back_to_golden(self, stationary):
-        got = _minimize_with_diagnostics(
-            self.f, 0.0, 1.0, 1e-3, 1e-12, stationary=stationary
-        )
-        assert got == _minimize_with_diagnostics(self.f, 0.0, 1.0, 1e-3, 1e-12)
+    def test_no_turn_drops_the_minimum(self, stationary):
+        got = _minimize_with_diagnostics(self.f, stationary, GRID, 1e-12)
+        assert got == (0.0, self.f(0.0), (), self.f(0.0), self.f(1.0))
 
-    def test_zero_at_the_origin_falls_back_to_golden(self):
+    @pytest.mark.parametrize(
+        "minimizer, end, sign, lo, hi",
+        [(0.3004, A, 1.0, M, B), (0.2996, B, -1.0, A, M)],
+        ids=["upper-half", "lower-half"],
+    )
+    def test_half_bracket_takes_the_first_turn(self, minimizer, end, sign, lo, hi):
+        # the grid minimum is at M, and stationary reads +, -, + (or -, +, -)
+        # across A, M, B: only the half bracket [M, B] (or [A, M]) holds a turn
+        f = lambda m: (m - minimizer) ** 2
+        slope = lambda m: 2.0 * (m - minimizer)
+        root = _brent_root(slope, lo, hi, 1e-12)
+        got = _minimize_with_diagnostics(
+            f, lambda m: sign if m == end else slope(m), GRID, 1e-12
+        )
+        assert got[:3] == (root, f(root), ((root, f(root)),))
+        assert abs(root - minimizer) <= 1e-12
+
+    def test_zero_at_the_origin_roots_in_the_upper_half(self):
         # a minimum on the grid point next to m = 0, where the stationarity
         # function vanishes, as m - F(m) does for lambda >= 2
         f = lambda m: (m - 0.0011) ** 2
         g = lambda m: 2.0 * m * (m - 0.0011)
         assert g(0.0) == 0.0
-        got = _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12, stationary=g)
-        assert got == _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12)
-        assert len(got[2]) == 1
+        got = _minimize_with_diagnostics(f, g, GRID, 1e-12)
+        root = _brent_root(g, 0.001, 0.002, 1e-12)
+        assert got[:3] == (root, f(root), ((root, f(root)),))
+        assert abs(root - 0.0011) <= 1e-12
 
     def test_flat_minimum_does_not_displace_a_tied_endpoint(self):
         # every grid point of the flat stretch next to m = 0 is a minimum,
-        # and golden section ties f(0) on it; without a sign change of
-        # stationary the endpoint keeps the tie, which the plain tie rule
+        # and ties f(0); without a sign change of stationary each is
+        # dropped, and the endpoint keeps the tie that the plain tie rule
         # would hand to the largest argmin
         f = lambda m: np.maximum(m - 0.0105, 0.0)
         arg, val, interior, *_ = _minimize_with_diagnostics(
-            f, 0.0, 1.0, 1e-3, 1e-12, stationary=lambda m: 1.0
+            f, lambda m: 1.0, GRID, 1e-12
         )
-        assert (arg, val) == (0.0, 0.0)
-        assert interior and all(v == 0.0 for _, v in interior)
-        assert _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-12)[0] > 0.0
+        assert (arg, val, interior) == (0.0, 0.0, ())
 
 
 class TestBrentRoot:
@@ -499,7 +526,9 @@ class TestBrentRoot:
 
 
 class TestGridBlocks:
-    """The whole-grid objective call against the one-call-per-point reference."""
+    """The whole-grid objective call against the one-call-per-point
+    reference: the same endpoint values, and a grid minimum wherever the
+    reference refines one, on every point of a plateau."""
 
     def test_whole_grid_goes_to_one_call(self):
         seen = []
@@ -509,9 +538,26 @@ class TestGridBlocks:
                 seen.append(np.array(m))
             return (m - 0.3) ** 2
 
-        _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
+        _minimize_with_diagnostics(f, lambda m: m - 0.3, GRID, 1e-10)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], np.linspace(0.0, 1.0, 1001))
+
+    @staticmethod
+    def _check_against_reference(f, grid_step, refine_tol):
+        # a stationary that never turns records the three bracket points of
+        # each grid minimum, its own point last, and drops it; the tie rule
+        # then picks between the endpoints
+        grid = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
+        tried = []
+        arg, val, interior, f_lo, f_hi = _minimize_with_diagnostics(
+            f, lambda m: tried.append(m) or 1.0, grid, refine_tol
+        )
+        ref = minimize_reference(f, 0.0, 1.0, grid_step, refine_tol)
+        assert (interior, f_lo, f_hi) == ((),) + ref[3:]
+        assert len(tried) == 3 * len(ref[2])
+        for m, (x, _) in zip(tried[2::3], ref[2]):
+            assert abs(x - m) <= grid_step
+        assert (arg, val) == ((1.0, f_hi) if f_hi - f_lo <= TIE_TOL else (0.0, f_lo))
 
     @pytest.mark.parametrize("grid_step", [1e-2, 2e-3])
     @pytest.mark.parametrize(
@@ -526,10 +572,8 @@ class TestGridBlocks:
         ids=["constant", "stepped-cosine", "stepped-vee", "two-wells", "tie"],
     )
     def test_plateaus_and_ties_match_reference(self, f, grid_step):
-        # runs of equal grid values make every point of the run a candidate,
-        # and the tie rule then picks among equal refined values
-        got = _minimize_with_diagnostics(f, 0.0, 1.0, grid_step, 1e-8)
-        assert got == minimize_reference(f, 0.0, 1.0, grid_step, 1e-8)
+        # runs of equal grid values make every point of the run a grid minimum
+        self._check_against_reference(f, grid_step, 1e-8)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 8))
@@ -537,19 +581,19 @@ class TestGridBlocks:
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=5)
         f = lambda m: np.round(np.polyval(coeffs, m) * levels) / levels
-        got = _minimize_with_diagnostics(f, 0.0, 1.0, 4e-3, 1e-4)
-        assert got == minimize_reference(f, 0.0, 1.0, 4e-3, 1e-4)
+        self._check_against_reference(f, 4e-3, 1e-4)
 
     def test_nonfinite_value_in_a_later_block_names_its_grid_point(self):
-        grid = np.linspace(0.0, 1.0, 1001)
-        bad = float(grid[731])
+        bad = float(GRID[731])
         f = lambda m: np.where(m == bad, np.nan, m)
         with pytest.raises(NumericalError, match=f"grid point {bad!r}"):
-            _minimize_with_diagnostics(f, 0.0, 1.0, 1e-3, 1e-10)
+            _minimize_with_diagnostics(f, lambda m: 1.0, GRID, 1e-10)
 
     def test_wrong_number_of_values_is_refused(self):
         with pytest.raises(ValueError, match="one value per grid point"):
-            _minimize_with_diagnostics(lambda m: m[:-1], 0.0, 1.0, 1e-2, 1e-8)
+            _minimize_with_diagnostics(
+                lambda m: m[:-1], lambda m: 1.0, np.linspace(0.0, 1.0, 101), 1e-8
+            )
 
 
 class TestBisectTransition:
