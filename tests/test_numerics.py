@@ -371,11 +371,19 @@ class TestMinimizeScalar:
             )
 
     def test_bad_arguments(self):
-        # f = m has no interior minimum, so nothing downstream would trip on
-        # a NaN refine_tol
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="refine_tol must be positive"):
-                _minimize_with_diagnostics(lambda m: m, lambda m: 1.0, GRID, bad)
+        # an objective that does not map the grid one value per point
+        with pytest.raises(ValueError, match="one value per grid point"):
+            _minimize_with_diagnostics(lambda m: m[:-1], lambda m: 1.0, GRID, 1e-10)
+        with pytest.raises(ValueError, match="one value per grid point"):
+            _minimize_with_diagnostics(lambda m: 0.0, lambda m: 1.0, GRID, 1e-10)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_step_and_tolerance_are_refused(self, bad):
+        # the grid is handed in whole, so refine_tol is the one step-like
+        # argument left; f = m has no interior minimum, so nothing downstream
+        # would trip on a NaN refine_tol
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            _minimize_with_diagnostics(lambda m: m, lambda m: 1.0, GRID, bad)
 
     def test_interior_tie_goes_to_the_larger_argmin(self):
         # f(0) = f(0.5) = 0, and the root at 0.5 ties the endpoint within
