@@ -37,20 +37,13 @@ from .field import (
     evaluate,
     sample_field,
 )
-from .numerics import bisect_transition
 from .replica import (
     ReplicaConfig,
     ReplicaSolution,
-    cd,
-    cd_prime,
-    decoupled_mi,
-    effective_snr,
     energy,
     fixed_point_map,
     locate_critical_rate,
     make_config,
-    phi,
-    phi_prime,
     scan_rates,
     solve_overlap,
 )

@@ -188,8 +188,8 @@ def message_to_bipolar(m: int, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= m < 2**k:
         raise ValueError(f"message {m} out of range [0, 2**{k})")
-    bits = (np.asarray(m, dtype=np.uint64) >> np.arange(k, dtype=np.uint64)) & 1
-    return bits.astype(float) * 2.0 - 1.0
+    # Python ints, so any width: uint64 cannot hold a message of 65+ bits
+    return np.array([(m >> i) & 1 for i in range(k)], dtype=float) * 2.0 - 1.0
 
 
 def bipolar_to_message(s) -> int:

@@ -29,15 +29,15 @@ packed in one row, so an array of SNRs reads its pieces with one gather.
 A float SNR takes the same piece and the same operations as its entry in
 an array, so it gets the same value bit for bit.
 
-``effective_snr``, ``decoupled_mi``, ``cd``, ``cd_prime``, ``energy`` and
-``fixed_point_map`` accept a float or an array of overlaps ``m`` through one
-code path: a float gives a Python float, an array gives an array of the
-same shape.  The solver evaluates the energy on its whole grid in one call
-this way.  It works at one resolution: the grid is the read-only module
-constant ``_GRID``, ``GRID_STEP`` apart, and roots are refined to
-``REFINE_TOL``.  On that grid only ``I`` depends on the rate: ``phi``,
-``phi'``, the residual power, ``C_D`` and ``(1 - m) C_D'`` are cached per
-``(sigma_sq, power, order)``, read-only, so a rate scan forms them once.
+``energy`` and ``fixed_point_map`` accept a float or an array of overlaps
+``m`` through one code path: a float gives a Python float, an array gives an
+array of the same shape.  The solver evaluates the energy on its whole grid
+in one call this way.  It works at one resolution: the grid is the
+read-only module constant ``_GRID``, ``GRID_STEP`` apart, and roots are
+refined to ``REFINE_TOL``.  On that grid only ``I`` depends on the rate:
+``phi``, ``phi'``, the residual power, ``C_D`` and ``(1 - m) C_D'`` are
+cached per ``(sigma_sq, power, order)``, read-only, so a rate scan forms
+them once.
 
 All operations are pure apart from the table's one-time build and the
 cache of grid terms, which holds only values that any call would compute
@@ -73,12 +73,6 @@ __all__ = [
     "ReplicaConfig",
     "ReplicaSolution",
     "make_config",
-    "phi",
-    "phi_prime",
-    "effective_snr",
-    "decoupled_mi",
-    "cd",
-    "cd_prime",
     "energy",
     "fixed_point_map",
     "solve_overlap",
@@ -172,16 +166,6 @@ class ReplicaSolution:
     fixed_point_residual: float
     tie_flag: bool
     interior_minima: tuple[tuple[float, float], ...] = ()
-
-
-def phi(u: float, power: float, order: int) -> float:
-    """Covariance function ``power * u**order``."""
-    return power * u**order
-
-
-def phi_prime(u: float, power: float, order: int) -> float:
-    """Derivative ``power * order * u**(order-1)``; equals ``power`` at order 1."""
-    return power * order * u ** (order - 1)
 
 
 def _is_array(x) -> bool:
@@ -295,10 +279,11 @@ def _channel_table() -> _ChannelTable:
 
 
 def _overlap_terms(m, cfg: ReplicaConfig):
-    """``(phi(m), phi'(m), sigma_sq + phi(1) - phi(m))``, which every
-    quantity below is formed from."""
-    u = phi(m, cfg.power, cfg.order)
-    return u, phi_prime(m, cfg.power, cfg.order), cfg.sigma_sq + cfg.power - u
+    """``(phi(m), phi'(m), sigma_sq + phi(1) - phi(m))`` for the covariance
+    function ``phi(m) = power * m**order``; every quantity below is formed
+    from them."""
+    u = cfg.power * m**cfg.order
+    return u, cfg.power * cfg.order * m ** (cfg.order - 1), cfg.sigma_sq + cfg.power - u
 
 
 def _snr(terms, cfg: ReplicaConfig):
@@ -337,42 +322,16 @@ def _grid_terms(sigma_sq: float, power: float, order: int) -> tuple:
     return terms
 
 
-def effective_snr(m, cfg: ReplicaConfig):
-    """Scalar-channel SNR ``phi'(m) / (rate * (sigma_sq + phi(1) - phi(m)))``.
-
-    The denominator is at least ``rate * sigma_sq``, so the value is finite
-    everywhere on [0, 1].
-    """
-    return _as_float(_snr(_overlap_terms(m, cfg), cfg))
-
-
-def decoupled_mi(m, cfg: ReplicaConfig):
-    """Mutual information of the decoupled binary-input channel, in nats.
-
-    ``E - E_w[log cosh(E + sqrt(E) w)]`` with ``E = effective_snr(m)``;
-    bounded by log 2 (binary input).
-    """
-    return _as_float(_mi(effective_snr(m, cfg)))
-
-
-def cd(m, cfg: ReplicaConfig):
-    """Residual-power capacity term ``C((phi(1) - phi(m)) / sigma_sq)``."""
-    return _as_float(_cd(_overlap_terms(m, cfg), cfg))
-
-
-def cd_prime(m, cfg: ReplicaConfig):
-    """Analytic derivative ``-phi'(m) / (2 (sigma_sq + phi(1) - phi(m)))``."""
-    return _as_float(_cd_prime(_overlap_terms(m, cfg)))
-
-
 def energy(m, cfg: ReplicaConfig):
     """Energy ``rate * I_D(m) + C_D(m) + (1 - m) * C_D'(m)``, in nats.
 
-    ``phi(m)`` and ``phi'(m)`` are formed once for the three terms, by the
-    operations the functions above take, so the energy equals their sum bit
-    for bit.  On ``_GRID`` itself (the object, not an equal array) every
-    term but the rate's is read from :func:`_grid_terms`, cached per
-    ``(sigma_sq, power, order)``.
+    ``I_D`` is ``I``, clipped to ``[0, log 2]``, at the scalar-channel SNR
+    ``phi'(m) / (rate * (sigma_sq + phi(1) - phi(m)))``, which is finite on
+    [0, 1]; ``C_D(m) = C((phi(1) - phi(m)) / sigma_sq)`` and ``C_D'(m) =
+    -phi'(m) / (2 (sigma_sq + phi(1) - phi(m)))``.  ``phi(m)`` and
+    ``phi'(m)`` are formed once for the three terms.  On ``_GRID`` itself
+    (the object, not an equal array) every term but the rate's is read from
+    :func:`_grid_terms`, cached per ``(sigma_sq, power, order)``.
     """
     if m is _GRID:
         terms = _grid_terms(cfg.sigma_sq, cfg.power, cfg.order)
@@ -386,8 +345,9 @@ def energy(m, cfg: ReplicaConfig):
 
 
 def fixed_point_map(m, cfg: ReplicaConfig):
-    """Stationarity map ``E_w[tanh(E(m) + sqrt(E(m)) w)]``."""
-    return _channel_table().value(1, effective_snr(m, cfg))
+    """Stationarity map ``E_w[tanh(E(m) + sqrt(E(m)) w)]``, ``E(m)`` being
+    the scalar-channel SNR of :func:`energy`."""
+    return _channel_table().value(1, _snr(_overlap_terms(m, cfg), cfg))
 
 
 def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:

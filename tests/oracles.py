@@ -5,15 +5,16 @@ posterior means are summed term by term in 50-digit arithmetic, the scalar
 channel is integrated in 50-digit arithmetic by mpmath, Monte Carlo
 reference values were generated once from a fixed seed and frozen, and the
 reference solver evaluates the energy one grid point at a time by
-quadrature on scipy's unpruned order-1600 rule, never through the package's
-``energy``, ``decoupled_mi`` or ``fixed_point_map``.  A second scalar-channel
-reference integrates on a trapezoidal rule built here at half the package's
-step.
+quadrature on scipy's unpruned order-1600 rule, with its terms in closed form
+here, never through the package's ``replica`` module.  A second
+scalar-channel reference integrates on a trapezoidal rule built here at half
+the package's step.
 """
 
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -105,24 +106,32 @@ def fp_reference(e):
     return _expectation_reference(np.tanh, e)
 
 
+def _snr_reference(m, cfg):
+    """``(phi, phi', snr)`` at overlap ``m``: ``phi = P m**lambda``,
+    ``phi' = P lambda m**(lambda - 1)`` and the scalar-channel SNR
+    ``phi' / (rate (sigma^2 + P - phi))``."""
+    p, lam = cfg.power, cfg.order
+    phi, slope = p * m**lam, p * lam * m ** (lam - 1)
+    return phi, slope, slope / (cfg.rate * (cfg.sigma_sq + p - phi))
+
+
 def energy_reference(m, cfg):
     """``replica.energy`` composed as ``rate * I_D + C_D + (1 - m) C_D'``.
 
-    ``I_D`` is ``mi_reference`` at ``effective_snr(m)``, clipped to
-    ``[0, log 2]``; only the elementwise terms come from the package.
+    ``I_D`` is ``mi_reference`` at the SNR, clipped to ``[0, log 2]``;
+    ``C_D = log1p((P - phi) / sigma^2) / 2`` and
+    ``C_D' = -phi' / (2 (sigma^2 + P - phi))``.
     """
-    from gfwiretap.channel import LOG2
-    from gfwiretap.replica import cd, cd_prime, effective_snr
-
-    mi = np.minimum(np.maximum(mi_reference(effective_snr(m, cfg)), 0.0), LOG2)
-    return cfg.rate * mi + cd(m, cfg) + (1.0 - m) * cd_prime(m, cfg)
+    phi, slope, snr = _snr_reference(m, cfg)
+    mi = np.minimum(np.maximum(mi_reference(snr), 0.0), math.log(2.0))
+    cd = 0.5 * np.log1p((cfg.power - phi) / cfg.sigma_sq)
+    cd_prime = -slope / (2.0 * (cfg.sigma_sq + cfg.power - phi))
+    return cfg.rate * mi + cd + (1.0 - m) * cd_prime
 
 
 def fixed_point_map_reference(m, cfg):
-    """``replica.fixed_point_map`` as ``fp_reference``."""
-    from gfwiretap.replica import effective_snr
-
-    return fp_reference(effective_snr(m, cfg))
+    """``replica.fixed_point_map`` as ``fp_reference`` at the SNR."""
+    return fp_reference(_snr_reference(m, cfg)[2])
 
 
 def scalar_channel_fine(e):
@@ -233,19 +242,18 @@ def minimize_reference(f, lo, hi, grid_step, refine_tol):
     return arg, val, tuple(interior), float(vals[0]), float(vals[-1])
 
 
-def solve_overlap_reference(cfg):
+def solve_overlap_reference(cfg, grid_step, refine_tol):
     """``solve_overlap`` by ``minimize_reference`` on the order-1600 rule.
 
     Every energy is one float ``energy_reference`` call, and interior minima
     are refined by golden section on the energy, not at the root of
     ``m - F(m)``; on a flat minimum the two differ by up to ~1e-7 in ``m``.
+    Returns a namespace with the fields of ``replica.ReplicaSolution``.
     """
-    from gfwiretap.replica import GRID_STEP, REFINE_TOL, ReplicaSolution
-
     m_star, info_rate, interior, e0, e1 = minimize_reference(
-        lambda m: energy_reference(m, cfg), 0.0, 1.0, GRID_STEP, REFINE_TOL
+        lambda m: energy_reference(m, cfg), 0.0, 1.0, grid_step, refine_tol
     )
-    return ReplicaSolution(
+    return types.SimpleNamespace(
         m_star=m_star,
         info_rate=info_rate,
         energy_at_0=e0,

@@ -95,6 +95,9 @@ class TestMessageBits:
             assert bipolar_to_message(s) == m
         top = np.ones(70)
         assert bipolar_to_message(top) == 2**70 - 1
+        # messages of 65 and 66 bits, which no uint64 holds
+        for m in (2**64, 2**65 + 3, 2**66 - 1):
+            assert bipolar_to_message(message_to_bipolar(m, 66)) == m
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

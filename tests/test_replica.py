@@ -16,16 +16,10 @@ from gfwiretap.replica import (
     CHANNEL_CUTS,
     GRID_STEP,
     ReplicaSolution,
-    cd,
-    cd_prime,
-    decoupled_mi,
-    effective_snr,
     energy,
     fixed_point_map,
     locate_critical_rate,
     make_config,
-    phi,
-    phi_prime,
     scan_rates,
     solve_overlap,
 )
@@ -48,6 +42,28 @@ C0 = 1.19894763639919  # awgn_capacity(10)
 RSTAR = 1.72971580931865  # critical_rate_heuristic(1, 0.1)
 
 
+def overlap_terms(m, power: float, order: int):
+    """``(phi(m), phi'(m), sigma_sq + phi(1) - phi(m))`` at sigma_sq 0.1."""
+    return replica._overlap_terms(m, make_config(rate=1.0, power=power, order=order))
+
+
+# the energy's terms, each formed on its own by the operations energy takes
+def snr(m, cfg):
+    return replica._snr(replica._overlap_terms(m, cfg), cfg)
+
+
+def mi(m, cfg):
+    return replica._mi(snr(m, cfg))
+
+
+def cd(m, cfg):
+    return replica._cd(replica._overlap_terms(m, cfg), cfg)
+
+
+def cd_prime(m, cfg):
+    return replica._cd_prime(replica._overlap_terms(m, cfg))
+
+
 def cfg_for_snr(e: float, order: int = 1):
     """lambda=1 config whose effective SNR at m=1 is exactly e."""
     # E(1) = power / (rate * sigma_sq) for order 1
@@ -57,62 +73,61 @@ def cfg_for_snr(e: float, order: int = 1):
 class TestCovarianceFunction:
     def test_power_normalization(self):
         for lam in (1, 2, 3, 5):
-            assert phi(1.0, 2.5, lam) == 2.5
+            assert overlap_terms(1.0, 2.5, lam)[0] == 2.5
 
     def test_origin_flatness_for_nonlinear(self):
         for lam in (2, 3, 4):
-            assert phi(0.0, 1.0, lam) == 0.0
-            assert phi_prime(0.0, 1.0, lam) == 0.0
+            assert overlap_terms(0.0, 1.0, lam)[:2] == (0.0, 0.0)
 
     def test_linear_derivative_is_power(self):
-        assert phi_prime(0.0, 3.0, 1) == 3.0
-        assert phi_prime(0.7, 3.0, 1) == 3.0
+        assert overlap_terms(0.0, 3.0, 1)[1] == 3.0
+        assert overlap_terms(0.7, 3.0, 1)[1] == 3.0
 
     def test_midpoint_value(self):
-        assert phi(0.5, 1.0, 3) == 0.125
+        assert overlap_terms(0.5, 1.0, 3)[0] == 0.125
 
 
 class TestEffectiveSnr:
     def test_zero_at_origin_for_nonlinear(self):
         cfg = make_config(rate=1.0, order=2)
-        assert effective_snr(0.0, cfg) == 0.0
+        assert snr(0.0, cfg) == 0.0
 
     def test_full_overlap_cubic(self):
         cfg = make_config(rate=1.5, sigma_sq=0.1, power=1.0, order=3)
-        assert effective_snr(1.0, cfg) == pytest.approx(20.0, rel=1e-14)
+        assert snr(1.0, cfg) == pytest.approx(20.0, rel=1e-14)
 
     def test_full_overlap_linear(self):
         cfg = make_config(rate=2.0, sigma_sq=0.1, power=1.0, order=1)
-        assert effective_snr(1.0, cfg) == pytest.approx(5.0, rel=1e-14)
+        assert snr(1.0, cfg) == pytest.approx(5.0, rel=1e-14)
 
     def test_finite_everywhere(self):
         cfg = make_config(rate=0.3, order=3)
         for m in np.linspace(0.0, 1.0, 50):
-            assert math.isfinite(effective_snr(float(m), cfg))
+            assert math.isfinite(snr(float(m), cfg))
 
 
 class TestDecoupledMi:
     def test_zero_snr(self):
         cfg = make_config(rate=1.0, order=3)
-        assert decoupled_mi(0.0, cfg) == 0.0
+        assert mi(0.0, cfg) == 0.0
         # E(0) = 0 for lambda >= 2, and tanh(0) is exactly 0 at every node
         for lam in (2, 3, 4):
             cfg = make_config(rate=1.0, order=lam)
-            assert effective_snr(0.0, cfg) == 0.0
+            assert snr(0.0, cfg) == 0.0
             assert fixed_point_map(0.0, cfg) == 0.0
 
     def test_saturates_at_log_two(self):
         cfg = cfg_for_snr(50.0)
-        assert abs(decoupled_mi(1.0, cfg) - LOG2) <= 1e-6
+        assert abs(mi(1.0, cfg) - LOG2) <= 1e-6
 
     def test_matches_monte_carlo_at_snr_two(self):
         cfg = cfg_for_snr(2.0)
-        assert abs(decoupled_mi(1.0, cfg) - MC_MI_AT_2) <= 3.0 * MC_MI_SE
+        assert abs(mi(1.0, cfg) - MC_MI_AT_2) <= 3.0 * MC_MI_SE
 
     def test_bounded(self):
         cfg = make_config(rate=0.5, order=3)
         for m in np.linspace(0.0, 1.0, 40):
-            v = decoupled_mi(float(m), cfg)
+            v = mi(float(m), cfg)
             assert 0.0 <= v <= LOG2
 
 
@@ -148,7 +163,7 @@ class TestEnergy:
 
     def test_full_overlap_reduces_to_scaled_mi(self):
         cfg = make_config(rate=1.4, sigma_sq=0.1, power=1.0, order=3)
-        assert energy(1.0, cfg) == cfg.rate * decoupled_mi(1.0, cfg)
+        assert energy(1.0, cfg) == cfg.rate * mi(1.0, cfg)
 
     def test_full_overlap_approaches_entropy_rate(self):
         cfg = make_config(rate=0.7, sigma_sq=0.1, power=1.0, order=3)
@@ -156,7 +171,7 @@ class TestEnergy:
 
 
 class TestArrayOverlaps:
-    QUANTITIES = (effective_snr, decoupled_mi, cd, cd_prime, energy)
+    QUANTITIES = (energy, fixed_point_map)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -177,7 +192,7 @@ class TestArrayOverlaps:
     def test_float_in_gives_python_float_out(self):
         for order in (1, 3):
             cfg = make_config(rate=1.3, order=order)
-            for f in self.QUANTITIES + (fixed_point_map,):
+            for f in self.QUANTITIES:
                 for m in (0.0, 0.4, 1.0, np.float64(0.4)):
                     assert type(f(m, cfg)) is float
 
@@ -185,7 +200,7 @@ class TestArrayOverlaps:
         # at order 2 the SNR is -0.0, which the I clip turns into +0.0
         for order in (1, 2, 3):
             cfg = make_config(rate=1.3, order=order)
-            for f in self.QUANTITIES + (fixed_point_map,):
+            for f in self.QUANTITIES:
                 single, stacked = f(-0.0, cfg), f(np.array([-0.0, 0.5]), cfg)[0]
                 assert single == stacked and math.copysign(1.0, single) == math.copysign(
                     1.0, stacked
@@ -265,8 +280,8 @@ class TestChannelTable:
     def test_negative_or_non_finite_snr_is_refused(self):
         # at overlap 1.5 and lambda 3 the effective SNR is negative
         cfg = make_config(rate=1.0, order=3)
-        assert effective_snr(1.5, cfg) < 0.0
-        for f in (decoupled_mi, fixed_point_map, energy):
+        assert snr(1.5, cfg) < 0.0
+        for f in (mi, fixed_point_map, energy):
             with pytest.raises(NumericalError, match="effective SNR"):
                 f(1.5, cfg)
             with pytest.raises(NumericalError, match="effective SNR"):
@@ -357,7 +372,7 @@ class TestNodeBlocks:
         # solver grids: the solver's refinement relies on a float SNR taking
         # the piece, and giving the value, of its row on the grid
         cuts = replica._channel_table().cuts
-        grids = [effective_snr(self.GRID, make_config(rate=1.7, order=o)) for o in (1, 3)]
+        grids = [snr(self.GRID, make_config(rate=1.7, order=o)) for o in (1, 3)]
         es = np.concatenate([[0.0, 5e-324], cuts, np.nextafter(cuts, np.inf)] + grids)
         for q in (0, 1):
             stacked = replica._channel_table().value(q, es)
@@ -371,8 +386,8 @@ class TestNodeBlocks:
         for rate, sigma_sq in ((0.5, 0.05), (1.7, 0.1), (3.0, 1.0)):
             cfg = make_config(rate=rate, sigma_sq=sigma_sq, order=order)
             for m in (self.GRID, 0.0, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0):
-                composed = (
-                    cfg.rate * decoupled_mi(m, cfg)
+                composed = replica._as_float(
+                    cfg.rate * mi(m, cfg)
                     + cd(m, cfg)
                     + (1 - m) * cd_prime(m, cfg)
                 )
@@ -492,9 +507,8 @@ class TestSolveOverlap:
         # against a fourth-order central difference of the energy
         def cd_second(m, cfg):
             p, lam = cfg.power, cfg.order
-            gap = cfg.sigma_sq + p - phi(m, p, lam)
+            _, slope, gap = replica._overlap_terms(m, cfg)
             curv = p * lam * (lam - 1) * m ** (lam - 2) if lam >= 2 else 0.0
-            slope = phi_prime(m, p, lam)
             return -(curv * gap + slope * slope) / (2.0 * gap * gap)
 
         h, m = 1e-4, np.linspace(0.05, 0.95, 37)
@@ -590,7 +604,7 @@ class TestReferenceSolver:
     def test_matches_reference_solver(self, order, rate, sigma_sq, power):
         cfg = make_config(rate=rate, sigma_sq=sigma_sq, power=power, order=order)
         got = solve_overlap(cfg)
-        ref = solve_overlap_reference(cfg)
+        ref = solve_overlap_reference(cfg, GRID_STEP, replica.REFINE_TOL)
         assert replica.classify_regime(got.m_star) == replica.classify_regime(ref.m_star)
         assert got.tie_flag == ref.tie_flag
         assert len(got.interior_minima) == len(ref.interior_minima)
