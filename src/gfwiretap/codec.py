@@ -10,17 +10,27 @@ model, computed as the exact normalized sum over all ``2**(k + k_tilde)``
 bipolar candidates, followed by the inverse permutation and a sign slicer on
 the message coordinates.
 
-Encoding and decoding of distinct frames are independent.  A decode
-enumerates the candidates through :func:`field.enumerate_outputs`, which
-yields blocks of outputs on every candidate, one fast Walsh-Hadamard
-transform of the field's set coefficients per block.  The squared residuals
-of a block are summed over its outputs into one ``2**(k + k_tilde)`` array,
-and the weights are exponentiated once against its maximum.  The
+Encoding and decoding of distinct frames are independent.  A decode scores
+every candidate by its squared residual up to the constant ``|y|**2``,
+
+    sum_n (y_n - V_n(s))**2 = |y|**2 - 2 sum_S b_S chi_S(s) + sum_n V_n(s)**2,
+
+with ``b = scale * y @ coeffs``.  Where the support's ``sets**2`` pairs cost
+less than one output's transform (order 3 up to ``dim`` 20), the last term's
+Walsh spectrum comes from the field's Gram matrix (``field._gram_spectrum``),
+and one fast Walsh-Hadamard transform of that spectrum minus ``2 b`` gives
+every candidate's score: ``O(n sets**2 + 2**dim dim)`` work and ``O(sets**2 +
+2**dim)`` memory.  The expanded square cancels ``|y|**2`` against the summed
+squares, so its scores err by ~``eps sum|spectrum| / (2 sigma_sq)`` nats;
+where that, times the weight off the top candidate, exceeds ``_GRAM_TOL``,
+and wherever the pairs cost more, the residuals are summed directly over the
+blocks of outputs of :func:`field.enumerate_outputs`, one transform per
+block.  The weights are exponentiated once against their maximum.  The
 coordinate means come from two small products: the weights, viewed as a
 ``(2**H, 2**L)`` matrix of the high ``H`` and low ``L = ceil((k + k_tilde)
 / 2)`` pattern bits, are summed to their column and row marginals, and each
-marginal meets a ``(bits, 2**bits)`` table of signs.  Memory is a few
-blocks and a few arrays of the candidate count, whatever ``n``.
+marginal meets a ``(bits, 2**bits)`` table of signs.  Memory does not grow
+with ``n`` on either route.
 """
 
 from __future__ import annotations
@@ -32,8 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import bin_size, key_length
-from .errors import BudgetError, ConfigurationError
-from .field import GaussianField, enumerate_outputs, evaluate
+from .errors import BudgetError, ConfigurationError, NumericalError
+from .field import (
+    GaussianField,
+    _gram_spectrum,
+    _walsh,
+    _walsh_masks,
+    enumerate_outputs,
+    evaluate,
+)
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -49,11 +66,24 @@ __all__ = [
     "decode",
 ]
 
-#: Largest total input dimension the exact decoder will enumerate: 2**20
-#: candidates take ~0.34-0.39 s (best of 5) and a 32-MiB peak of traced
-#: allocations per decode at n=16, order 3 (2-vCPU Xeon, numpy 2.4), and each
-#: further bit doubles both.
+#: Largest total input dimension the exact decoder will enumerate.  At n=16,
+#: order 3, where it takes the Gram route, a decode took ~5-6 ms at 2**16
+#: candidates, ~9-15 ms at 2**18 and ~34-45 ms at 2**20 (best of 5; 2-vCPU
+#: Xeon, numpy 2.4), with traced peaks of 5.6, 12.6 and 28.5 MiB beside a
+#: cached pair index of 5.8 MiB at 2**20: each further bit adds ~50-100% to
+#: both.
 DEFAULT_ENUM_BUDGET = 20
+
+_EPS = float(np.finfo(float).eps)
+
+#: Largest rounding the Gram route's scores may carry, in nats times the
+#: weight off the top candidate.  The expanded square cancels ``|y|**2``
+#: against the summed squares, so its scores err by up to ~2.4 times ``eps
+#: * sum|spectrum| / (2 sigma_sq)`` nats; on ~3000 random decodes (orders
+#: 1-4, dims 2-14, n 1-1024, sigma_sq 1e-5 to 100) the mean's error stayed
+#: below that times the weight off the top, so a kept mean is within
+#: ~1e-13 of exact.
+_GRAM_TOL = 1e-13
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,6 +324,34 @@ def _bit_signs(bits: int) -> np.ndarray:
     return signs
 
 
+def _bit_means(sq: np.ndarray, dim: int, sigma_sq: float) -> tuple[np.ndarray, float]:
+    """Posterior means of the ``dim`` pattern bits from the squared residuals
+    ``sq``, known up to a constant and overwritten with the weights; and the
+    weights' total, the top weight being 1."""
+    # a subnormal sigma_sq overflows the scale to inf, and inf times a zero
+    # residual is nan: refused below, without a warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq *= -0.5 / sigma_sq
+        top = sq.max()
+    if not math.isfinite(top):
+        raise NumericalError(
+            f"posterior log-weights have no finite maximum at sigma_sq={sigma_sq!r}"
+        )
+    sq -= top
+    # row h, column l of the weights is the pattern (h << low) | l, so the
+    # column sums are the marginals of the low bits and the row sums those
+    # of the high bits
+    low = (dim + 1) // 2
+    weights = np.exp(sq, out=sq).reshape(-1, 1 << low)
+    low_marginal = weights.sum(axis=0)
+    high_marginal = weights.sum(axis=1)
+    r = np.concatenate(
+        [_bit_signs(low) @ low_marginal, _bit_signs(dim - low) @ high_marginal]
+    )
+    total = float(low_marginal.sum())
+    return np.clip(r / total, -1.0, 1.0), total
+
+
 def mmse_estimate(
     fld: GaussianField,
     y,
@@ -301,11 +359,17 @@ def mmse_estimate(
 ) -> np.ndarray:
     """Exact posterior mean of the bipolar input given ``y``.
 
-    Sums over all ``2**dim`` candidates.  The squared residuals of every
-    candidate are accumulated block by block of outputs, then exponentiated
-    once against their maximum; coordinate ``i`` of the result is the signed
-    sum of the weights over bit ``i`` of the pattern integer, divided by
-    their total.  Every coordinate of the result lies in [-1, 1].
+    Sums over all ``2**dim`` candidates.  Each candidate's squared residual,
+    less ``|y|**2``, is the fast Walsh-Hadamard transform of the field's
+    Gram spectrum minus ``2 scale * y @ coeffs`` at the sets' masks (the
+    Gram route), where its pairs cost less than one output's transform and
+    its rounding cannot move the mean by more than ~``_GRAM_TOL``; else the
+    residuals are summed directly over blocks of outputs.  The scores are
+    exponentiated once against their maximum; coordinate ``i`` of the
+    result is the signed sum of the weights over bit ``i`` of the pattern
+    integer, divided by their total.  Every coordinate of the result lies
+    in [-1, 1].  Raises :class:`NumericalError` when the log-weights have
+    no finite maximum, as when ``sigma_sq`` is subnormal.
     """
     spec = fld.spec
     if not (math.isfinite(sigma_sq) and sigma_sq > 0.0):
@@ -315,28 +379,27 @@ def mmse_estimate(
     if y.shape != (spec.n_out,):
         raise ValueError(f"y must have shape ({spec.n_out},), got {y.shape}")
 
-    logw = np.zeros(1 << spec.dim)
+    masks, pairs = _walsh_masks(spec.dim, spec.order)
+    if pairs is not None:
+        # the expanded square less |y|**2, which drops out of the max shift
+        spectrum = _gram_spectrum(fld, pairs)
+        spectrum[masks] -= (2.0 * fld.scale) * (y @ fld.coeffs)
+        rounding = _EPS * float(np.abs(spectrum).sum()) * 0.5 / sigma_sq
+        r, total = _bit_means(_walsh(spectrum, spec.dim), spec.dim, sigma_sq)
+        if rounding * (1.0 - 1.0 / total) <= _GRAM_TOL:
+            return r
+    # the residuals themselves: where the pairs cost more, or where the
+    # expanded square's rounding could move a spread posterior's mean
+    sq = np.zeros(1 << spec.dim)
     lo = 0
     for block in enumerate_outputs(fld, np.arange(spec.dim)):
         block -= y[lo : lo + len(block), None]
         block *= block
-        # a one-row block is subtracted as it is: its sum would be a copy,
-        # at dim 20 a fresh 8-MiB mapping per output
-        logw -= block[0] if len(block) == 1 else block.sum(axis=0)
+        # a one-row block is added as it is: its sum would be a copy, at
+        # dim 20 a fresh 8-MiB mapping per output
+        sq += block[0] if len(block) == 1 else block.sum(axis=0)
         lo += len(block)
-    logw *= 0.5 / sigma_sq
-    logw -= logw.max()
-    # row h, column l of the weights is the pattern (h << low) | l, so the
-    # column sums are the marginals of the low bits and the row sums those
-    # of the high bits
-    low = (spec.dim + 1) // 2
-    weights = np.exp(logw, out=logw).reshape(-1, 1 << low)
-    low_marginal = weights.sum(axis=0)
-    high_marginal = weights.sum(axis=1)
-    r = np.concatenate(
-        [_bit_signs(low) @ low_marginal, _bit_signs(spec.dim - low) @ high_marginal]
-    )
-    return np.clip(r / low_marginal.sum(), -1.0, 1.0)
+    return _bit_means(sq, spec.dim, sigma_sq)[0]
 
 
 def decode(cfg: CodecConfig, plan: BinningPlan, r_tilde) -> tuple[int, np.ndarray]:

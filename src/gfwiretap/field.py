@@ -30,7 +30,16 @@ meets the coefficients with the characters; ``covariance_probe`` meets
 chunks of drawn fields with the characters of its inputs times
 ``sqrt(count)``; ``enumerate_outputs`` writes blocks of coefficients at
 their sets' bit masks and takes them to all ``2**dim`` inputs by a fast
-Walsh-Hadamard transform, ``O(2**dim * dim)`` multiply-adds an output.
+Walsh-Hadamard transform (``_walsh``), ``O(2**dim * dim)`` multiply-adds an
+output.
+
+The exact decoder scores every input with one such transform instead of one
+per output.  ``chi_S chi_T = chi_{S xor T}``, so ``sum_n V_n(s)**2`` has the
+Walsh spectrum ``scale**2 * sum_{S xor T = U} (coeffs.T @ coeffs)[S, T]``:
+``_gram_spectrum`` forms it from the Gram matrix, summed over the pairs of
+sets that ``_walsh_masks`` groups by their mask XOR and caches per ``(dim,
+order)`` beside the support, where the ``sets**2`` pairs cost less than one
+output's transform.
 
 Fields are immutable after sampling; ``evaluate``, ``enumerate_outputs`` and
 ``evaluate_flipped`` (``evaluate`` with one input coordinate negated) are
@@ -78,6 +87,11 @@ _BLOCK_FLOATS = 2**13
 
 #: Bits of the pattern integer taken by one matrix product of the transform.
 _HADAMARD_BITS = 5
+
+#: Most ordered pairs of sets the Gram route takes: the cached indices of
+#: their upper triangle hold 4 bytes a pair (8 MiB at the budget), which
+#: admits order 3 up to dim 20.
+_PAIR_BUDGET = 2**21
 
 
 def _set_sizes(dim: int, order: int) -> range:
@@ -216,6 +230,90 @@ def _hadamard(bits: int) -> np.ndarray:
     return h
 
 
+def _walsh(values: np.ndarray, dim: int) -> np.ndarray:
+    """Fast Walsh-Hadamard transform of the rows of ``values``, a ``(rows,
+    2**dim)`` array of coefficients at their sets' bit masks.
+
+    Entry ``p`` of a row of the result is ``sum_U values[U] * chi_U(s)`` for
+    the input ``s`` with ``s[c] = +1`` exactly where bit ``c`` of ``p`` is
+    set, in ``2**dim * 2**_HADAMARD_BITS`` multiply-adds a row per group of
+    ``_HADAMARD_BITS`` bits.
+    """
+    shape = values.shape
+    first = min(_HADAMARD_BITS, dim)
+    # per bit, a set holding the bit has character -1 or +1 as the pattern
+    # bit is 0 or 1, and a set without it has +1: H maps the pair (without,
+    # with) to (bit 0, bit 1).  The lowest group is one product against the
+    # rows of a 2-d view, which is faster than a batch of matrix-vector
+    # products.
+    values = values.reshape(-1, 1 << first) @ _hadamard(first).T
+    done = first
+    while done < dim:
+        bits = min(_HADAMARD_BITS, dim - done)
+        values = np.matmul(_hadamard(bits), values.reshape(-1, 1 << bits, 1 << done))
+        done += bits
+    return values.reshape(shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _walsh_masks(dim: int, order: int) -> tuple[np.ndarray, tuple | None]:
+    """Each set's bit mask (bit ``c`` for index ``c``); and where the Gram
+    route is chosen, the pairs ``S < T`` of sets grouped by the XOR ``U`` of
+    their masks, else ``None``; read-only.
+
+    The pairs come as their flat indices into a ``(sets, sets)`` matrix,
+    sorted by ``U``, with the start of each run of one ``U`` and that ``U``.
+    The Gram route is chosen where the pairs number at most the
+    multiply-adds of one output's transform and at most ``_PAIR_BUDGET``.
+    """
+    idx, _ = _support(dim, order)
+    # the padding pairs of index 0 cancel
+    masks = np.bitwise_xor.reduce(np.left_shift(1, idx), axis=1)
+    masks.setflags(write=False)
+    sets = len(masks)
+    transform = (1 << (dim + _HADAMARD_BITS)) * -(-dim // _HADAMARD_BITS)
+    if sets * sets > min(transform, _PAIR_BUDGET):
+        return masks, None
+    rows, cols = np.triu_indices(sets, 1)
+    xor = masks[rows] ^ masks[cols]
+    by_xor = np.argsort(xor, kind="stable")
+    xor = xor[by_xor]
+    starts = np.flatnonzero(np.diff(xor, prepend=-1))
+    pairs = ((rows * sets + cols)[by_xor], starts, xor[starts])
+    for table in pairs:
+        table.setflags(write=False)
+    return masks, pairs
+
+
+def _gram_spectrum(field: GaussianField, pairs: tuple) -> np.ndarray:
+    """Walsh spectrum of the summed squared outputs ``sum_n V_n(s)**2``.
+
+    ``chi_S chi_T = chi_{S xor T}``, so entry ``U`` is ``scale**2`` times
+    the sum of the Gram matrix ``coeffs.T @ coeffs`` over the pairs of sets
+    whose masks XOR to ``U``: its trace at ``U = 0``, and twice its upper
+    triangle, grouped by ``pairs`` from ``_walsh_masks``.  The Gram is
+    summed over blocks of at most ``_BLOCK_FLOATS`` coefficients (at least
+    one output), so memory is ``O(sets**2 + 2**dim)`` whatever ``n_out``.
+    """
+    coeffs = field.coeffs
+    rows = max(1, _BLOCK_FLOATS // coeffs.shape[1])
+    # against a copy numpy takes gemm; against the block's own transpose it
+    # takes syrk, which started BLAS threads from 14 rows of 130 sets and
+    # ran at half the speed at 16 (2-vCPU Xeon, OpenBLAS 0.3.31)
+    gram = coeffs[:rows].T @ coeffs[:rows].copy()
+    for lo in range(rows, len(coeffs), rows):
+        block = coeffs[lo : lo + rows]
+        gram += block.T @ block.copy()
+    flat, starts, keys = pairs
+    # one sum per run of the sorted gather: at 130 sets, 8385 pairs onto
+    # 466 entries, a third less time than a bincount
+    spectrum = np.zeros(1 << field.spec.dim)
+    spectrum[keys] = np.add.reduceat(gram.take(flat), starts)
+    spectrum *= 2.0 * field.scale**2
+    spectrum[0] += field.scale**2 * np.trace(gram)
+    return spectrum
+
+
 def enumerate_outputs(field: GaussianField, bit_of_coordinate):
     """Yield the outputs on every bipolar input, in blocks of rows.
 
@@ -237,24 +335,11 @@ def enumerate_outputs(field: GaussianField, bit_of_coordinate):
     masks = np.bitwise_xor.reduce(np.left_shift(1, bit_of_coordinate)[idx], axis=1)
     total = 1 << spec.dim
     rows = min(spec.n_out, max(1, _BLOCK_FLOATS >> spec.dim))
-    first = min(_HADAMARD_BITS, spec.dim)
     for lo in range(0, spec.n_out, rows):
         block = field.coeffs[lo : lo + rows]
-        m = len(block)
-        values = np.zeros((m, total))
+        values = np.zeros((len(block), total))
         values[:, masks] = block
-        # per bit, a set holding the bit has character -1 or +1 as the
-        # pattern bit is 0 or 1, and a set without it has +1: H maps the
-        # pair (without, with) to (bit 0, bit 1).  The lowest group is one
-        # product against the rows of a 2-d view, which is faster than a
-        # batch of matrix-vector products.
-        values = values.reshape(-1, 1 << first) @ _hadamard(first).T
-        done = first
-        while done < spec.dim:
-            bits = min(_HADAMARD_BITS, spec.dim - done)
-            values = np.matmul(_hadamard(bits), values.reshape(-1, 1 << bits, 1 << done))
-            done += bits
-        values = values.reshape(m, total)
+        values = _walsh(values, spec.dim)
         values *= field.scale
         yield values
 

@@ -281,6 +281,40 @@ class TestSimulate:
         assert code == 3
         assert "budget is 2**20" in err
 
+    def test_subnormal_noise_is_numerical_failure(self):
+        # 0.5 / 1e-310 overflows, so every log-weight is infinite or nan; in
+        # a fresh interpreter, where numpy's warnings reach stderr, the exit
+        # is explained by one line
+        src = str(pathlib.Path(gfwiretap.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "gfwiretap.cli",
+                "simulate", "--n", "8", "--k", "2", "--k-tilde", "2",
+                "--sigma-b-sq", "1e-310", "--sigma-e-sq", "1", "--trials", "2",
+            ],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 4
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gfwiretap: numerical failure:"), lines
+        assert "sigma_sq=1e-310" in lines[0]
+
+    def test_smallest_normal_scale_noise_still_decodes(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", "8", "--k", "2", "--k-tilde", "2",
+            "--sigma-b-sq", "1e-305", "--sigma-e-sq", "1", "--trials", "2",
+        )
+        assert code == 0
+        rows = data_rows(out)
+        assert rows[1:] == ["0,3,3,0,0,1,1,1", "1,1,1,0,0,1,1,1"]
+        assert "# summary message_error_rate = 0\n" in out
+        assert "# summary mean_overlap = 1 se = 0\n" in out
+
     def test_units_flag_is_gone(self, capsys):
         # the report has no nat-valued field, so simulate takes no --units
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from gfwiretap import field
+from gfwiretap import codec as codec_module, field
 from gfwiretap.codec import (
     BinningPlan,
     CodecConfig,
@@ -18,7 +19,7 @@ from gfwiretap.codec import (
     mmse_estimate,
     random_key,
 )
-from gfwiretap.errors import BudgetError, ConfigurationError
+from gfwiretap.errors import BudgetError, ConfigurationError, NumericalError
 from gfwiretap.field import FieldSpec, evaluate, sample_field
 from oracles import build_binning_reference, evaluate_rows_reference
 
@@ -251,6 +252,19 @@ class TestEncode:
 from oracles import exact_posterior_mean
 
 
+def brute_force_mean(fld, y, sigma_sq):
+    """Posterior mean over every pattern, each scored by ``evaluate``."""
+    dim = fld.spec.dim
+    rows = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
+    resid = y - np.array([evaluate(fld, u) for u in rows])
+    logw = -0.5 * np.einsum("ij,ij->i", resid, resid) / sigma_sq
+    return np.exp(logw - logsumexp(logw)) @ rows
+
+
+def no_enumeration(*args, **kwargs):
+    raise AssertionError("the decoder took the per-output route")
+
+
 class TestMmseEstimate:
     def test_noiseless_concentrates(self):
         cfg, fld, plan = make_setup()
@@ -315,32 +329,40 @@ class TestMmseEstimate:
         assert np.max(np.abs(r - weights @ rows)) <= 1e-12
 
     def test_block_cap_invariance(self, monkeypatch):
-        # the block cap changes only how outputs are grouped in the sums
+        # the block cap changes only how outputs are grouped in the Gram
+        # matrix of the Gram route, which this decode takes (64 sets)
+        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
         spec = FieldSpec(n_out=13, dim=8, order=3, power=1.0, seed=18)
         fld = sample_field(spec)
         y = np.random.default_rng(19).normal(size=13)
         whole = mmse_estimate(fld, y, 0.3)
         for cap_rows in (1, 2, 5, 13):
-            monkeypatch.setattr(field, "_BLOCK_FLOATS", cap_rows << 8)
+            monkeypatch.setattr(field, "_BLOCK_FLOATS", cap_rows * 64)
             assert np.max(np.abs(mmse_estimate(fld, y, 0.3) - whole)) <= 1e-13
 
-    def test_peak_memory_does_not_grow_with_n(self):
-        # at dim 12 a block holds 2 outputs, so n_out 32 and 256 differ only
-        # in how many blocks pass through; the peak is a few of them
+    def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
+        # at dim 12 the Gram route sums 232 sets over blocks of 35 outputs,
+        # so n_out 32 and 256 differ only in how many blocks pass through
+        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
+
         def peak(n_out):
             fld = sample_field(FieldSpec(n_out=n_out, dim=12, order=3, power=1.0, seed=20))
-            y = np.zeros(n_out)
+            y = evaluate(fld, np.ones(12))
+            mmse_estimate(fld, y, 0.01)  # builds the cached pair index
             tracemalloc.start()
             try:
-                mmse_estimate(fld, y, 1.0)
+                mmse_estimate(fld, y, 0.01)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         small, large = peak(32), peak(256)
         assert large <= 1.1 * small, (small, large)
-        assert field._BLOCK_FLOATS >> 12 == 2
-        assert large <= 6 * field._BLOCK_FLOATS * 8, large
+        sets = 12 + math.comb(12, 3)
+        assert field._BLOCK_FLOATS // sets == 35
+        # the Gram, one block product and the gathered upper triangle (2.5
+        # sets**2 floats), one block copy and at most six 2**dim arrays
+        assert large <= 8 * (5 * sets**2 // 2 + field._BLOCK_FLOATS + 6 * 2**12), large
 
     def test_hadamard_group_size_invariance(self, monkeypatch):
         # the transform's group size changes only the order of the sums
@@ -351,6 +373,80 @@ class TestMmseEstimate:
         for bits in (1, 2, 3, 5):
             monkeypatch.setattr(field, "_HADAMARD_BITS", bits)
             assert np.max(np.abs(mmse_estimate(fld, y, 0.7) - whole)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_brute_force_on_oracle_draws(self, seed):
+        # draws like the benchmark's decoder oracle, which holds every run
+        # to 1e-9: n 16, dim 10, order 3, at the receiver's and the
+        # eavesdropper's noise in turn
+        for j, sigma_sq in enumerate((0.01, 1.0, 0.01, 1.0)):
+            seeds = np.random.SeedSequence((seed, j)).generate_state(2, dtype=np.uint64)
+            fld = sample_field(FieldSpec(16, 10, 3, 1.0, int(seeds[0])))
+            rng = np.random.default_rng(int(seeds[1]))
+            u = rng.integers(0, 2, size=10) * 2.0 - 1.0
+            y = evaluate(fld, u) + rng.normal(0.0, math.sqrt(sigma_sq), size=16)
+            gap = np.max(np.abs(mmse_estimate(fld, y, sigma_sq) - brute_force_mean(fld, y, sigma_sq)))
+            assert gap <= 1e-12, (j, sigma_sq, gap)
+
+    def test_gram_route_matches_brute_force(self, monkeypatch):
+        # order 3 at dim 10: the 130 sets' pairs cost less than one output's
+        # transform, and this posterior keeps the Gram route's scores
+        assert field._walsh_masks(10, 3)[1] is not None
+        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
+        fld = sample_field(FieldSpec(n_out=24, dim=10, order=3, power=1.0, seed=40))
+        rng = np.random.default_rng(41)
+        y = evaluate(fld, rng.integers(0, 2, size=10) * 2.0 - 1.0) + rng.normal(0.0, 0.3, size=24)
+        gap = np.max(np.abs(mmse_estimate(fld, y, 0.09) - brute_force_mean(fld, y, 0.09)))
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("dim", [10, 12])
+    def test_transform_route_matches_brute_force(self, dim):
+        # order 5: 382 sets at dim 10 and 1024 at 12, whose pairs cost more
+        # than one output's transform
+        assert field._walsh_masks(dim, 5)[1] is None
+        fld = sample_field(FieldSpec(n_out=6, dim=dim, order=5, power=1.0, seed=50 + dim))
+        rng = np.random.default_rng(dim)
+        y = evaluate(fld, rng.integers(0, 2, size=dim) * 2.0 - 1.0) + rng.normal(0.0, 0.5, size=6)
+        gap = np.max(np.abs(mmse_estimate(fld, y, 0.25) - brute_force_mean(fld, y, 0.25)))
+        assert gap <= 1e-12
+
+    def test_many_outputs_at_small_noise_match_brute_force(self, monkeypatch):
+        # |y|**2 / (2 sigma_sq) is ~5e6 nats here, all of it cancelled by the
+        # expanded square; the posterior sits on one candidate, so the Gram
+        # route's scores are kept
+        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
+        fld = sample_field(FieldSpec(n_out=1024, dim=10, order=3, power=1.0, seed=60))
+        rng = np.random.default_rng(61)
+        y = evaluate(fld, rng.integers(0, 2, size=10) * 2.0 - 1.0) + rng.normal(0.0, 1e-2, size=1024)
+        gap = np.max(np.abs(mmse_estimate(fld, y, 1e-4) - brute_force_mean(fld, y, 1e-4)))
+        assert gap <= 1e-12
+
+    def test_spread_posterior_at_small_noise_is_rescored_directly(self, monkeypatch):
+        # one output over 2**11 candidates leaves many within a few nats of
+        # the top at sigma_sq 1e-4; the expanded square's scores put this
+        # mean 8.8e-13 off, so the per-output route scores it instead
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return field.enumerate_outputs(*args)
+
+        monkeypatch.setattr(codec_module, "enumerate_outputs", counted)
+        fld = sample_field(FieldSpec(n_out=1, dim=11, order=3, power=1.0, seed=70))
+        rng = np.random.default_rng(71)
+        y = evaluate(fld, rng.integers(0, 2, size=11) * 2.0 - 1.0) + rng.normal(0.0, 1e-2, size=1)
+        gap = np.max(np.abs(mmse_estimate(fld, y, 1e-4) - brute_force_mean(fld, y, 1e-4)))
+        assert calls and gap <= 1e-12
+
+    def test_subnormal_noise_is_numerical_error(self):
+        fld = sample_field(FieldSpec(n_out=8, dim=4, order=3, power=1.0, seed=80))
+        y = evaluate(fld, np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma_sq in (1e-310, 1e-320):
+                with pytest.raises(NumericalError, match=f"sigma_sq={sigma_sq!r}"):
+                    mmse_estimate(fld, y, sigma_sq)
+            assert np.array_equal(mmse_estimate(fld, y, 1e-305), np.ones(4))
 
     def test_budget_and_input_errors(self):
         spec = FieldSpec(n_out=2, dim=4, order=1, power=1.0, seed=0)
