@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,8 +30,6 @@ import numpy as np
 from .errors import BracketError, NumericalError
 
 __all__ = [
-    "QuadratureRule",
-    "trapezoid_rule",
     "default_rule",
     "gauss_expectation",
     "log_cosh",
@@ -61,67 +58,27 @@ _BRENT_MAX_ITER = 100
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights approximating ``E[g(w)]`` for ``w ~ N(0, 1)``.
-
-    Attributes
-    ----------
-    nodes : ndarray
-        Abscissae, symmetric about zero.
-    weights : ndarray
-        Positive weights summing to one.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not np.all(weights > 0.0):
-            raise ValueError("all quadrature weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("quadrature weights must sum to 1 within 1e-12")
-        if not np.allclose(nodes, -nodes[::-1], atol=1e-12, rtol=0.0):
-            raise ValueError("quadrature nodes must be symmetric about 0")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-
-def trapezoid_rule(step: float, half_width: float) -> QuadratureRule:
-    """Trapezoidal rule for a N(0,1) expectation: nodes ``step * k`` on
-    ``|w| <= half_width``, weighted by the normal density there, normalised.
-
-    For an integrand analytic in a strip about the real axis the error falls
-    exponentially in ``1 / step`` (Trefethen & Weideman, SIAM Review 2014),
-    and the cut at ``half_width`` drops the density's tail beyond it.
-    """
-    if not (step > 0.0 and 0.0 <= half_width < math.inf):
-        raise ValueError(
-            f"need step > 0 and a finite half_width >= 0, got {step}, {half_width}"
-        )
-    n = math.floor(half_width / step)
+def _trapezoid(step: float):
+    """``(nodes, weights)`` of the trapezoidal rule for a N(0,1) expectation:
+    nodes ``step * k`` on ``|w| <= RULE_HALF_WIDTH``, weighted by the normal
+    density there and normalised.  On an integrand analytic in a strip about
+    the real axis its error falls exponentially in ``1 / step`` (Trefethen &
+    Weideman, SIAM Review 2014)."""
+    n = math.floor(RULE_HALF_WIDTH / step)
     nodes = step * np.arange(-n, n + 1)
     weights = np.exp(-0.5 * nodes * nodes)
-    return QuadratureRule(nodes=nodes, weights=weights / weights.sum())
+    return nodes, weights / weights.sum()
 
 
 @functools.lru_cache(maxsize=1)
-def default_rule() -> QuadratureRule:
-    """The rule of ``RULE_STEP`` and ``RULE_HALF_WIDTH``, self-checked once.
-
-    The check compares it with the half-step rule on ``log cosh`` and
-    ``tanh`` of ``15.5 + sqrt(15.5) w``, where the step's error peaks, and
-    fails above 1e-13: the shipped step drifts 1.1e-14 (rounding), step 1/8
-    1.2e-12 on tanh.
-    """
-    rule = trapezoid_rule(RULE_STEP, RULE_HALF_WIDTH)
-    halved = trapezoid_rule(0.5 * RULE_STEP, RULE_HALF_WIDTH)
+def default_rule():
+    """The read-only ``(nodes, weights)`` of the rule of ``RULE_STEP``,
+    checked once against the half-step rule on ``log cosh`` and ``tanh`` of
+    ``15.5 + sqrt(15.5) w``, where the step's error peaks.  The check fails
+    above 1e-13: the shipped step drifts 1.1e-14 (rounding), step 1/8
+    1.2e-12 on tanh."""
+    rule = _trapezoid(RULE_STEP)
+    halved = _trapezoid(0.5 * RULE_STEP)
     shift, scale = 15.5, math.sqrt(15.5)
     for g in (log_cosh, np.tanh):
         probe = lambda w: g(shift + scale * w)
@@ -131,6 +88,8 @@ def default_rule() -> QuadratureRule:
                 f"default quadrature failed its startup convergence check: "
                 f"halving the step moved the {g.__name__} probe by {drift:.3e}"
             )
+    for a in rule:
+        a.setflags(write=False)
     return rule
 
 
@@ -150,41 +109,33 @@ def log_cosh(x):
     return out[()]
 
 
-def gauss_expectation(
-    g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule
-) -> float | np.ndarray:
-    """Approximate ``E[g(w)]`` for ``w ~ N(0, 1)`` as ``sum_i w_i g(x_i)``.
+def gauss_expectation(g, rule):
+    """``E[g(w)]`` for ``w ~ N(0, 1)`` as ``sum_i w_i g(x_i)`` on the
+    ``(nodes, weights)`` pair ``rule``.
 
-    ``g`` is called once on the whole node array and must return one value
-    per node along its last axis: shape ``(n_nodes,)`` gives a float, shape
+    ``g`` is called once on the whole node array and returns one value per
+    node along its last axis: shape ``(n_nodes,)`` gives a float, shape
     ``(..., n_nodes)`` an array of shape ``(...)``, one expectation per row.
-    Deterministic for a fixed rule.
 
     Raises :class:`NumericalError` when an expectation is not finite: it
     names the node of the first non-finite integrand value, or says that
     the weighted sum of finite values overflowed (the weights sum to one, so
     that takes values within rounding of the largest float).  The weights
-    are positive, so any non-finite value makes its row's sum non-finite,
-    and only the sums are checked unless one fails.
+    are positive, so only the sums are checked unless one fails.
     """
-    vals = np.asarray(g(rule.nodes), dtype=float)
-    if vals.shape[-1:] != rule.nodes.shape:
-        raise ValueError(
-            f"integrand must return one value per node on its last axis: "
-            f"expected shape (..., {rule.nodes.size}), got {vals.shape}"
-        )
+    nodes, weights = rule
+    vals = np.asarray(g(nodes), dtype=float)
     # einsum sums each row in the same order whatever the leading shape, so a
-    # row of a stack gives bit-for-bit the value of the same row on its own.
-    # A matmul does not (BLAS gemv and dot order their sums differently),
-    # which integrands with cancellation, like ``e - E[log cosh]`` at large
-    # ``e``, magnify to ~1e-13.
-    out = np.einsum("...i,i->...", vals, rule.weights)
+    # row of a stack equals the same row alone bit for bit.  A matmul does
+    # not (BLAS gemv and dot order their sums differently), and cancellation,
+    # as in ``e - E[log cosh]`` at large ``e``, magnifies that to ~1e-13.
+    out = np.einsum("...i,i->...", vals, weights)
     if not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(vals))
         if bad.size:
             raise NumericalError(
                 f"integrand is non-finite at quadrature node "
-                f"{float(rule.nodes[bad[0][-1]])!r}"
+                f"{float(nodes[bad[0][-1]])!r}"
             )
         raise NumericalError("weighted sum of a finite integrand overflows")
     return float(out) if out.ndim == 0 else out

@@ -17,10 +17,10 @@ or bins.
 The decoupled channel's mutual information ``I(e)`` and fixed-point map
 ``F(e)`` are fixed functions of the effective SNR ``e`` alone.  They are
 tabulated once per process, at first use: Chebyshev series of degree
-``CHANNEL_DEGREE`` on the pieces cut at ``CHANNEL_CUTS`` interpolate
-``numerics.default_rule()`` (the trapezoidal rule of step 1/16 on
-``|w| <= 9``, 289 nodes, self-checked against the half-step rule), and are
-checked against it between their interpolation points.  Against 50-digit
+``CHANNEL_DEGREE`` on the pieces cut at ``CHANNEL_CUTS`` interpolate the
+quadrature on ``numerics.default_rule()``'s ``(nodes, weights)`` (step 1/16
+on ``|w| <= 9``, self-checked against the half-step rule), and are checked
+against it between their interpolation points.  Against 50-digit
 integrals the table is within 1.1e-15 (relative above 1) on ``I`` and
 6.7e-16 on ``F`` at its piece ends and where the rule's error peaks.
 Above the last cut it holds ``I = log 2`` and ``F = 1``, the floats the
@@ -57,6 +57,7 @@ import numpy as np
 from .channel import LOG2
 from .errors import BracketError, NumericalError
 from .numerics import (
+    TIE_TOL,
     _brent_root,
     _dyadic_bracket,
     _minimize_with_diagnostics,
@@ -156,7 +157,7 @@ class ReplicaSolution:
     against the energy's ulp; it is not reported.
     ``interior_minima`` lists every refined interior local minimum as
     ``(m, energy)`` pairs, even when an endpoint wins.  ``tie_flag`` marks
-    endpoint-energy coexistence ``|L(0) - L(1)| <= 1e-12``.
+    endpoint-energy coexistence ``|L(0) - L(1)| <= TIE_TOL``.
     """
 
     m_star: float
@@ -228,9 +229,9 @@ def _refused(e) -> NumericalError:
 
 
 def _by_rule(e, rule):
-    """``(I, F)`` at the SNRs ``e``, of shape ``(pieces, points)``, by the
-    quadrature ``rule``, one column at a time, so that no integrand holds
-    more than ``pieces`` rows of the rule's nodes."""
+    """``(I, F)`` at the SNRs ``e``, of shape ``(pieces, points)``, on the
+    ``(nodes, weights)`` pair ``rule``, one column at a time, so that no
+    integrand holds more than ``pieces`` rows of the rule's nodes."""
     out = np.empty((2,) + e.shape)
     for j, col in enumerate(e.T[:, :, None]):
         root = np.sqrt(col)
@@ -242,15 +243,13 @@ def _by_rule(e, rule):
 @functools.lru_cache(maxsize=1)
 def _channel_table() -> _ChannelTable:
     """The scalar-channel table, fitted on ``default_rule()`` at first use
-    and cached.
+    and cached; the rule's self-check gates it.
 
-    The rule has 289 nodes ``k / 16`` on ``|w| <= 9``, within 8e-16 of
-    50-digit integrals, and its self-check against the half-step rule at
-    ``e = 15.5`` gates it.  Each piece between ``CHANNEL_CUTS`` interpolates
-    the rule's ``I`` and ``F`` at its ``CHANNEL_DEGREE + 1`` Chebyshev
-    points; the series are then checked against the rule midway between
-    each pair of adjacent points, and a miss above ``CHANNEL_TOL`` (relative
-    above 1) raises :class:`NumericalError`.
+    Each piece between ``CHANNEL_CUTS`` interpolates the rule's ``I`` and
+    ``F`` at its ``CHANNEL_DEGREE + 1`` Chebyshev points; the series are
+    then checked against the rule midway between each pair of adjacent
+    points, and a miss above ``CHANNEL_TOL`` (relative above 1) raises
+    :class:`NumericalError`.
     """
     rule = default_rule()
     ends = np.array((0.0,) + CHANNEL_CUTS)
@@ -373,7 +372,7 @@ def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
         energy_at_0=e0,
         energy_at_1=e1,
         fixed_point_residual=residual,
-        tie_flag=abs(e0 - e1) <= 1e-12,
+        tie_flag=abs(e0 - e1) <= TIE_TOL,
         interior_minima=interior,
     )
 

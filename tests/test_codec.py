@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+import gfwiretap
 from gfwiretap import codec as codec_module, field
 from gfwiretap.codec import (
     BinningPlan,
@@ -504,3 +509,46 @@ class TestDecode:
             overlap = float(frame.s_tilde @ r) / cfg.k_tot
             assert f <= 1.0 - overlap
 
+
+
+#: Decodes seeded fields at dims 10 and 12 and builds a dim-10 codeword
+#: table, then prints one digest of every result's bytes.
+_THREAD_DIGEST = """
+import hashlib
+import numpy as np
+from gfwiretap import simulate
+from gfwiretap.codec import build_binning, mmse_estimate
+from gfwiretap.field import FieldSpec, evaluate, sample_field
+
+digest = hashlib.sha256()
+for dim in (10, 12):
+    for seed in range(3):
+        fld = sample_field(FieldSpec(n_out=16, dim=dim, order=3, power=1.0, seed=seed))
+        rng = np.random.default_rng(seed)
+        s = rng.choice([-1.0, 1.0], dim)
+        for sigma_sq in (0.01, 1.0):
+            y = evaluate(fld, s) + np.sqrt(sigma_sq) * rng.standard_normal(16)
+            digest.update(mmse_estimate(fld, y, sigma_sq).tobytes())
+fld = sample_field(FieldSpec(n_out=16, dim=10, order=3, power=1.0, seed=7))
+digest.update(simulate._codeword_table(fld, build_binning(6, 4, 0)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # the Gram products run through BLAS, whose sums may split across
+    # threads; at the dims the golden files and the decode benchmark use,
+    # one and two threads give the same bits (from dim 13 on they differ)
+    src = str(pathlib.Path(gfwiretap.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", _THREAD_DIGEST],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert digests["1"] and digests["1"] == digests["2"]

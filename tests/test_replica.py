@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gfwiretap import replica
+from gfwiretap import numerics, replica
 from gfwiretap.channel import LOG2, awgn_capacity, critical_rate_heuristic
 from gfwiretap.errors import BracketError, NumericalError
 from gfwiretap.numerics import bisect_transition
@@ -240,6 +240,21 @@ class TestChannelTable:
         for got, ref, name in zip(self.table(e), (mi_reference(e), fp_reference(e)), "IF"):
             err = np.abs(got - ref)
             assert np.all(err <= bound), (name, e[np.argmax(err / bound)], err.max())
+
+    def test_reference_needs_no_package_quadrature(self, monkeypatch):
+        # the order-1600 reference sums on its own rule, so it gives the same
+        # values with the package's quadrature broken
+        e = np.array([0.0, 0.5, 15.5, 80.0])
+        want = mi_reference(e), fp_reference(e), mi_reference(2.0), fp_reference(2.0)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("package quadrature called")
+
+        monkeypatch.setattr(numerics, "gauss_expectation", broken)
+        monkeypatch.setattr(numerics, "default_rule", broken)
+        got = mi_reference(e), fp_reference(e), mi_reference(2.0), fp_reference(2.0)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     def test_matches_fine_trapezoid_across_every_piece(self):
         # the same points against a reference within 6e-16 of the 50-digit
