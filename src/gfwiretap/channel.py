@@ -24,6 +24,13 @@ __all__ = [
 LOG2 = math.log(2.0)
 
 
+def _require_positive(**values: float) -> None:
+    """Refuse, by name, the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class WiretapParams:
     """Average transmit power and the two receiver noise variances."""
@@ -33,10 +40,9 @@ class WiretapParams:
     sigma_e_sq: float
 
     def __post_init__(self):
-        for name in ("power", "sigma_b_sq", "sigma_e_sq"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _require_positive(
+            power=self.power, sigma_b_sq=self.sigma_b_sq, sigma_e_sq=self.sigma_e_sq
+        )
 
 
 def awgn_capacity(snr: float) -> float:
@@ -60,8 +66,7 @@ def key_length(n: int, power: float, sigma_e_sq: float) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if power <= 0.0 or sigma_e_sq <= 0.0:
-        raise ValueError("power and sigma_e_sq must be positive")
+    _require_positive(power=power, sigma_e_sq=sigma_e_sq)
     c_eve = awgn_capacity(power / sigma_e_sq)
     if c_eve == 0.0:
         raise ConfigurationError(
@@ -82,6 +87,5 @@ def critical_rate_heuristic(power: float, sigma_sq: float) -> float:
 
     In binary symbols per channel use; this is the channel capacity in bits.
     """
-    if power <= 0.0 or sigma_sq <= 0.0:
-        raise ValueError("power and sigma_sq must be positive")
+    _require_positive(power=power, sigma_sq=sigma_sq)
     return awgn_capacity(power / sigma_sq) / LOG2

@@ -32,9 +32,10 @@ from ._version import versions_line
 from .channel import LOG2, WiretapParams, critical_rate_heuristic, secrecy_capacity
 from .codec import CodecConfig
 from .errors import BracketError, BudgetError, NumericalError
-from .field import FieldSpec, covariance_probe
+from .field import FieldSpec, _check_budget, covariance_probe
 from .replica import locate_critical_rate, make_config, scan_rates
 from .simulate import (
+    _check_leakage_size,
     _mean_and_se,
     _trial_field,
     _trial_plan,
@@ -45,6 +46,9 @@ from .simulate import (
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 NUMERICAL_ERROR = 4
+
+#: Most points a --rates grid may hold, counted before any point is built.
+_MAX_RATE_POINTS = 10**6
 
 
 class UsageError(Exception):
@@ -73,7 +77,14 @@ def _parse_range(text: str) -> list[float]:
         raise UsageError(f"range step must be positive, got {step}")
     if lo > hi:
         raise UsageError(f"range is inverted: lo={lo} > hi={hi}")
-    count = int(math.floor((hi - lo) / step + 1e-12))
+    # an overflowing span is inf, which no budget admits
+    span = (hi - lo) / step + 1e-12
+    if span >= _MAX_RATE_POINTS:
+        raise BudgetError(
+            f"--rates {text!r} would hold {span + 1:.6g} points; "
+            f"budget is {_MAX_RATE_POINTS}"
+        )
+    count = int(math.floor(span))
     points = [lo + i * step for i in range(count + 1)]
     if abs(points[-1] - hi) <= 1e-12:
         points[-1] = hi
@@ -258,6 +269,7 @@ def _cmd_leakage(args) -> int:
     if args.realizations < 1:
         raise UsageError(f"--realizations must be >= 1, got {args.realizations}")
     cfg = _codec_config(args, args.k)
+    _check_leakage_size(cfg, args.samples)
     estimates = [
         estimate_leakage(cfg, _trial_field(cfg, r), _trial_plan(cfg, r), args.samples)
         for r in range(args.realizations)
@@ -299,6 +311,8 @@ def _cmd_field_check(args) -> int:
         power=args.power,
         seed=args.field_seed,
     )
+    # before the k_tot-long probe vectors are built
+    _check_budget(spec)
     s1 = np.ones(args.k_tot)
     overlaps = [-1.0, -0.5, 0.0, 0.5, 1.0]
     probes = []
@@ -453,6 +467,8 @@ def main(argv=None) -> int:
             hint = "lower --fields"
         elif "n_samples=" in str(exc):
             hint = "lower --samples"
+        elif args.subcommand == "replica-scan":
+            hint = "raise the --rates step or narrow its span"
         elif args.subcommand == "field-check":
             hint = "lower --k-tot, --lambda or --n-out"
         else:

@@ -24,12 +24,13 @@ every candidate's score: ``O(n sets**2 + 2**dim dim)`` work and ``O(sets**2 +
 squares, so its scores err by ~``eps sum|spectrum| / (2 sigma_sq)`` nats;
 where that, times the weight off the top candidate, exceeds ``_GRAM_TOL``,
 and wherever the pairs cost more, the residuals are summed directly over the
-blocks of outputs of :func:`field.enumerate_outputs`, one transform per
-block.  The weights are exponentiated once against their maximum.  The
-coordinate means come from two small products: the weights, viewed as a
-``(2**H, 2**L)`` matrix of the high ``H`` and low ``L = ceil((k + k_tilde)
-/ 2)`` pattern bits, are summed to their column and row marginals, and each
-marginal meets a ``(bits, 2**bits)`` table of signs.  Memory does not grow
+blocks of outputs of ``field._enumerate_outputs`` at the support's cached
+bit masks, one transform per block.  The weights are exponentiated once
+against their maximum.  The coordinate means come from two small products:
+the weights, viewed as a ``(2**H, 2**L)`` matrix of the high ``H`` and low
+``L = ceil((k + k_tilde) / 2)`` pattern bits, are summed to their column and
+row marginals, and each marginal meets a ``(bits, 2**bits)`` table of
+signs.  Memory does not grow
 with ``n`` on either route.
 """
 
@@ -41,14 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import bin_size, key_length
+from .channel import _require_positive, bin_size, key_length
 from .errors import BudgetError, ConfigurationError, NumericalError
 from .field import (
     GaussianField,
+    _enumerate_outputs,
+    _gram_pairs,
     _gram_spectrum,
+    _support,
     _walsh,
-    _walsh_masks,
-    enumerate_outputs,
     evaluate,
 )
 
@@ -119,14 +121,13 @@ class CodecConfig:
                 f"field order {self.order} has a linear/quadratic component; "
                 f"pass allow_low_order=True to run it as an ablation"
             )
-        for name in ("sigma_b_sq", "sigma_e_sq", "power"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _require_positive(
+            sigma_b_sq=self.sigma_b_sq, sigma_e_sq=self.sigma_e_sq, power=self.power
+        )
         for name in ("field_seed", "perm_seed", "key_seed", "noise_seed"):
             value = getattr(self, name)
-            if not (0 <= int(value) < 2**64):
-                raise ValueError(f"{name} must be a 64-bit unsigned integer")
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
         budget = key_length(self.n, self.power, self.sigma_e_sq)
         if self.k_tilde is None:
             object.__setattr__(self, "k_tilde", budget)
@@ -379,7 +380,8 @@ def mmse_estimate(
     if y.shape != (spec.n_out,):
         raise ValueError(f"y must have shape ({spec.n_out},), got {y.shape}")
 
-    masks, pairs = _walsh_masks(spec.dim, spec.order)
+    masks = _support(spec.dim, spec.order)[2]
+    pairs = _gram_pairs(spec.dim, spec.order)
     if pairs is not None:
         # the expanded square less |y|**2, which drops out of the max shift
         spectrum = _gram_spectrum(fld, pairs)
@@ -392,7 +394,7 @@ def mmse_estimate(
     # expanded square's rounding could move a spread posterior's mean
     sq = np.zeros(1 << spec.dim)
     lo = 0
-    for block in enumerate_outputs(fld, np.arange(spec.dim)):
+    for block in _enumerate_outputs(fld, masks):
         block -= y[lo : lo + len(block), None]
         block *= block
         # a one-row block is added as it is: its sum would be a copy, at

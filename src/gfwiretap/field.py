@@ -23,12 +23,12 @@ support is the singletons with count 1: a linear field is a matrix.
 
 ``_support`` builds, once per ``(dim, order)``, the table every reader
 uses: each set's indices padded to ``order`` with pairs of index 0
-(``s_0**2 == 1``), so ``prod(s[idx], axis=1)`` is every character at ``s``,
-and ``sqrt(count)`` from the walk recurrence ``W(q, odd) = odd W(q-1,
-odd-1) + (dim - odd) W(q-1, odd+1)`` in exact integers.  ``evaluate``
-meets the coefficients with the characters; ``covariance_probe`` meets
-chunks of drawn fields with the characters of its inputs times
-``sqrt(count)``; ``enumerate_outputs`` writes blocks of coefficients at
+(``s_0**2 == 1``), so ``prod(s[idx], axis=1)`` is every character at ``s``;
+``sqrt(count)`` from the walk recurrence ``W(q, odd) = odd W(q-1, odd-1) +
+(dim - odd) W(q-1, odd+1)`` in exact integers; and each set's bit mask.
+``evaluate`` meets the coefficients with the characters; ``covariance_probe``
+meets chunks of drawn fields with the characters of its inputs times
+``sqrt(count)``; ``_enumerate_outputs`` writes blocks of coefficients at
 their sets' bit masks and takes them to all ``2**dim`` inputs by a fast
 Walsh-Hadamard transform (``_walsh``), ``O(2**dim * dim)`` multiply-adds an
 output.
@@ -37,13 +37,13 @@ The exact decoder scores every input with one such transform instead of one
 per output.  ``chi_S chi_T = chi_{S xor T}``, so ``sum_n V_n(s)**2`` has the
 Walsh spectrum ``scale**2 * sum_{S xor T = U} (coeffs.T @ coeffs)[S, T]``:
 ``_gram_spectrum`` forms it from the Gram matrix, summed over the pairs of
-sets that ``_walsh_masks`` groups by their mask XOR and caches per ``(dim,
+sets that ``_gram_pairs`` groups by their mask XOR and caches per ``(dim,
 order)`` beside the support, where the ``sets**2`` pairs cost less than one
 output's transform.
 
-Fields are immutable after sampling; ``evaluate``, ``enumerate_outputs`` and
-``evaluate_flipped`` (``evaluate`` with one input coordinate negated) are
-read-only and safe to call concurrently.
+Fields are immutable after sampling; ``evaluate`` and ``evaluate_flipped``
+(``evaluate`` with one input coordinate negated) are read-only and safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "sample_field",
     "evaluate",
     "evaluate_flipped",
-    "enumerate_outputs",
     "covariance_probe",
 ]
 
@@ -77,7 +76,7 @@ DEFAULT_COEFF_BUDGET = 2**25
 #: ``covariance_probe``.
 _CHUNK_FLOATS = 2**15
 
-#: Floats in one block of outputs yielded by ``enumerate_outputs`` (at least
+#: Floats in one block of outputs yielded by ``_enumerate_outputs`` (at least
 #: one output).  A block array stays below glibc malloc's 128-KiB mmap
 #: threshold, and the transform's first product (32 multiply-adds a float)
 #: below the 2**19 at which OpenBLAS starts threads: at 2**14 floats every
@@ -116,8 +115,8 @@ class FieldSpec:
             raise ValueError(f"order must be an integer >= 1, got {self.order}")
         if not (math.isfinite(self.power) and self.power > 0.0):
             raise ValueError(f"power must be finite and > 0, got {self.power}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @property
     def coeff_count(self) -> int:
@@ -146,9 +145,10 @@ def _check_budget(spec: FieldSpec) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _support(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _support(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The support as read-only ``(sets, order)`` indices, each row a set's
-    indices in increasing order then pairs of index 0, and ``sqrt(count)``."""
+    indices in increasing order then pairs of index 0; ``sqrt(count)``; and
+    each set's bit mask, bit ``c`` for index ``c``."""
     # walks[j] = W(q, j): the q-tuples that clear a set of j indices when
     # each index toggles it; a state past dim only meets a zero factor
     walks = [1] + [0] * order
@@ -162,15 +162,17 @@ def _support(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     padded = (c + (0,) * (order - j) for j in sizes for c in itertools.combinations(range(dim), j))
     idx = np.fromiter(itertools.chain.from_iterable(padded), dtype=np.intp).reshape(-1, order)
     root = np.repeat([math.sqrt(walks[j]) for j in sizes], [math.comb(dim, j) for j in sizes])
-    for table in (idx, root):
+    # the padding pairs of index 0 cancel
+    masks = np.bitwise_xor.reduce(np.left_shift(1, idx), axis=1)
+    for table in (idx, root, masks):
         table.setflags(write=False)
-    return idx, root
+    return idx, root, masks
 
 
 def sample_field(spec: FieldSpec) -> GaussianField:
     """Draw the coefficients for ``spec``; deterministic per seed."""
     _check_budget(spec)
-    _, root = _support(spec.dim, spec.order)
+    root = _support(spec.dim, spec.order)[1]
     rng = np.random.default_rng(int(spec.seed))
     coeffs = rng.standard_normal((spec.n_out, len(root)))
     coeffs *= root
@@ -191,7 +193,7 @@ def _check_bipolar(s, dim: int) -> np.ndarray:
 def evaluate(field: GaussianField, s) -> np.ndarray:
     """The ``(n_out,)`` outputs at the bipolar ``s``: coefficients times characters."""
     s = _check_bipolar(s, field.spec.dim)
-    idx, _ = _support(field.spec.dim, field.spec.order)
+    idx = _support(field.spec.dim, field.spec.order)[0]
     return field.scale * (field.coeffs @ np.prod(s[idx], axis=1))
 
 
@@ -256,24 +258,20 @@ def _walsh(values: np.ndarray, dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _walsh_masks(dim: int, order: int) -> tuple[np.ndarray, tuple | None]:
-    """Each set's bit mask (bit ``c`` for index ``c``); and where the Gram
-    route is chosen, the pairs ``S < T`` of sets grouped by the XOR ``U`` of
-    their masks, else ``None``; read-only.
+def _gram_pairs(dim: int, order: int) -> tuple | None:
+    """Where the Gram route is chosen, the pairs ``S < T`` of sets grouped by
+    the XOR ``U`` of their masks, read-only; else ``None``.
 
     The pairs come as their flat indices into a ``(sets, sets)`` matrix,
     sorted by ``U``, with the start of each run of one ``U`` and that ``U``.
     The Gram route is chosen where the pairs number at most the
     multiply-adds of one output's transform and at most ``_PAIR_BUDGET``.
     """
-    idx, _ = _support(dim, order)
-    # the padding pairs of index 0 cancel
-    masks = np.bitwise_xor.reduce(np.left_shift(1, idx), axis=1)
-    masks.setflags(write=False)
+    masks = _support(dim, order)[2]
     sets = len(masks)
     transform = (1 << (dim + _HADAMARD_BITS)) * -(-dim // _HADAMARD_BITS)
     if sets * sets > min(transform, _PAIR_BUDGET):
-        return masks, None
+        return None
     rows, cols = np.triu_indices(sets, 1)
     xor = masks[rows] ^ masks[cols]
     by_xor = np.argsort(xor, kind="stable")
@@ -282,7 +280,7 @@ def _walsh_masks(dim: int, order: int) -> tuple[np.ndarray, tuple | None]:
     pairs = ((rows * sets + cols)[by_xor], starts, xor[starts])
     for table in pairs:
         table.setflags(write=False)
-    return masks, pairs
+    return pairs
 
 
 def _gram_spectrum(field: GaussianField, pairs: tuple) -> np.ndarray:
@@ -291,7 +289,7 @@ def _gram_spectrum(field: GaussianField, pairs: tuple) -> np.ndarray:
     ``chi_S chi_T = chi_{S xor T}``, so entry ``U`` is ``scale**2`` times
     the sum of the Gram matrix ``coeffs.T @ coeffs`` over the pairs of sets
     whose masks XOR to ``U``: its trace at ``U = 0``, and twice its upper
-    triangle, grouped by ``pairs`` from ``_walsh_masks``.  The Gram is
+    triangle, grouped by ``pairs`` from ``_gram_pairs``.  The Gram is
     summed over blocks of at most ``_BLOCK_FLOATS`` coefficients (at least
     one output), so memory is ``O(sets**2 + 2**dim)`` whatever ``n_out``.
     """
@@ -314,25 +312,19 @@ def _gram_spectrum(field: GaussianField, pairs: tuple) -> np.ndarray:
     return spectrum
 
 
-def enumerate_outputs(field: GaussianField, bit_of_coordinate):
+def _enumerate_outputs(field: GaussianField, masks: np.ndarray):
     """Yield the outputs on every bipolar input, in blocks of rows.
 
-    Each block is a ``(rows, 2**dim)`` array of consecutive outputs, with
-    ``rows = max(1, _BLOCK_FLOATS >> dim)`` (fewer in the last block).  Row
-    ``o`` of the stacked blocks has entry ``p`` equal to
-    ``evaluate(field, s)[o]`` to rounding, for the input ``s`` with
-    ``s[c] = +1`` exactly where bit ``bit_of_coordinate[c]`` of ``p`` is
-    set.  ``bit_of_coordinate`` must be a permutation of ``range(dim)``.
-    Each block is freshly allocated, so callers may overwrite it; memory is
-    a few blocks, whatever ``n_out``.
+    ``masks`` are the support's bit masks under a one-to-one map of input
+    coordinates to pattern bits.  Each block is a ``(rows, 2**dim)`` array
+    of consecutive outputs, with ``rows = max(1, _BLOCK_FLOATS >> dim)``
+    (fewer in the last block).  Row ``o`` of the stacked blocks has entry
+    ``p`` equal to ``evaluate(field, s)[o]`` to rounding, for the input
+    ``s`` that is +1 exactly at the coordinates whose bits ``p`` sets.
+    Each block is freshly allocated, so callers may overwrite it; memory
+    is a few blocks, whatever ``n_out``.
     """
     spec = field.spec
-    bit_of_coordinate = np.asarray(bit_of_coordinate, dtype=np.int64)
-    if not np.array_equal(np.sort(bit_of_coordinate), np.arange(spec.dim)):
-        raise ValueError(f"bit_of_coordinate must be a permutation of range({spec.dim})")
-    # a set's mask holds the bits of its indices; the padding pairs cancel
-    idx, _ = _support(spec.dim, spec.order)
-    masks = np.bitwise_xor.reduce(np.left_shift(1, bit_of_coordinate)[idx], axis=1)
     total = 1 << spec.dim
     rows = min(spec.n_out, max(1, _BLOCK_FLOATS >> spec.dim))
     for lo in range(0, spec.n_out, rows):
@@ -379,7 +371,7 @@ def covariance_probe(
     # row r of `chars` is every set's character at input r (s1 first, the
     # probes after) times sqrt(count), so a row of normals dotted with it
     # is that output at input r
-    idx, root = _support(spec.dim, spec.order)
+    idx, root, _ = _support(spec.dim, spec.order)
     chars = np.prod(np.vstack([s1] + probes)[:, idx], axis=2) * root
     scale = math.sqrt(spec.power / spec.dim**spec.order)
     rng = np.random.default_rng(int(spec.seed if seed is None else seed))

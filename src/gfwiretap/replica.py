@@ -420,8 +420,8 @@ def locate_critical_rate(
     """
     if not bracket_lo < bracket_hi:
         raise BracketError(f"degenerate bracket [{bracket_lo}, {bracket_hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sol_lo = solve_overlap(replace(cfg_template, rate=bracket_lo))
     sol_hi = solve_overlap(replace(cfg_template, rate=bracket_hi))
     if sol_lo.m_star < 0.9:

@@ -31,7 +31,7 @@ from .codec import (
     random_key,
 )
 from .errors import BudgetError, NumericalError
-from .field import FieldSpec, GaussianField, enumerate_outputs, sample_field
+from .field import FieldSpec, GaussianField, _enumerate_outputs, _support, sample_field
 
 __all__ = [
     "TrialRecord",
@@ -283,12 +283,15 @@ def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
     Bit ``b`` of the pattern (1 meaning +1) sets concatenation slot ``b``:
     key slots first, then message slots.  Row ``p`` holds the field output
     for the permuted vector of pattern ``p``.  The outputs of
-    :func:`field.enumerate_outputs` are written block by block into its
-    columns, so only one block is held beside the table.
+    ``field._enumerate_outputs`` at the support's masks in slot order are
+    written block by block into its columns, so one block is held beside it.
     """
+    # coordinate c takes its slot's bit; the padding pairs of index 0 cancel
+    idx = _support(fld.spec.dim, fld.spec.order)[0]
+    masks = np.bitwise_xor.reduce(np.left_shift(1, np.argsort(plan.permutation))[idx], axis=1)
     table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
     lo = 0
-    for block in enumerate_outputs(fld, np.argsort(plan.permutation)):
+    for block in _enumerate_outputs(fld, masks):
         table[:, lo : lo + len(block)] = block.T
         lo += len(block)
     return table
@@ -380,6 +383,27 @@ def _leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq):
     )
 
 
+def _check_leakage_size(cfg: CodecConfig, n_samples: int) -> None:
+    """Refuse a sample count below 2, and a leakage estimate beyond the
+    enumeration budget or ``_TABLE_BUDGET``, before any work."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    dim = cfg.k_tot
+    _check_enum_budget(dim)
+    # per codeword: the table's n floats, and in the scorer its n + 2
+    # shifted copy plus the two rows np.vstack forms that from; per sample:
+    # three n-vectors at the peak (the codeword, the noise and their sum in
+    # transmit; then the sample, a scaled copy and its n + 2 observation row
+    # in the scorer), and at most 18 floats of indices, distances, shifts,
+    # sums and terms
+    for what, floats in (
+        ("codeword table", (2 * cfg.n + 4) << dim),
+        (f"leakage samples (n_samples={n_samples}, n={cfg.n})", n_samples * (3 * cfg.n + 18)),
+    ):
+        if floats > _TABLE_BUDGET:
+            raise BudgetError(f"{what} would hold {floats} floats; budget is {_TABLE_BUDGET}")
+
+
 def estimate_leakage(
     cfg: CodecConfig,
     fld: GaussianField,
@@ -395,23 +419,8 @@ def estimate_leakage(
     chain-decomposition terms estimated from the same samples.
     """
     _check_artifacts(cfg, fld, plan)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    _check_leakage_size(cfg, n_samples)
     k, k_tilde = cfg.k, cfg.k_tilde
-    dim = k + k_tilde
-    _check_enum_budget(dim)
-    # per codeword: the table's n floats, and in the scorer its n + 2
-    # shifted copy plus the two rows np.vstack forms that from; per sample:
-    # three n-vectors at the peak (the codeword, the noise and their sum in
-    # transmit; then the sample, a scaled copy and its n + 2 observation row
-    # in the scorer), and at most 18 floats of indices, distances, shifts,
-    # sums and terms
-    for what, floats in (
-        ("codeword table", (2 * cfg.n + 4) << dim),
-        (f"leakage samples (n_samples={n_samples}, n={cfg.n})", n_samples * (3 * cfg.n + 18)),
-    ):
-        if floats > _TABLE_BUDGET:
-            raise BudgetError(f"{what} would hold {floats} floats; budget is {_TABLE_BUDGET}")
 
     table = _codeword_table(fld, plan)
 

@@ -96,6 +96,21 @@ class TestKeyLength:
         with pytest.raises(ValueError):
             key_length(4, -1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "power, sigma_e_sq, name",
+        [
+            (math.nan, 1.0, "power"),
+            (math.inf, 1.0, "power"),
+            (0.0, 1.0, "power"),
+            (1.0, math.nan, "sigma_e_sq"),
+            (1.0, math.inf, "sigma_e_sq"),
+            (1.0, -1.0, "sigma_e_sq"),
+        ],
+    )
+    def test_refuses_non_finite_or_non_positive_by_name(self, power, sigma_e_sq, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            key_length(4, power, sigma_e_sq)
+
     def test_zero_capacity_is_configuration_error(self):
         # the SNR underflows to exactly zero here
         with pytest.raises(ConfigurationError):
@@ -132,3 +147,18 @@ class TestCriticalRateHeuristic:
     def test_validation(self):
         with pytest.raises(ValueError):
             critical_rate_heuristic(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "power, sigma_sq, name",
+        [
+            (math.nan, 1.0, "power"),
+            (math.inf, 1.0, "power"),
+            (1.0, math.nan, "sigma_sq"),
+            (1.0, math.inf, "sigma_sq"),
+            (1.0, 0.0, "sigma_sq"),
+        ],
+    )
+    def test_refuses_non_finite_or_non_positive_by_name(self, power, sigma_sq, name):
+        # an infinite noise once gave a rate of 0.0
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            critical_rate_heuristic(power, sigma_sq)

@@ -68,6 +68,22 @@ class TestReplicaScan:
         assert code == 2
         assert "step must be positive" in err
 
+    def test_overflowing_grid_is_budget_error(self, capsys):
+        # (hi - lo) / step overflows to inf; once an OverflowError traceback
+        code, out, err = run_cli(capsys, "replica-scan", "--rates", "0:1e308:1e-308")
+        assert (code, out) == (3, "")
+        assert "--rates '0:1e308:1e-308' would hold inf points" in err
+        assert "(raise the --rates step or narrow its span)" in err
+
+    def test_grid_over_the_point_cap_is_refused_before_building(self, capsys, monkeypatch):
+        # the cap is patched small: a grid over the real one holds a million floats
+        monkeypatch.setattr(cli, "_MAX_RATE_POINTS", 10)
+        monkeypatch.setattr(cli, "scan_rates", lambda *a: pytest.fail("scanned"))
+        assert len(cli._parse_range("0.1:1:0.1")) == 10
+        code, _, err = run_cli(capsys, "replica-scan", "--rates", "1:2:0.1")
+        assert code == 3
+        assert "--rates '1:2:0.1' would hold 11 points; budget is 10" in err
+
     @pytest.mark.parametrize("flag", ["--grid-step", "--refine-tol"])
     def test_solver_resolution_flags_are_gone(self, capsys, flag):
         # every result is computed at replica.GRID_STEP and REFINE_TOL
@@ -128,6 +144,16 @@ class TestCriticalRate:
         assert heuristic == pytest.approx(1.72971580931865, abs=1e-10)
         assert abs(located - heuristic) <= 0.005
         assert diff == pytest.approx(located - heuristic, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--power", "nan", "power"), ("--power", "inf", "power"),
+         ("--sigma-sq", "nan", "sigma_sq"), ("--sigma-sq", "inf", "sigma_sq")],
+    )
+    def test_non_finite_channel_value_is_refused_by_name(self, capsys, flag, value, name):
+        code, _, err = run_cli(capsys, "critical-rate", flag, value)
+        assert code == 2
+        assert f"{name} must be finite and > 0, got {value}" in err
 
     def test_linear_is_refused_with_explanation(self, capsys):
         code, _, err = run_cli(capsys, "critical-rate", "--lambda", "1")
@@ -344,7 +370,7 @@ class TestLeakageCommand:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("leakage built its table before its budget check")
 
-        monkeypatch.setattr(simulate_module, "enumerate_outputs", no_enumeration)
+        monkeypatch.setattr(simulate_module, "_enumerate_outputs", no_enumeration)
         monkeypatch.setattr(simulate_module, "_TABLE_BUDGET", 1000)
         code, _, err = run_cli(
             capsys,
@@ -354,6 +380,19 @@ class TestLeakageCommand:
         assert code == 3
         assert "n_samples=100" in err
         assert "(lower --samples)" in err
+
+    def test_dim_21_is_refused_before_any_field_is_sampled(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("leakage sampled a field before its budget check")
+
+        monkeypatch.setattr(simulate_module, "sample_field", no_sampling)
+        code, _, err = run_cli(
+            capsys,
+            "leakage", "--n", "4", "--k", "15", "--k-tilde", "6",
+            "--sigma-e-sq", "1", "--realizations", "3",
+        )
+        assert code == 3
+        assert "budget is 2**20" in err
 
     def test_reports_three_estimates_and_chain(self, capsys):
         code, out, _ = run_cli(
@@ -510,10 +549,85 @@ class TestFieldCheck:
         assert code == 3
         assert "(lower --k-tot, --lambda or --n-out)" in err
 
+    def test_huge_k_tot_is_refused_before_building_probes(self, capsys, monkeypatch):
+        # 10**13 inputs: counted by binomials and refused before the
+        # k_tot-long probe vectors (80 TB each) are built
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("field-check built its probes before its budget check")
+
+        monkeypatch.setattr(cli.np, "ones", no_vectors)
+        code, _, err = run_cli(capsys, "field-check", "--k-tot", "10000000000000")
+        assert code == 3
+        assert "(lower --k-tot, --lambda or --n-out)" in err
+
     def test_k_tot_must_fit_overlap_grid(self, capsys):
         code, _, err = run_cli(capsys, "field-check", "--k-tot", "6")
         assert code == 2
         assert "multiple of 4" in err
+
+
+_SIM = ("--n", "4", "--k", "2", "--k-tilde", "2", "--sigma-b-sq", "0.3", "--sigma-e-sq", "1")
+_LEAK = ("--n", "4", "--k", "2", "--k-tilde", "2", "--sigma-e-sq", "1")
+# NaN and infinite floats, zero and negative counts, and oversized inputs
+# that are refused before any work; every row fails fast under older code
+# too, so none of them can exhaust memory
+HOSTILE_RUNS = [
+    ("replica-scan", "--rates", "0:1e308:1e-308"),
+    ("replica-scan", "--rates", "0:1:0.1"),
+    ("replica-scan", "--rates", "0.5:1:0.1", "--sigma-sq", "nan"),
+    ("replica-scan", "--rates", "0.5:1:0.1", "--power", "inf"),
+    ("replica-scan", "--rates", "0.5:1:0.1", "--lambda", "0"),
+    ("critical-rate", "--power", "nan"),
+    ("critical-rate", "--sigma-sq", "inf"),
+    ("critical-rate", "--power", "0"),
+    ("critical-rate", "--tol", "nan"),
+    ("critical-rate", "--tol", "inf"),
+    ("critical-rate", "--tol", "-1"),
+    ("critical-rate", "--lambda", "-3"),
+    ("simulate", *_SIM, "--trials", "0"),
+    ("simulate", *_SIM, "--trials", "-1"),
+    ("simulate", *_SIM, "--k-tilde", "0"),
+    ("simulate", *_SIM, "--power", "nan"),
+    ("simulate", *_SIM, "--sigma-b-sq", "inf"),
+    ("simulate", *_SIM, "--field-seed", "-1"),
+    ("simulate", "--n", "0", "--k", "2", "--sigma-b-sq", "0.3", "--sigma-e-sq", "1"),
+    ("simulate", "--n", "4", "--k", "-2", "--sigma-b-sq", "0.3", "--sigma-e-sq", "1"),
+    ("simulate", "--n", "4", "--k", "2", "--sigma-b-sq", "0.3", "--sigma-e-sq", "nan"),
+    ("simulate", "--n", "4", "--at-secrecy-capacity", "--sigma-b-sq", "0.1",
+     "--sigma-e-sq", "inf"),
+    ("simulate", "--n", "4", "--k", "15", "--k-tilde", "6", "--sigma-b-sq", "0.3",
+     "--sigma-e-sq", "1"),
+    ("leakage", *_LEAK, "--samples", "0"),
+    ("leakage", *_LEAK, "--samples", "-5"),
+    ("leakage", *_LEAK, "--samples", "100000000000000"),
+    ("leakage", *_LEAK, "--realizations", "0"),
+    ("leakage", *_LEAK, "--sigma-b-sq", "nan"),
+    ("leakage", *_LEAK, "--power", "inf"),
+    ("leakage", "--n", "0", "--k", "2", "--sigma-e-sq", "1"),
+    ("leakage", "--n", "4", "--k", "2", "--sigma-e-sq", "nan"),
+    ("leakage", "--n", "4", "--k", "2", "--sigma-e-sq", "1e-300"),
+    ("leakage", "--n", "4", "--k", "15", "--k-tilde", "6", "--sigma-e-sq", "1"),
+    ("field-check", "--k-tot", "10000000000000"),
+    ("field-check", "--k-tot", "0"),
+    ("field-check", "--k-tot", "-4"),
+    ("field-check", "--n-out", "0"),
+    ("field-check", "--fields", "1"),
+    ("field-check", "--fields", "-1"),
+    ("field-check", "--fields", "100000000000000"),
+    ("field-check", "--power", "nan"),
+    ("field-check", "--power", "inf"),
+    ("field-check", "--lambda", "0"),
+    ("field-check", "--field-seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_RUNS, ids=" ".join)
+def test_hostile_input_exits_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (2, 3, 4)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gfwiretap: "), err
+    assert "Traceback" not in err
 
 
 # one small run of each subcommand

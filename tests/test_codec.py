@@ -74,6 +74,13 @@ class TestCodecConfig:
         with pytest.raises(ValueError):
             CodecConfig(n=4, k=1, sigma_b_sq=-0.1, sigma_e_sq=1.0)
 
+    @pytest.mark.parametrize("name", ["field_seed", "perm_seed", "key_seed", "noise_seed"])
+    def test_non_integer_seed_is_refused_by_name(self, name):
+        # field_seed=2.9 was once kept as it was
+        for seed in (2.9, 3.0, np.float64(1.0)):
+            with pytest.raises(ValueError, match=f"{name} must be a 64-bit unsigned integer"):
+                CodecConfig(n=4, k=1, sigma_b_sq=0.1, sigma_e_sq=1.0, **{name: seed})
+
 
 class TestMessageBits:
     def test_zero_is_all_minus(self):
@@ -181,7 +188,9 @@ class TestBinning:
             assert abs(count - expected) <= tol
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
+        # the one check of a plan's permutation: the codeword table's bit
+        # masks are derived from it unchecked
+        with pytest.raises(ValueError, match="not a bijection"):
             BinningPlan(
                 permutation=np.array([0, 0, 1, 2]),
                 width=2,
@@ -336,7 +345,7 @@ class TestMmseEstimate:
     def test_block_cap_invariance(self, monkeypatch):
         # the block cap changes only how outputs are grouped in the Gram
         # matrix of the Gram route, which this decode takes (64 sets)
-        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
+        monkeypatch.setattr(codec_module, "_enumerate_outputs", no_enumeration)
         spec = FieldSpec(n_out=13, dim=8, order=3, power=1.0, seed=18)
         fld = sample_field(spec)
         y = np.random.default_rng(19).normal(size=13)
@@ -348,7 +357,7 @@ class TestMmseEstimate:
     def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
         # at dim 12 the Gram route sums 232 sets over blocks of 35 outputs,
         # so n_out 32 and 256 differ only in how many blocks pass through
-        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
+        monkeypatch.setattr(codec_module, "_enumerate_outputs", no_enumeration)
 
         def peak(n_out):
             fld = sample_field(FieldSpec(n_out=n_out, dim=12, order=3, power=1.0, seed=20))
@@ -396,8 +405,8 @@ class TestMmseEstimate:
     def test_gram_route_matches_brute_force(self, monkeypatch):
         # order 3 at dim 10: the 130 sets' pairs cost less than one output's
         # transform, and this posterior keeps the Gram route's scores
-        assert field._walsh_masks(10, 3)[1] is not None
-        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
+        assert field._gram_pairs(10, 3) is not None
+        monkeypatch.setattr(codec_module, "_enumerate_outputs", no_enumeration)
         fld = sample_field(FieldSpec(n_out=24, dim=10, order=3, power=1.0, seed=40))
         rng = np.random.default_rng(41)
         y = evaluate(fld, rng.integers(0, 2, size=10) * 2.0 - 1.0) + rng.normal(0.0, 0.3, size=24)
@@ -408,7 +417,7 @@ class TestMmseEstimate:
     def test_transform_route_matches_brute_force(self, dim):
         # order 5: 382 sets at dim 10 and 1024 at 12, whose pairs cost more
         # than one output's transform
-        assert field._walsh_masks(dim, 5)[1] is None
+        assert field._gram_pairs(dim, 5) is None
         fld = sample_field(FieldSpec(n_out=6, dim=dim, order=5, power=1.0, seed=50 + dim))
         rng = np.random.default_rng(dim)
         y = evaluate(fld, rng.integers(0, 2, size=dim) * 2.0 - 1.0) + rng.normal(0.0, 0.5, size=6)
@@ -419,7 +428,7 @@ class TestMmseEstimate:
         # |y|**2 / (2 sigma_sq) is ~5e6 nats here, all of it cancelled by the
         # expanded square; the posterior sits on one candidate, so the Gram
         # route's scores are kept
-        monkeypatch.setattr(codec_module, "enumerate_outputs", no_enumeration)
+        monkeypatch.setattr(codec_module, "_enumerate_outputs", no_enumeration)
         fld = sample_field(FieldSpec(n_out=1024, dim=10, order=3, power=1.0, seed=60))
         rng = np.random.default_rng(61)
         y = evaluate(fld, rng.integers(0, 2, size=10) * 2.0 - 1.0) + rng.normal(0.0, 1e-2, size=1024)
@@ -434,9 +443,9 @@ class TestMmseEstimate:
 
         def counted(*args):
             calls.append(args)
-            return field.enumerate_outputs(*args)
+            return field._enumerate_outputs(*args)
 
-        monkeypatch.setattr(codec_module, "enumerate_outputs", counted)
+        monkeypatch.setattr(codec_module, "_enumerate_outputs", counted)
         fld = sample_field(FieldSpec(n_out=1, dim=11, order=3, power=1.0, seed=70))
         rng = np.random.default_rng(71)
         y = evaluate(fld, rng.integers(0, 2, size=11) * 2.0 - 1.0) + rng.normal(0.0, 1e-2, size=1)

@@ -12,7 +12,6 @@ from gfwiretap.errors import BudgetError
 from gfwiretap.field import (
     FieldSpec,
     covariance_probe,
-    enumerate_outputs,
     evaluate,
     evaluate_flipped,
     sample_field,
@@ -81,6 +80,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             FieldSpec(n_out=1, dim=1, order=1, power=1.0, seed=2**64)
 
+    def test_non_integer_seed_is_refused(self):
+        # 1.5 once drew seed 1's field
+        for seed in (1.5, 2.0, np.float64(3.0), "4", None):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                FieldSpec(n_out=1, dim=2, order=1, power=1.0, seed=seed)
+        assert FieldSpec(n_out=1, dim=2, order=1, power=1.0, seed=np.uint64(2**64 - 1))
+
     def test_immutable_coefficients(self):
         fld = sample_field(FieldSpec(n_out=2, dim=2, order=1, power=1.0, seed=0))
         with pytest.raises(ValueError):
@@ -94,7 +100,7 @@ class TestSupport:
     def test_character_sum_is_inner_product_power(self, order, dim):
         # sum_S count(S) chi_S(s1) chi_S(s2) == (s1.s2)**order, exactly,
         # over every pair of inputs
-        idx, root = field_module._support(dim, order)
+        idx, root, _ = field_module._support(dim, order)
         counts = np.rint(root**2).astype(np.int64)
         inputs = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2 - 1
         chars = np.prod(inputs[:, idx], axis=2)
@@ -103,17 +109,17 @@ class TestSupport:
     @pytest.mark.parametrize("order,dim", ORDERS_AND_DIMS)
     def test_counts_match_brute_force_fold(self, order, dim):
         sets, counts = support_reference(dim, order)
-        idx, root = field_module._support(dim, order)
+        idx, root, masks = field_module._support(dim, order)
         # each row's set is the indices it holds an odd number of times
         odd = [tuple(sorted(i for i in set(row) if row.count(i) % 2)) for row in idx.tolist()]
         assert odd == sets
         assert np.rint(root**2).astype(np.int64).tolist() == counts
         assert np.array_equal(root, np.sqrt(counts))
+        assert masks.tolist() == [sum(1 << i for i in subset) for subset in sets]
         assert FieldSpec(1, dim, order, 1.0, 0).coeff_count == len(sets)
 
     def test_tables_are_read_only_and_cache_is_bounded(self):
-        idx, root = field_module._support(6, 3)
-        for table in (idx, root):
+        for table in field_module._support(6, 3):
             with pytest.raises(ValueError):
                 table[0] = 1
         assert field_module._support.cache_info().maxsize is not None
@@ -288,13 +294,15 @@ class TestEnumerateOutputs:
     def test_matches_block_evaluate_on_every_pattern(self, order, n_out, dim, seed, cap_rows):
         fld = sample_field(FieldSpec(n_out=n_out, dim=dim, order=order, power=1.0, seed=seed))
         bit_of_coordinate = np.random.default_rng(seed).permutation(dim)
+        sets, _ = support_reference(dim, order)
+        masks = np.array([sum(1 << int(bit_of_coordinate[c]) for c in subset) for subset in sets])
         patterns = np.arange(1 << dim)
         rows = ((patterns[:, None] >> bit_of_coordinate) & 1) * 2.0 - 1.0
         expected = evaluate_rows_reference(fld, rows).T
         # a cap one float short of the next row leaves cap_rows rows per block
         cap = field_module._BLOCK_FLOATS if cap_rows is None else ((cap_rows + 1) << dim) - 1
         with mock.patch.object(field_module, "_BLOCK_FLOATS", cap):
-            blocks = list(enumerate_outputs(fld, bit_of_coordinate))
+            blocks = list(field_module._enumerate_outputs(fld, masks))
         per_block = max(1, cap >> dim)
         assert [len(b) for b in blocks] == [
             min(per_block, n_out - lo) for lo in range(0, n_out, per_block)
@@ -302,12 +310,6 @@ class TestEnumerateOutputs:
         values = np.vstack(blocks)
         assert values.shape == (n_out, 1 << dim)
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
-
-    def test_permutation_validation(self):
-        fld = sample_field(FieldSpec(n_out=2, dim=3, order=2, power=1.0, seed=0))
-        for bad in ([0, 1], [0, 1, 1], [1, 2, 3]):
-            with pytest.raises(ValueError):
-                next(enumerate_outputs(fld, bad))
 
 
 class TestEvaluateFlipped:

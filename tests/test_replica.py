@@ -734,7 +734,7 @@ class TestLocateCriticalRate:
     def test_bad_bracket_or_tol_is_refused_before_any_solve(self, monkeypatch):
         cfg = make_config(rate=1.0, order=3)
         monkeypatch.setattr(replica, "solve_overlap", lambda c: pytest.fail("solved"))
-        for tol in (0.0, -1e-4, math.nan):
+        for tol in (0.0, -1e-4, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive"):
                 locate_critical_rate(cfg, 0.8 * RSTAR, 1.3 * RSTAR, tol=tol)
         for lo, hi in ((2.0, 1.5), (1.7, 1.7)):

@@ -407,7 +407,7 @@ class TestLeakage:
 
         # codec and simulate hold their own bindings of the kernel
         for module in (field, codec, simulate):
-            monkeypatch.setattr(module, "enumerate_outputs", no_enumeration)
+            monkeypatch.setattr(module, "_enumerate_outputs", no_enumeration)
         cfg = small_cfg(n=4, k=15, k_tilde=6)
         assert cfg.k_tot == codec.DEFAULT_ENUM_BUDGET + 1
         fld = _trial_field(cfg, 0)
