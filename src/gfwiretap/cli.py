@@ -23,6 +23,7 @@ import argparse
 import configparser
 import dataclasses
 import math
+import re
 import sys
 import time
 
@@ -450,11 +451,23 @@ def _apply_config_file(argv):
     return [section] + extra + stripped[1:]
 
 
+def _attach_negative_values(argv):
+    """Write ``--flag -1:2`` as ``--flag=-1:2``: argparse takes a token that
+    starts with '-' for an option unless it is a plain negative number."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and re.match(r"-[\d.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(argv)
+        argv = _attach_negative_values(_apply_config_file(argv))
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
@@ -467,6 +480,8 @@ def main(argv=None) -> int:
             hint = "lower --fields"
         elif "n_samples=" in str(exc):
             hint = "lower --samples"
+        elif "field order=" in str(exc):
+            hint = "lower --lambda"
         elif args.subcommand == "replica-scan":
             hint = "raise the --rates step or narrow its span"
         elif args.subcommand == "field-check":

@@ -84,6 +84,12 @@ _CHUNK_FLOATS = 2**15
 #: trimmed and touched afresh, and ran ~14% slower than one output at a time.
 _BLOCK_FLOATS = 2**13
 
+#: Largest ``order * ceil(log2(dim))`` a field may have (dim 1 counts as 2).
+#: It bounds ``dim**order``, and with it every walk count and the square of
+#: any coefficient, by ``2**512``, well inside the float range; and it bounds
+#: the support recurrence to ``order * min(order, dim)`` exact-integer steps.
+_ORDER_BITS = 512
+
 #: Bits of the pattern integer taken by one matrix product of the transform.
 _HADAMARD_BITS = 5
 
@@ -134,6 +140,12 @@ class GaussianField:
 
 
 def _check_budget(spec: FieldSpec) -> None:
+    bits = spec.order * max(1, (spec.dim - 1).bit_length())
+    if bits > _ORDER_BITS:
+        raise BudgetError(
+            f"field order={spec.order} at dim={spec.dim} would take "
+            f"dim**order up to 2**{bits}; budget is 2**{_ORDER_BITS}"
+        )
     count = spec.coeff_count
     indices = count // spec.n_out * spec.order
     if max(count, indices) > DEFAULT_COEFF_BUDGET:
@@ -150,13 +162,14 @@ def _support(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     indices in increasing order then pairs of index 0; ``sqrt(count)``; and
     each set's bit mask, bit ``c`` for index ``c``."""
     # walks[j] = W(q, j): the q-tuples that clear a set of j indices when
-    # each index toggles it; a state past dim only meets a zero factor
-    walks = [1] + [0] * order
+    # each index toggles it; no set holds more than min(order, dim) indices
+    top = min(order, dim)
+    walks = [1] + [0] * top
     for _ in range(order):
         walks = [
             (odd * walks[odd - 1] if odd else 0)
-            + (dim - odd) * (walks[odd + 1] if odd < order else 0)
-            for odd in range(order + 1)
+            + (dim - odd) * (walks[odd + 1] if odd < top else 0)
+            for odd in range(top + 1)
         ]
     sizes = _set_sizes(dim, order)
     padded = (c + (0,) * (order - j) for j in sizes for c in itertools.combinations(range(dim), j))

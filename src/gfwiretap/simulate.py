@@ -324,10 +324,14 @@ def _leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq):
     farther sample shifts by its row maximum instead, decided per sample,
     so no sample's terms depend on the others in its block.  The
     own-message log-sum-exp runs on the sample's ``2**k_tilde`` slice before
-    the ``exp``.  Memory beyond the table and the samples is the shifted
-    codeword table (``n + 2`` floats per codeword), one block of at most
-    ``2**15`` floats (one sample's row when ``2**dim`` is larger) and a few
-    floats per sample.
+    the ``exp``.  The products' shared operand is one C-ordered ``(n + 2,
+    2**dim)`` matrix filled row by row, because OpenBLAS packs a row-major
+    right operand faster than the column-major one that stacking the rows of
+    ``table.T`` gives.  A one-sample block is a gemv, not a gemm, and rounds
+    differently, by ~1e-15 nats a sample.  Memory beyond the table and the
+    samples is that matrix (``n + 2`` floats per codeword), one block of at
+    most ``2**15`` floats (one sample's row when ``2**dim`` is larger) and a
+    few floats per sample.
     """
     dim = k + k_tilde
     n = table.shape[1]
@@ -339,9 +343,10 @@ def _leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq):
     # log-likelihood minus the sample's own, inv (2 y.t - |t|^2 - |y|^2) +
     # W, as one product of the rows [2 inv y, -1, W - inv |y|^2] against the
     # columns [t, inv |t|^2, 1]
-    codes = np.vstack(
-        [table.T, inv * np.einsum("ij,ij->i", table, table), np.ones(len(table))]
-    )
+    codes = np.empty((n + 2, len(table)))
+    codes[:n] = table.T
+    codes[n] = inv * np.einsum("ij,ij->i", table, table)
+    codes[n + 1] = 1.0
     obs = np.column_stack(
         [2.0 * inv * ys, np.full(len(ys), -1.0), w - inv * np.einsum("ij,ij->i", ys, ys)]
     )
@@ -390,8 +395,8 @@ def _check_leakage_size(cfg: CodecConfig, n_samples: int) -> None:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     dim = cfg.k_tot
     _check_enum_budget(dim)
-    # per codeword: the table's n floats, and in the scorer its n + 2
-    # shifted copy plus the two rows np.vstack forms that from; per sample:
+    # per codeword: the table's n floats, and in the scorer its n + 2 score
+    # matrix plus the two temporaries its |t|^2 row is formed in; per sample:
     # three n-vectors at the peak (the codeword, the noise and their sum in
     # transmit; then the sample, a scaled copy and its n + 2 observation row
     # in the scorer), and at most 18 floats of indices, distances, shifts,

@@ -568,12 +568,16 @@ class TestFieldCheck:
 
 _SIM = ("--n", "4", "--k", "2", "--k-tilde", "2", "--sigma-b-sq", "0.3", "--sigma-e-sq", "1")
 _LEAK = ("--n", "4", "--k", "2", "--k-tilde", "2", "--sigma-e-sq", "1")
-# NaN and infinite floats, zero and negative counts, and oversized inputs
-# that are refused before any work; every row fails fast under older code
-# too, so none of them can exhaust memory
+# NaN and infinite floats, zero and negative counts, ranges that start
+# with a negative number, and oversized inputs that are refused before any
+# work; every row fails fast under older code too, so none of them can
+# exhaust memory, except --lambda 20000, whose support older code never
+# finished building
 HOSTILE_RUNS = [
     ("replica-scan", "--rates", "0:1e308:1e-308"),
     ("replica-scan", "--rates", "0:1:0.1"),
+    ("replica-scan", "--rates", "-1:2:0.1"),
+    ("replica-scan", "--rat", "-1:2:0.1"),
     ("replica-scan", "--rates", "0.5:1:0.1", "--sigma-sq", "nan"),
     ("replica-scan", "--rates", "0.5:1:0.1", "--power", "inf"),
     ("replica-scan", "--rates", "0.5:1:0.1", "--lambda", "0"),
@@ -584,6 +588,9 @@ HOSTILE_RUNS = [
     ("critical-rate", "--tol", "inf"),
     ("critical-rate", "--tol", "-1"),
     ("critical-rate", "--lambda", "-3"),
+    ("critical-rate", "--bracket", "-1:2"),
+    ("critical-rate", "--bracket=-1:2"),
+    ("critical-rate", "--bracket", "-.5:2"),
     ("simulate", *_SIM, "--trials", "0"),
     ("simulate", *_SIM, "--trials", "-1"),
     ("simulate", *_SIM, "--k-tilde", "0"),
@@ -617,6 +624,8 @@ HOSTILE_RUNS = [
     ("field-check", "--power", "nan"),
     ("field-check", "--power", "inf"),
     ("field-check", "--lambda", "0"),
+    ("field-check", "--lambda", "400", "--fields", "20"),
+    ("field-check", "--lambda", "20000", "--fields", "20"),
     ("field-check", "--field-seed", "-1"),
 ]
 
@@ -628,6 +637,21 @@ def test_hostile_input_exits_with_one_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("gfwiretap: "), err
     assert "Traceback" not in err
+
+
+def test_large_order_is_refused_by_name_before_any_support(capsys, monkeypatch):
+    def no_support(*args):
+        raise AssertionError("support built")
+
+    monkeypatch.setattr(field_module, "_support", no_support)
+    for argv in (
+        ("field-check", "--lambda", "400", "--fields", "20"),
+        ("leakage", *_LEAK, "--lambda", "300"),
+        ("simulate", *_SIM, "--lambda", "300"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "field order=" in err and "(lower --lambda)" in err, err
 
 
 # one small run of each subcommand

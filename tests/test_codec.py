@@ -520,13 +520,14 @@ class TestDecode:
 
 
 
-#: Decodes seeded fields at dims 10 and 12 and builds a dim-10 codeword
-#: table, then prints one digest of every result's bytes.
+#: Decodes seeded fields at dims 10 and 12, builds a dim-10 codeword table
+#: and estimates the leakage at dim 14, whose scoring blocks are single
+#: samples, then prints one digest of every result.
 _THREAD_DIGEST = """
 import hashlib
 import numpy as np
 from gfwiretap import simulate
-from gfwiretap.codec import build_binning, mmse_estimate
+from gfwiretap.codec import CodecConfig, build_binning, mmse_estimate
 from gfwiretap.field import FieldSpec, evaluate, sample_field
 
 digest = hashlib.sha256()
@@ -540,6 +541,10 @@ for dim in (10, 12):
             digest.update(mmse_estimate(fld, y, sigma_sq).tobytes())
 fld = sample_field(FieldSpec(n_out=16, dim=10, order=3, power=1.0, seed=7))
 digest.update(simulate._codeword_table(fld, build_binning(6, 4, 0)).tobytes())
+cfg = CodecConfig(n=16, k=7, k_tilde=7, sigma_b_sq=0.1, sigma_e_sq=1.0)
+assert simulate._score_rows(cfg.n, cfg.k_tot) == 1
+fld, plan = simulate._trial_field(cfg, 0), simulate._trial_plan(cfg, 0)
+digest.update(repr(simulate.estimate_leakage(cfg, fld, plan, 40)).encode())
 print(digest.hexdigest())
 """
 

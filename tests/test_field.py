@@ -70,6 +70,24 @@ class TestSampling:
         with pytest.raises(BudgetError, match=str(5 * spec.coeff_count)):
             sample_field(spec)
 
+    def test_large_order_refused_by_name_before_the_support(self, monkeypatch):
+        # dim 8 counts 3 bits an order: 8**171 passes 2**512; order 400
+        # once overflowed a float and order 20000 never finished the
+        # support's recurrence, while sets * order fit the index budget
+        def no_support(*args):
+            raise AssertionError("support built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(field_module, "_support", no_support)
+            for dim, order in ((8, 171), (8, 400), (8, 20000), (1, 513), (2, 513), (5, 171)):
+                spec = FieldSpec(n_out=1, dim=dim, order=order, power=1.0, seed=0)
+                with pytest.raises(BudgetError, match=f"field order={order} at dim={dim}"):
+                    sample_field(spec)
+        for dim, order in ((8, 170), (1, 512), (2, 512), (5, 170), (1, 1), (2, 1)):
+            fld = sample_field(FieldSpec(n_out=2, dim=dim, order=order, power=1.0, seed=0))
+            assert np.all(np.isfinite(fld.coeffs)) and fld.scale > 0.0
+            assert np.all(np.isfinite(fld.coeffs.T @ fld.coeffs))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FieldSpec(n_out=0, dim=1, order=1, power=1.0, seed=0)

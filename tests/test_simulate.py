@@ -285,6 +285,27 @@ class TestLeakage:
             for name, value in expected.items():
                 assert abs(getattr(est, name) - value) <= 1e-12, (cfg, n_samples, name)
 
+    @pytest.mark.parametrize(
+        "n,k,k_tilde,n_samples,per_block",
+        [(8, 6, 4, 65, 32), (4, 7, 8, 5, 1)],
+        ids=["trailing-one-row-block", "one-row-blocks"],
+    )
+    def test_single_row_blocks_match_per_sample_reference(
+        self, n, k, k_tilde, n_samples, per_block
+    ):
+        # a block of one sample is a matrix-vector product, which rounds
+        # unlike the matrix product of the larger blocks
+        assert simulate._score_rows(n, k + k_tilde) == per_block
+        cfg = small_cfg(n=n, k=k, k_tilde=k_tilde)
+        table = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        rng = np.random.default_rng(34)
+        patterns = rng.integers(0, 1 << cfg.k_tot, n_samples)
+        ys = table[patterns] + rng.normal(size=(n_samples, n))
+        terms = np.array(_leakage_terms(table, patterns, ys, k, k_tilde, 1.0))
+        for i in range(n_samples):
+            expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, 1.0)
+            assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
+
     def test_far_and_near_samples_share_blocks(self):
         # samples past _FAR_NATS from their codewords, in blocks of near
         # ones: three with huge noise, and three observed next to the
@@ -376,7 +397,7 @@ class TestLeakage:
 
     def test_table_budget_bounds_measured_memory(self, monkeypatch):
         # with 4096 codewords and 2 samples the peak is the codeword table,
-        # its shifted copy and the two rows that copy is formed from; the
+        # its score matrix and the two temporaries its |t|^2 row is formed in; the
         # floats counted for the table and the samples bound it, beside the
         # call's interpreter objects (generators, array headers: ~1 KiB)
         cfg = small_cfg(n=64, k=6, k_tilde=6)
