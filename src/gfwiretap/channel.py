@@ -1,4 +1,4 @@
-"""Closed-form information quantities of the Gaussian wiretap channel.
+"""Closed-form quantities of the Gaussian wiretap channel, and shared input rules.
 
 Rates named ``*_rate`` count binary symbols per channel use; capacities are
 in nats per channel use unless noted.  ``bits = nats / log 2``.
@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -29,6 +31,16 @@ def _require_positive(**values: float) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _require_order(order) -> None:
+    if not (isinstance(order, (int, np.integer)) and order >= 1):
+        raise ValueError(f"order must be an integer >= 1, got {order}")
+
+
+def _require_seed(name: str, value) -> None:
+    if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -157,10 +157,7 @@ def _cmd_replica_scan(args) -> int:
         raise UsageError(f"rates must be positive, got {rates[0]}")
     div = LOG2 if args.units == "bits" else 1.0
     cfg = make_config(
-        rate=rates[0],
-        sigma_sq=args.sigma_sq,
-        power=args.power,
-        order=args.order,
+        rate=rates[0], sigma_sq=args.sigma_sq, power=args.power, order=args.order
     )
     rows = [
         (rate, sol.m_star, sol.info_rate / div, sol.energy_at_0 / div,
@@ -314,15 +311,14 @@ def _cmd_field_check(args) -> int:
     )
     # before the k_tot-long probe vectors are built
     _check_budget(spec)
+    # the probe at overlap u flips the first (1 - u) / 2 of s1's coordinates
     s1 = np.ones(args.k_tot)
     overlaps = [-1.0, -0.5, 0.0, 0.5, 1.0]
-    probes = []
-    for u in overlaps:
-        s2 = np.ones(args.k_tot)
-        n_flip = round((1.0 - u) / 2.0 * args.k_tot)
-        s2[:n_flip] = -1.0
-        probes.append(s2)
+    coords = np.arange(args.k_tot)
+    probes = [np.where(coords < round((1.0 - u) / 2.0 * args.k_tot), -1.0, 1.0) for u in overlaps]
     results = covariance_probe(spec, s1, probes, args.fields)
+    if not np.isfinite(results).all():
+        raise NumericalError(f"covariance statistics overflow at --power {args.power!r}")
     rows = [
         (u, args.power * u**args.order, *stats) for u, stats in zip(overlaps, results)
     ]
@@ -469,7 +465,9 @@ def main(argv=None) -> int:
     try:
         argv = _attach_negative_values(_apply_config_file(argv))
         args = parser.parse_args(argv)
-        return args.func(args)
+        # runs check their results, so numpy's warnings would only repeat that
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"gfwiretap: usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -30,8 +30,7 @@ against their maximum.  The coordinate means come from two small products:
 the weights, viewed as a ``(2**H, 2**L)`` matrix of the high ``H`` and low
 ``L = ceil((k + k_tilde) / 2)`` pattern bits, are summed to their column and
 row marginals, and each marginal meets a ``(bits, 2**bits)`` table of
-signs.  Memory does not grow
-with ``n`` on either route.
+signs.  Memory does not grow with ``n`` on either route.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _require_positive, bin_size, key_length
+from .channel import _require_order, _require_positive, _require_seed, bin_size, key_length
 from .errors import BudgetError, ConfigurationError, NumericalError
 from .field import (
     GaussianField,
@@ -114,8 +113,7 @@ class CodecConfig:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError(f"n and k must be >= 1, got {self.n}, {self.k}")
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
-            raise ValueError(f"order must be an integer >= 1, got {self.order}")
+        _require_order(self.order)
         if self.order < 3 and not self.allow_low_order:
             raise ConfigurationError(
                 f"field order {self.order} has a linear/quadratic component; "
@@ -125,9 +123,7 @@ class CodecConfig:
             sigma_b_sq=self.sigma_b_sq, sigma_e_sq=self.sigma_e_sq, power=self.power
         )
         for name in ("field_seed", "perm_seed", "key_seed", "noise_seed"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+            _require_seed(name, getattr(self, name))
         budget = key_length(self.n, self.power, self.sigma_e_sq)
         if self.k_tilde is None:
             object.__setattr__(self, "k_tilde", budget)
@@ -373,8 +369,7 @@ def mmse_estimate(
     no finite maximum, as when ``sigma_sq`` is subnormal.
     """
     spec = fld.spec
-    if not (math.isfinite(sigma_sq) and sigma_sq > 0.0):
-        raise ValueError(f"sigma_sq must be finite and > 0, got {sigma_sq}")
+    _require_positive(sigma_sq=sigma_sq)
     _check_enum_budget(spec.dim)
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.n_out,):

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _require_order, _require_positive, _require_seed
 from .errors import BudgetError
 
 __all__ = [
@@ -117,12 +118,9 @@ class FieldSpec:
     def __post_init__(self):
         if self.n_out < 1 or self.dim < 1:
             raise ValueError(f"n_out and dim must be >= 1, got {self.n_out}, {self.dim}")
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
-            raise ValueError(f"order must be an integer >= 1, got {self.order}")
-        if not (math.isfinite(self.power) and self.power > 0.0):
-            raise ValueError(f"power must be finite and > 0, got {self.power}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _require_order(self.order)
+        _require_positive(power=self.power)
+        _require_seed("seed", self.seed)
 
     @property
     def coeff_count(self) -> int:

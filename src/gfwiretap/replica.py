@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import LOG2
+from .channel import LOG2, _require_order, _require_positive
 from .errors import BracketError, NumericalError
 from .numerics import (
     TIE_TOL,
@@ -121,14 +121,8 @@ class ReplicaConfig:
     order: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-        for name in ("sigma_sq", "power"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
-            raise ValueError(f"order must be an integer >= 1, got {self.order}")
+        _require_positive(rate=self.rate, sigma_sq=self.sigma_sq, power=self.power)
+        _require_order(self.order)
 
 
 def make_config(

@@ -32,6 +32,7 @@ from .codec import (
 )
 from .errors import BudgetError, NumericalError
 from .field import FieldSpec, GaussianField, _enumerate_outputs, _support, sample_field
+from .field import _BLOCK_FLOATS
 
 __all__ = [
     "TrialRecord",
@@ -278,23 +279,27 @@ def run_experiment(
 
 
 def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
-    """Codewords for every concatenation pattern, indexed by pattern integer.
+    """Score matrix of every concatenation pattern, indexed by pattern integer.
 
     Bit ``b`` of the pattern (1 meaning +1) sets concatenation slot ``b``:
-    key slots first, then message slots.  Row ``p`` holds the field output
-    for the permuted vector of pattern ``p``.  The outputs of
+    key slots first, then message slots.  The matrix is C-ordered, ``(n +
+    2, 2**dim)``: column ``p`` holds the field output for the permuted
+    vector of pattern ``p``, then its squared norm, then 1.  The outputs of
     ``field._enumerate_outputs`` at the support's masks in slot order are
-    written block by block into its columns, so one block is held beside it.
+    copied block by block into its rows, so only the enumeration's working
+    set, at most four blocks, is held beside it.
     """
     # coordinate c takes its slot's bit; the padding pairs of index 0 cancel
     idx = _support(fld.spec.dim, fld.spec.order)[0]
     masks = np.bitwise_xor.reduce(np.left_shift(1, np.argsort(plan.permutation))[idx], axis=1)
-    table = np.empty((1 << fld.spec.dim, fld.spec.n_out))
+    codes = np.empty((fld.spec.n_out + 2, 1 << fld.spec.dim))
     lo = 0
     for block in _enumerate_outputs(fld, masks):
-        table[:, lo : lo + len(block)] = block.T
+        codes[lo : lo + len(block)] = block
         lo += len(block)
-    return table
+    np.einsum("ij,ij->j", codes[:-2], codes[:-2], out=codes[-2])
+    codes[-1] = 1.0
+    return codes
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
@@ -310,45 +315,39 @@ def _score_rows(n: int, dim: int) -> int:
     return max(1, min(_SCORE_FLOATS >> dim, _SCORE_MADDS // ((n + 2) << dim)))
 
 
-def _leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq):
+def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
     """Per-sample log-posterior ratios over n, as ``(leak, full, genie)``.
 
     Sample ``i`` is the observation ``ys[i]`` of pattern ``patterns[i]``;
-    ``table`` holds the codeword of every pattern ``(message << k_tilde) |
-    key``.  Each sample's log-likelihoods are shifted by its own codeword's,
-    ``-W_i`` with ``W_i = |y_i - t_{p_i}|^2 / (2 sigma_sq)``, folded into the
-    constant column of its observation row.  Each block of samples is then
-    one matrix product into a reused buffer, one in-place ``exp`` and one
-    row sum: shifted entries are at most ``W_i`` and the own entry is ~0, so
-    no sum underflows, and none overflows while ``W_i <= _FAR_NATS``.  A
-    farther sample shifts by its row maximum instead, decided per sample,
-    so no sample's terms depend on the others in its block.  The
-    own-message log-sum-exp runs on the sample's ``2**k_tilde`` slice before
-    the ``exp``.  The products' shared operand is one C-ordered ``(n + 2,
-    2**dim)`` matrix filled row by row, because OpenBLAS packs a row-major
-    right operand faster than the column-major one that stacking the rows of
-    ``table.T`` gives.  A one-sample block is a gemv, not a gemm, and rounds
-    differently, by ~1e-15 nats a sample.  Memory beyond the table and the
-    samples is that matrix (``n + 2`` floats per codeword), one block of at
-    most ``2**15`` floats (one sample's row when ``2**dim`` is larger) and a
-    few floats per sample.
+    ``codes`` is the score matrix of :func:`_codeword_table`, whose column
+    ``(message << k_tilde) | key`` holds that pattern's codeword ``t``,
+    ``|t|^2`` and 1.  Each sample's log-likelihoods are shifted by its own
+    codeword's, ``-W_i`` with ``W_i = |y_i - t_{p_i}|^2 / (2 sigma_sq)``,
+    folded into the last entry of its observation row.  Each block of
+    samples is then one matrix product against ``codes`` into a reused
+    buffer, one in-place ``exp`` and one row sum: shifted entries are at
+    most ``W_i`` and the own entry is ~0, so no sum underflows, and none
+    overflows while ``W_i <= _FAR_NATS``.  A farther sample shifts by its row
+    maximum instead, decided per sample, so no sample's terms depend on the
+    others in its block.  The own-message log-sum-exp runs on the sample's
+    ``2**k_tilde`` slice before the ``exp``.  A one-sample block is a gemv,
+    not a gemm, and rounds differently, by ~1e-15 nats a sample.  Memory
+    beyond ``codes`` and the samples is one block of at most ``2**15``
+    floats (one sample's row when ``2**dim`` is larger) and a few floats per
+    sample.
     """
     dim = k + k_tilde
-    n = table.shape[1]
+    n = len(codes) - 2
     inv = 0.5 / sigma_sq
-    resid = table[patterns]
+    resid = codes[:n].T[patterns]
     np.subtract(ys, resid, out=resid)
     w = inv * np.einsum("ij,ij->i", resid, resid)
     del resid
     # log-likelihood minus the sample's own, inv (2 y.t - |t|^2 - |y|^2) +
-    # W, as one product of the rows [2 inv y, -1, W - inv |y|^2] against the
-    # columns [t, inv |t|^2, 1]
-    codes = np.empty((n + 2, len(table)))
-    codes[:n] = table.T
-    codes[n] = inv * np.einsum("ij,ij->i", table, table)
-    codes[n + 1] = 1.0
+    # W, as one product of the rows [2 inv y, -inv, W - inv |y|^2] against
+    # the columns [t, |t|^2, 1]
     obs = np.column_stack(
-        [2.0 * inv * ys, np.full(len(ys), -1.0), w - inv * np.einsum("ij,ij->i", ys, ys)]
+        [2.0 * inv * ys, np.full(len(ys), -inv), w - inv * np.einsum("ij,ij->i", ys, ys)]
     )
     far = w > _FAR_NATS
     any_far = far.any()
@@ -395,14 +394,15 @@ def _check_leakage_size(cfg: CodecConfig, n_samples: int) -> None:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     dim = cfg.k_tot
     _check_enum_budget(dim)
-    # per codeword: the table's n floats, and in the scorer its n + 2 score
-    # matrix plus the two temporaries its |t|^2 row is formed in; per sample:
-    # three n-vectors at the peak (the codeword, the noise and their sum in
-    # transmit; then the sample, a scaled copy and its n + 2 observation row
-    # in the scorer), and at most 18 floats of indices, distances, shifts,
-    # sums and terms
+    # the n + 2 score matrix, and while it is filled the enumeration's
+    # working set: the block being copied, the next block's coefficients and
+    # two of its transform's products; per sample: three n-vectors at the
+    # peak (the codeword, the noise and their sum in transmit; then the
+    # sample, a scaled copy and its n + 2 observation row in the scorer), and
+    # at most 18 floats of indices, distances, shifts, sums and terms
+    block = min(cfg.n, max(1, _BLOCK_FLOATS >> dim)) << dim
     for what, floats in (
-        ("codeword table", (2 * cfg.n + 4) << dim),
+        ("codeword table", ((cfg.n + 2) << dim) + 4 * block),
         (f"leakage samples (n_samples={n_samples}, n={cfg.n})", n_samples * (3 * cfg.n + 18)),
     ):
         if floats > _TABLE_BUDGET:
@@ -427,7 +427,7 @@ def estimate_leakage(
     _check_leakage_size(cfg, n_samples)
     k, k_tilde = cfg.k, cfg.k_tilde
 
-    table = _codeword_table(fld, plan)
+    codes = _codeword_table(fld, plan)
 
     # One draw over interleaved (message, key) bounds and one over the whole
     # noise matrix give the same values as per-sample draws in that order.
@@ -435,14 +435,15 @@ def estimate_leakage(
     rng_noise = _stream(cfg.noise_seed, 0, _TAG_LEAK_NOISE)
     inputs = rng_input.integers(0, np.tile([1 << k, 1 << k_tilde], n_samples))
     patterns = (inputs[0::2] << k_tilde) | inputs[1::2]
-    ys = transmit(table[patterns], cfg.sigma_e_sq, rng_noise)
-    leak, full, genie = _leakage_terms(table, patterns, ys, k, k_tilde, cfg.sigma_e_sq)
+    ys = transmit(codes[: cfg.n].T[patterns], cfg.sigma_e_sq, rng_noise)
+    leak, full, genie = _leakage_terms(codes, patterns, ys, k, k_tilde, cfg.sigma_e_sq)
     # the scorer's expanded square loses ~eps |t|^2 / (2 sigma_e_sq) nats on
     # each sample's own entry, which overflows the exp at tiny noise
     if not np.isfinite([leak, full, genie]).all():
         raise NumericalError(
-            f"leakage terms are not finite at sigma_e_sq={cfg.sigma_e_sq!r}: "
-            f"the eavesdropper noise is too small to score in floats"
+            f"leakage terms are not finite at power={cfg.power!r}, "
+            f"sigma_e_sq={cfg.sigma_e_sq!r}: the codewords are too large against "
+            f"the eavesdropper noise to score in floats"
         )
 
     leak_mean, leak_se = _mean_and_se(leak)

@@ -327,7 +327,8 @@ def _candidate_blocks(coordinate_of_bit):
 
 
 def codeword_table_reference(fld, plan):
-    """``simulate._codeword_table`` by ``evaluate_rows_reference`` over sign rows.
+    """The codewords of ``simulate._codeword_table``, one row per pattern, by
+    ``evaluate_rows_reference`` over sign rows.
 
     The fill the Walsh-Hadamard kernel replaced: every pattern's permuted
     bipolar vector is built explicitly and evaluated from scratch.

@@ -198,7 +198,7 @@ def test_criterion_10_leakage_oracle():
     plan = _trial_plan(cfg, 0)
     est = estimate_leakage(cfg, fld, plan, 4000)
     reference = leakage_by_quadrature(
-        _codeword_table(fld, plan), cfg.k, cfg.k_tilde, cfg.n, cfg.sigma_e_sq
+        _codeword_table(fld, plan)[: cfg.n].T, cfg.k, cfg.k_tilde, cfg.n, cfg.sigma_e_sq
     )
     assert abs(est.leakage - reference) <= 3.0 * est.leakage_se
     combined_se = math.hypot(est.mi_all_symbols_se, est.mi_key_given_msg_se)

@@ -366,7 +366,8 @@ class TestSimulate:
 class TestLeakageCommand:
     def test_sample_count_over_budget_names_samples(self, capsys, monkeypatch):
         # 100 samples * (3 * 8 + 18) floats exceed a 1000-float budget, while
-        # the 16 * 8-float codeword table fits; refused before the table
+        # the 672 floats counted for the 16-codeword table fit; refused
+        # before the table
         def no_enumeration(*args, **kwargs):
             raise AssertionError("leakage built its table before its budget check")
 
@@ -569,10 +570,10 @@ class TestFieldCheck:
 _SIM = ("--n", "4", "--k", "2", "--k-tilde", "2", "--sigma-b-sq", "0.3", "--sigma-e-sq", "1")
 _LEAK = ("--n", "4", "--k", "2", "--k-tilde", "2", "--sigma-e-sq", "1")
 # NaN and infinite floats, zero and negative counts, ranges that start
-# with a negative number, and oversized inputs that are refused before any
-# work; every row fails fast under older code too, so none of them can
-# exhaust memory, except --lambda 20000, whose support older code never
-# finished building
+# with a negative number, oversized inputs that are refused before any
+# work, and finite powers, noises and rates whose results overflow; every
+# row fails fast under older code too, so none of them can exhaust memory,
+# except --lambda 20000, whose support older code never finished building
 HOSTILE_RUNS = [
     ("replica-scan", "--rates", "0:1e308:1e-308"),
     ("replica-scan", "--rates", "0:1:0.1"),
@@ -581,6 +582,9 @@ HOSTILE_RUNS = [
     ("replica-scan", "--rates", "0.5:1:0.1", "--sigma-sq", "nan"),
     ("replica-scan", "--rates", "0.5:1:0.1", "--power", "inf"),
     ("replica-scan", "--rates", "0.5:1:0.1", "--lambda", "0"),
+    ("replica-scan", "--rates", "1:1:0.1", "--sigma-sq", "1e-320"),
+    ("replica-scan", "--rates", "1:1:0.1", "--power", "1e308"),
+    ("replica-scan", "--rates", "1e-320:1e-320:1"),
     ("critical-rate", "--power", "nan"),
     ("critical-rate", "--sigma-sq", "inf"),
     ("critical-rate", "--power", "0"),
@@ -591,6 +595,8 @@ HOSTILE_RUNS = [
     ("critical-rate", "--bracket", "-1:2"),
     ("critical-rate", "--bracket=-1:2"),
     ("critical-rate", "--bracket", "-.5:2"),
+    ("critical-rate", "--power", "1e300"),
+    ("critical-rate", "--sigma-sq", "1e-300"),
     ("simulate", *_SIM, "--trials", "0"),
     ("simulate", *_SIM, "--trials", "-1"),
     ("simulate", *_SIM, "--k-tilde", "0"),
@@ -614,6 +620,7 @@ HOSTILE_RUNS = [
     ("leakage", "--n", "4", "--k", "2", "--sigma-e-sq", "nan"),
     ("leakage", "--n", "4", "--k", "2", "--sigma-e-sq", "1e-300"),
     ("leakage", "--n", "4", "--k", "15", "--k-tilde", "6", "--sigma-e-sq", "1"),
+    ("leakage", *_LEAK, "--power", "1e300"),
     ("field-check", "--k-tot", "10000000000000"),
     ("field-check", "--k-tot", "0"),
     ("field-check", "--k-tot", "-4"),
@@ -627,9 +634,11 @@ HOSTILE_RUNS = [
     ("field-check", "--lambda", "400", "--fields", "20"),
     ("field-check", "--lambda", "20000", "--fields", "20"),
     ("field-check", "--field-seed", "-1"),
+    ("field-check", "--power", "1e200", "--fields", "10"),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", HOSTILE_RUNS, ids=" ".join)
 def test_hostile_input_exits_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -637,6 +646,20 @@ def test_hostile_input_exits_with_one_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("gfwiretap: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (("field-check", "--power", "1e200", "--fields", "10"), ("--power 1e+200",)),
+        (("leakage", *_LEAK, "--power", "1e300"), ("power=1e+300", "sigma_e_sq=1.0")),
+    ],
+    ids=["field-check", "leakage"],
+)
+def test_overflowing_power_fails_naming_it(capsys, argv, names):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert all(name in err for name in names), err
 
 
 def test_large_order_is_refused_by_name_before_any_support(capsys, monkeypatch):

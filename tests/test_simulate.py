@@ -167,7 +167,7 @@ class TestLeakage:
         cfg = small_cfg(n=6, k=2, k_tilde=2)
         fld = _trial_field(cfg, 0)
         plan = _trial_plan(cfg, 0)
-        table = _codeword_table(fld, plan)
+        table = _codeword_table(fld, plan)[: cfg.n].T
         for m in range(4):
             for key_pattern in range(4):
                 key = message_to_bipolar(key_pattern, 2)
@@ -183,10 +183,14 @@ class TestLeakage:
             plan = _trial_plan(cfg, seed)
             assert not np.array_equal(plan.permutation, np.arange(cfg.k_tot))
             reference = codeword_table_reference(fld, plan)
-            table = _codeword_table(fld, plan)
-            assert np.max(np.abs(table - reference)) <= 1e-12 * max(
+            codes = _codeword_table(fld, plan)
+            assert codes.shape == (cfg.n + 2, 1 << cfg.k_tot) and codes.flags.c_contiguous
+            assert np.max(np.abs(codes[: cfg.n].T - reference)) <= 1e-12 * max(
                 1.0, np.max(np.abs(reference))
             )
+            norms = np.sum(reference**2, axis=1)
+            assert np.max(np.abs(codes[cfg.n] - norms)) <= 1e-12 * max(1.0, np.max(norms))
+            assert np.all(codes[cfg.n + 1] == 1.0)
 
     def test_chain_identity_is_exact_on_shared_samples(self):
         cfg = small_cfg(n=8, k=2, k_tilde=2)
@@ -225,7 +229,8 @@ class TestLeakage:
         cfg = small_cfg(n=6, k=1, k_tilde=1, sigma_e_sq=1.0)
         fld = _trial_field(cfg, 0)
         plan = _trial_plan(cfg, 0)
-        table = _codeword_table(fld, plan)
+        codes = _codeword_table(fld, plan)
+        table = codes[: cfg.n].T
 
         rng = np.random.default_rng(123)
         n_samples = 500
@@ -242,7 +247,7 @@ class TestLeakage:
             diff = table[2 * msg : 2 * msg + 2] - ys[i]
             row = -0.5 * np.einsum("ij,ij->i", diff, diff)
             direct[i] = (row[key] - (float(logsumexp(row)) - math.log(2.0))) / cfg.n
-        _, _, genie = _leakage_terms(table, patterns, ys, 1, 1, 1.0)
+        _, _, genie = _leakage_terms(codes, patterns, ys, 1, 1, 1.0)
         # the block scorer expands |t - y|^2 into a matrix product, so it
         # agrees with the direct differences to rounding, not bit for bit
         assert np.max(np.abs(genie - direct)) <= 1e-12
@@ -267,7 +272,7 @@ class TestLeakage:
             plan = _trial_plan(cfg, 0)
             est = estimate_leakage(cfg, fld, plan, n_samples)
             leak, full, genie = leakage_terms_reference(
-                cfg, _codeword_table(fld, plan), n_samples
+                cfg, _codeword_table(fld, plan)[: cfg.n].T, n_samples
             )
             expected = {}
             for name, terms in (
@@ -297,11 +302,12 @@ class TestLeakage:
         # unlike the matrix product of the larger blocks
         assert simulate._score_rows(n, k + k_tilde) == per_block
         cfg = small_cfg(n=n, k=k, k_tilde=k_tilde)
-        table = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        codes = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        table = codes[:n].T
         rng = np.random.default_rng(34)
         patterns = rng.integers(0, 1 << cfg.k_tot, n_samples)
         ys = table[patterns] + rng.normal(size=(n_samples, n))
-        terms = np.array(_leakage_terms(table, patterns, ys, k, k_tilde, 1.0))
+        terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, 1.0))
         for i in range(n_samples):
             expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, 1.0)
             assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
@@ -313,7 +319,8 @@ class TestLeakage:
         # overflow exp unless the sample shifts by its row maximum
         n, k, k_tilde, sigma_sq = 8, 6, 4, 1e-2
         cfg = small_cfg(n=n, k=k, k_tilde=k_tilde, sigma_e_sq=sigma_sq)
-        table = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        codes = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        table = codes[:n].T
         rng = np.random.default_rng(31)
         n_samples = 70
         patterns = rng.integers(0, 1 << (k + k_tilde), n_samples)
@@ -329,7 +336,7 @@ class TestLeakage:
         assert np.flatnonzero(w > simulate._FAR_NATS).tolist() == huge + swapped
         assert simulate._score_rows(n, k + k_tilde) == 32
 
-        terms = np.array(_leakage_terms(table, patterns, ys, k, k_tilde, sigma_sq))
+        terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq))
         assert np.all(np.isfinite(terms))
         for i in range(n_samples):
             expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, sigma_sq)
@@ -339,15 +346,16 @@ class TestLeakage:
         # the shift is chosen per sample: a near sample's terms do not move
         # when some samples of its block are pushed past _FAR_NATS
         cfg = small_cfg(n=8, k=6, k_tilde=4)
-        table = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        codes = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        table = codes[: cfg.n].T
         rng = np.random.default_rng(33)
         patterns = rng.integers(0, 1 << cfg.k_tot, 70)
         noise = rng.normal(size=(70, cfg.n))
-        near = np.array(_leakage_terms(table, patterns, table[patterns] + noise, 6, 4, 1.0))
+        near = np.array(_leakage_terms(codes, patterns, table[patterns] + noise, 6, 4, 1.0))
         huge = [0, 5, 31, 32, 69]
         noise[huge] *= 20.0
         assert np.all(np.sum(noise[huge] ** 2, axis=1) / 2.0 > simulate._FAR_NATS)
-        mixed = np.array(_leakage_terms(table, patterns, table[patterns] + noise, 6, 4, 1.0))
+        mixed = np.array(_leakage_terms(codes, patterns, table[patterns] + noise, 6, 4, 1.0))
         kept = np.ones(70, dtype=bool)
         kept[huge] = False
         assert np.array_equal(mixed[:, kept], near[:, kept])
@@ -356,33 +364,37 @@ class TestLeakage:
         # at dim 15 a block is one sample's row of 2**15 floats; 64 samples
         # by 2**14 own-message terms would be 2**20 floats, and 64 by 2**15
         # log-likelihoods 2**21.  No binning plan has k_tilde > k + 1, so
-        # the table is drawn directly.
+        # the score matrix is drawn directly.
         n, k, k_tilde, n_samples = 4, 1, 14, 64
+        codewords = 1 << (k + k_tilde)
         rng = np.random.default_rng(32)
-        table = rng.normal(size=(1 << (k + k_tilde), n))
-        patterns = rng.integers(0, 1 << (k + k_tilde), n_samples)
-        ys = table[patterns] + rng.normal(size=(n_samples, n))
+        codes = np.ones((n + 2, codewords))
+        codes[:n] = rng.normal(size=(codewords, n)).T
+        codes[n] = np.sum(codes[:n] ** 2, axis=0)
+        patterns = rng.integers(0, codewords, n_samples)
+        ys = codes[:n].T[patterns] + rng.normal(size=(n_samples, n))
         tracemalloc.start()
         try:
-            _leakage_terms(table, patterns, ys, k, k_tilde, 1.0)
+            _leakage_terms(codes, patterns, ys, k, k_tilde, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        codewords = 1 << (k + k_tilde)
         assert simulate._score_rows(n, k + k_tilde) == 1
-        # the shifted table while its two extra columns are formed, the block
-        # and its own-message slice, and the per-sample rows and terms
-        bound = (n + 4) * codewords + 2 * codewords + n_samples * (n + 8) * 4
+        # the block and its own-message slice, and the per-sample rows and
+        # terms: nothing per codeword beside the caller's score matrix
+        bound = 2 * codewords + n_samples * (n + 8) * 4
         assert peak <= 8 * bound, (peak, 8 * bound)
         assert bound < n_samples << k_tilde
 
     def test_sample_budget_bounds_measured_memory(self, monkeypatch):
         # with a 16-codeword table the peak is the sample arrays; the budget
-        # counted for them bounds it and is not far above it
+        # counted for them bounds it and is not far above it.  The budget set
+        # here admits the table's count: its score matrix and four
+        # enumeration blocks of n outputs
         cfg = small_cfg(n=8, k=2, k_tilde=2)
         fld, plan = _trial_field(cfg, 0), _trial_plan(cfg, 0)
         n_samples = 20_000
-        monkeypatch.setattr(simulate, "_TABLE_BUDGET", 16 * (2 * cfg.n + 4))
+        monkeypatch.setattr(simulate, "_TABLE_BUDGET", 16 * (cfg.n + 2 + 4 * cfg.n))
         with pytest.raises(BudgetError, match="leakage samples") as refused:
             estimate_leakage(cfg, fld, plan, n_samples)
         budget = int(re.search(r"would hold (\d+) floats", str(refused.value)).group(1))
@@ -396,10 +408,10 @@ class TestLeakage:
         assert 0.6 * 8 * budget <= peak <= 8 * budget, (peak, 8 * budget)
 
     def test_table_budget_bounds_measured_memory(self, monkeypatch):
-        # with 4096 codewords and 2 samples the peak is the codeword table,
-        # its score matrix and the two temporaries its |t|^2 row is formed in; the
-        # floats counted for the table and the samples bound it, beside the
-        # call's interpreter objects (generators, array headers: ~1 KiB)
+        # with 4096 codewords and 2 samples the peak is the score matrix
+        # while the enumeration's blocks fill it; the floats counted for the
+        # table and the samples bound it, beside the call's interpreter
+        # objects (generators, array headers: ~1 KiB)
         cfg = small_cfg(n=64, k=6, k_tilde=6)
         fld, plan = _trial_field(cfg, 0), _trial_plan(cfg, 0)
         monkeypatch.setattr(simulate, "_TABLE_BUDGET", 0)
