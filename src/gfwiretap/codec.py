@@ -374,6 +374,8 @@ def mmse_estimate(
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.n_out,):
         raise ValueError(f"y must have shape ({spec.n_out},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite, got a NaN or an infinite entry")
 
     masks = _support(spec.dim, spec.order)[2]
     pairs = _gram_pairs(spec.dim, spec.order)

@@ -77,12 +77,20 @@ DEFAULT_COEFF_BUDGET = 2**25
 #: ``covariance_probe``.
 _CHUNK_FLOATS = 2**15
 
+#: Multiply-adds at which ``_product`` splits a BLAS product.  OpenBLAS runs
+#: a smaller product on one thread, so its bits do not depend on the thread
+#: count; larger Gram products rounded differently under 1 and 2 threads
+#: from dim 13, and on a 2-vCPU host stalled 10-100x while the other vCPU
+#: was busy.  ``_walsh`` and ``covariance_probe`` are not split: their bits
+#: matched under 1 and 2 threads, and a split ``_walsh`` ran 10-20% slower.
+_PRODUCT_MADDS = 2**19
+
 #: Floats in one block of outputs yielded by ``_enumerate_outputs`` (at least
 #: one output).  A block array stays below glibc malloc's 128-KiB mmap
 #: threshold, and the transform's first product (32 multiply-adds a float)
-#: below the 2**19 at which OpenBLAS starts threads: at 2**14 floats every
-#: 1024-candidate decode took ~128 page faults, as its arrays were mapped or
-#: trimmed and touched afresh, and ran ~14% slower than one output at a time.
+#: below ``_PRODUCT_MADDS``: at 2**14 floats every 1024-candidate decode
+#: took ~128 page faults, as its arrays were mapped or trimmed and touched
+#: afresh, and ran ~14% slower than one output at a time.
 _BLOCK_FLOATS = 2**13
 
 #: Largest ``order * ceil(log2(dim))`` a field may have (dim 1 counts as 2).
@@ -268,6 +276,15 @@ def _walsh(values: np.ndarray, dim: int) -> np.ndarray:
     return values.reshape(shape)
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` (2-D) over slices of ``a``'s rows, each under ``_PRODUCT_MADDS``."""
+    out = np.empty((len(a), b.shape[1])) if out is None else out
+    step = max(1, (_PRODUCT_MADDS - 1) // (a.shape[1] * b.shape[1]))
+    for lo in range(0, len(a), step):
+        np.matmul(a[lo : lo + step], b, out=out[lo : lo + step])
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _gram_pairs(dim: int, order: int) -> tuple | None:
     """Where the Gram route is chosen, the pairs ``S < T`` of sets grouped by
@@ -302,17 +319,15 @@ def _gram_spectrum(field: GaussianField, pairs: tuple) -> np.ndarray:
     whose masks XOR to ``U``: its trace at ``U = 0``, and twice its upper
     triangle, grouped by ``pairs`` from ``_gram_pairs``.  The Gram is
     summed over blocks of at most ``_BLOCK_FLOATS`` coefficients (at least
-    one output), so memory is ``O(sets**2 + 2**dim)`` whatever ``n_out``.
-    """
+    one output), so memory is ``O(sets**2 + 2**dim)`` whatever ``n_out``,
+    and ``_product`` keeps its bits free of the BLAS thread count."""
     coeffs = field.coeffs
     rows = max(1, _BLOCK_FLOATS // coeffs.shape[1])
-    # against a copy numpy takes gemm; against the block's own transpose it
-    # takes syrk, which started BLAS threads from 14 rows of 130 sets and
-    # ran at half the speed at 16 (2-vCPU Xeon, OpenBLAS 0.3.31)
-    gram = coeffs[:rows].T @ coeffs[:rows].copy()
+    # against a copy numpy takes gemm, not syrk (half the speed, OpenBLAS 0.3.31)
+    gram = _product(coeffs[:rows].T, coeffs[:rows].copy())
     for lo in range(rows, len(coeffs), rows):
         block = coeffs[lo : lo + rows]
-        gram += block.T @ block.copy()
+        gram += _product(block.T, block.copy())
     flat, starts, keys = pairs
     # one sum per run of the sorted gather: at 130 sets, 8385 pairs onto
     # 466 entries, a third less time than a bincount

@@ -180,12 +180,12 @@ class _ChannelTable:
 
     Piece ``p`` covers ``[cuts[p - 1], cuts[p])`` (from 0 for ``p = 0``) and
     the last piece everything from ``cuts[-1] = 80`` up, where its series is
-    the constant ``log 2`` or 1.  ``rows[q, p]`` is ``[center, scale, c_0,
-    ..., c_degree]``, ``q`` being 0 for ``I`` and 1 for ``F``: on piece
+    the constant ``log 2`` or 1.  ``rows[q, :, p]`` is ``[center, scale,
+    c_0, ..., c_degree]``, ``q`` being 0 for ``I`` and 1 for ``F``: on piece
     ``p`` the series runs in ``t = (e - center) * scale``, and the first
     piece holds ``I(e) / e`` and ``F(e) / e``, so both are exactly 0 at
-    ``e = 0``.  ``lists`` repeats ``(cuts, rows)`` as Python lists for
-    float calls.
+    ``e = 0``.  ``lists`` holds ``cuts`` and each piece's row as Python
+    lists for float calls.
     """
 
     cuts: np.ndarray
@@ -212,7 +212,7 @@ class _ChannelTable:
         if e.size and not (e.min() >= 0.0 and e.max() < math.inf):
             raise _refused(e[~((e >= 0.0) & (e < math.inf))][0])
         p = np.searchsorted(self.cuts, e, side="right")
-        row = self.rows[q].take(p, axis=0).transpose(e.ndim, *range(e.ndim))
+        row = self.rows[q].take(p, axis=1)
         out = chebyshev_series(row[2:], (e - row[0]) * row[1])
         # the other pieces' factor is 1.0, and multiplying by it is exact
         return np.multiply(out, e, out=out, where=p == 0)
@@ -251,14 +251,12 @@ def _channel_table() -> _ChannelTable:
     points = chebyshev_points(lo[:, None], hi[:, None], CHANNEL_DEGREE)
     values = _by_rule(points, rule)
     values[:, 0] /= points[0]
-    full = np.zeros((2, len(hi) + 1, CHANNEL_DEGREE + 1))
-    full[:, :-1] = chebyshev_coefficients(values)
-    full[:, -1, 0] = LOG2, 1.0
-    rows = np.empty((2, len(hi) + 1, CHANNEL_DEGREE + 3))
-    rows[:, :, 0] = np.append(0.5 * (lo + hi), hi[-1])
-    rows[:, :, 1] = np.append(2.0 / (hi - lo), 0.0)
-    rows[:, :, 2:] = full
-    table = _ChannelTable(cuts=hi, rows=rows, lists=(hi.tolist(), rows.tolist()))
+    rows = np.zeros((2, CHANNEL_DEGREE + 3, len(hi) + 1))
+    rows[:, 0] = np.append(0.5 * (lo + hi), hi[-1])
+    rows[:, 1] = np.append(2.0 / (hi - lo), 0.0)
+    rows[:, 2:, :-1] = chebyshev_coefficients(values).transpose(0, 2, 1)
+    rows[:, 2, -1] = LOG2, 1.0
+    table = _ChannelTable(cuts=hi, rows=rows, lists=(hi.tolist(), rows.transpose(0, 2, 1).tolist()))
     mids = 0.5 * (points[:, 1:] + points[:, :-1])
     err = np.stack([table.value(0, mids), table.value(1, mids)]) - _by_rule(mids, rule)
     err = np.abs(err) / np.maximum(1.0, mids)

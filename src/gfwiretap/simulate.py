@@ -32,7 +32,7 @@ from .codec import (
 )
 from .errors import BudgetError, NumericalError
 from .field import FieldSpec, GaussianField, _enumerate_outputs, _support, sample_field
-from .field import _BLOCK_FLOATS
+from .field import _BLOCK_FLOATS, _PRODUCT_MADDS, _product
 
 __all__ = [
     "TrialRecord",
@@ -55,14 +55,9 @@ _TAG_LEAK_NOISE = 6
 #: Memory guard for the leakage estimator's codeword table, and for its
 #: sample arrays (floats).
 _TABLE_BUDGET = 2**26
-#: Caps on one leakage scoring block: shifted log-likelihood floats in the
-#: buffer that every block's product is written into, and multiply-adds in
-#: that product.  A buffer allocated per block page-faults on every block.
-#: OpenBLAS, numpy's default BLAS, runs a product of fewer than 2**19
-#: multiply-adds on one thread; at this size a two-thread product measured
-#: slower, and several times slower while another process held a core.
+#: Floats in the one buffer that every leakage scoring block's product is
+#: written into; a buffer allocated per block page-faults on every block.
 _SCORE_FLOATS = 2**15
-_SCORE_MADDS = 2**19 - 1
 #: Largest distance ``W`` (nats) from a sample to its own codeword at which
 #: the scorer shifts by the own log-likelihood: shifted entries are at most
 #: ``W``, and ``e**600 * 2**20`` is far below the largest double.  Farther
@@ -312,7 +307,7 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
 
 def _score_rows(n: int, dim: int) -> int:
     """Samples per scoring block of :func:`_leakage_terms` (at least one)."""
-    return max(1, min(_SCORE_FLOATS >> dim, _SCORE_MADDS // ((n + 2) << dim)))
+    return max(1, min(_SCORE_FLOATS >> dim, (_PRODUCT_MADDS - 1) // ((n + 2) << dim)))
 
 
 def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
@@ -366,7 +361,7 @@ def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
             block = slice(start, start + step)
             pattern = patterns[block]
             shifted = buf[: len(pattern)]
-            np.matmul(obs[block], codes, out=shifted)
+            _product(obs[block], codes, out=shifted)
             rows = index[: len(pattern)]
             own_msg = shifted.reshape(-1, 1 << k, 1 << k_tilde)[rows, pattern >> k_tilde]
             lp_joint[block] = own_msg[rows, pattern & key_mask]

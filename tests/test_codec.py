@@ -5,10 +5,11 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 import gfwiretap
@@ -462,6 +463,60 @@ class TestMmseEstimate:
                     mmse_estimate(fld, y, sigma_sq)
             assert np.array_equal(mmse_estimate(fld, y, 1e-305), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_y_is_refused_by_name(self, monkeypatch, bad):
+        # refused before any work, without a warning on the way
+        monkeypatch.setattr(codec_module, "_gram_pairs", no_enumeration)
+        fld = sample_field(FieldSpec(n_out=4, dim=4, order=3, power=1.0, seed=82))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="y must be finite"):
+                mmse_estimate(fld, [bad, 0.0, 0.0, 0.0], 0.1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(min_value=1, max_value=4),
+        dim=st.integers(min_value=1, max_value=11),
+        n_out=st.integers(min_value=1, max_value=256),
+        log_sigma_sq=st.floats(min_value=-5.0, max_value=2.0),
+        power=st.floats(min_value=0.1, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        far=st.booleans(),
+    )
+    # order 3 at dim 11 is 176 sets, so from 17 outputs each Gram block's
+    # product reaches field._PRODUCT_MADDS and is split into row slices
+    @example(order=3, dim=11, n_out=32, log_sigma_sq=-2.0, power=1.0, seed=90, far=False)
+    @example(order=3, dim=11, n_out=256, log_sigma_sq=0.0, power=1.0, seed=91, far=False)
+    @example(order=3, dim=11, n_out=64, log_sigma_sq=1.0, power=2.0, seed=92, far=True)
+    # orders up to 4 take the Gram route at every dim up to 11; order 5 at
+    # dim 10 has 382 sets, whose pairs cost more than one output's transform
+    @example(order=5, dim=10, n_out=6, log_sigma_sq=-1.0, power=1.0, seed=93, far=False)
+    def test_matches_brute_force_on_random_draws(
+        self, order, dim, n_out, log_sigma_sq, power, seed, far
+    ):
+        sigma_sq = 10.0**log_sigma_sq
+        fld = sample_field(FieldSpec(n_out=n_out, dim=dim, order=order, power=power, seed=seed))
+        rng = np.random.default_rng(seed)
+        if far:
+            y = rng.normal(0.0, 3.0 * math.sqrt(power + sigma_sq), size=n_out)
+        else:
+            u = rng.integers(0, 2, size=dim) * 2.0 - 1.0
+            y = evaluate(fld, u) + rng.normal(0.0, math.sqrt(sigma_sq), size=n_out)
+        with mock.patch.object(
+            codec_module, "_enumerate_outputs", wraps=field._enumerate_outputs
+        ) as direct:
+            r = mmse_estimate(fld, y, sigma_sq)
+        pairs = field._gram_pairs(dim, order)
+        sets = len(field._support(dim, order)[2])
+        rows = min(n_out, max(1, field._BLOCK_FLOATS // sets))
+        if pairs is None:
+            event("per-output route")
+        else:
+            event("Gram then per-output route" if direct.called else "Gram route")
+            if sets * rows * sets >= field._PRODUCT_MADDS:
+                event("Gram products split into row slices")
+        assert np.max(np.abs(r - brute_force_mean(fld, y, sigma_sq))) <= 1e-12
+
     def test_budget_and_input_errors(self):
         spec = FieldSpec(n_out=2, dim=4, order=1, power=1.0, seed=0)
         fld = sample_field(spec)
@@ -520,18 +575,21 @@ class TestDecode:
 
 
 
-#: Decodes seeded fields at dims 10 and 12, builds a dim-10 codeword table
-#: and estimates the leakage at dim 14, whose scoring blocks are single
-#: samples, then prints one digest of every result.
+#: Decodes seeded fields at dims 10 to 14, builds a dim-10 codeword table,
+#: estimates the leakage at dim 14, whose scoring blocks are single samples,
+#: and runs a 40-trial dim-14 ``simulate``, then prints one digest of every
+#: result and of the data rows.
 _THREAD_DIGEST = """
+import contextlib
 import hashlib
+import io
 import numpy as np
-from gfwiretap import simulate
+from gfwiretap import cli, simulate
 from gfwiretap.codec import CodecConfig, build_binning, mmse_estimate
 from gfwiretap.field import FieldSpec, evaluate, sample_field
 
 digest = hashlib.sha256()
-for dim in (10, 12):
+for dim in (10, 12, 13, 14):
     for seed in range(3):
         fld = sample_field(FieldSpec(n_out=16, dim=dim, order=3, power=1.0, seed=seed))
         rng = np.random.default_rng(seed)
@@ -545,14 +603,22 @@ cfg = CodecConfig(n=16, k=7, k_tilde=7, sigma_b_sq=0.1, sigma_e_sq=1.0)
 assert simulate._score_rows(cfg.n, cfg.k_tot) == 1
 fld, plan = simulate._trial_field(cfg, 0), simulate._trial_plan(cfg, 0)
 digest.update(repr(simulate.estimate_leakage(cfg, fld, plan, 40)).encode())
+out = io.StringIO()
+line = "simulate --n 16 --k 10 --k-tilde 4 --sigma-b-sq 1 --sigma-e-sq 1 --trials 40"
+with contextlib.redirect_stdout(out):
+    assert cli.main(line.split()) == 0
+rows = [row for row in out.getvalue().splitlines() if not row.startswith("#")]
+assert len(rows) == 41
+digest.update("\\n".join(rows).encode())
 print(digest.hexdigest())
 """
 
 
 def test_results_do_not_depend_on_blas_threads():
     # the Gram products run through BLAS, whose sums may split across
-    # threads; at the dims the golden files and the decode benchmark use,
-    # one and two threads give the same bits (from dim 13 on they differ)
+    # threads; field._product keeps each product on one thread, so one and
+    # two threads give the same bits at every dim (before it they differed
+    # from dim 13 on)
     src = str(pathlib.Path(gfwiretap.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = {

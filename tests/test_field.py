@@ -330,6 +330,40 @@ class TestEnumerateOutputs:
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
+class TestProduct:
+    def test_row_slices_match_one_product(self):
+        rng = np.random.default_rng(95)
+        a, b = rng.standard_normal((37, 11)), rng.standard_normal((11, 5))
+        # 55 multiply-adds a row, so a cap of 200 leaves slices of 3 rows
+        with mock.patch.object(field_module, "_PRODUCT_MADDS", 200):
+            out = field_module._product(a, b)
+        slices = np.vstack([a[lo : lo + 3] @ b for lo in range(0, 37, 3)])
+        assert np.array_equal(out, slices)
+        assert np.max(np.abs(out - a @ b)) <= 1e-13
+
+    def test_out_is_filled_in_place(self):
+        rng = np.random.default_rng(96)
+        a, b = rng.standard_normal((9, 4)), rng.standard_normal((4, 6))
+        out = np.full((9, 6), np.nan)
+        with mock.patch.object(field_module, "_PRODUCT_MADDS", 50):
+            assert field_module._product(a, b, out=out) is out
+        assert np.max(np.abs(out - a @ b)) <= 1e-13
+
+    def test_row_over_the_cap_is_its_own_slice(self):
+        rng = np.random.default_rng(97)
+        a, b = rng.standard_normal((6, 8)), rng.standard_normal((8, 7))
+        with mock.patch.object(field_module, "_PRODUCT_MADDS", 10):
+            out = field_module._product(a, b)
+        assert np.array_equal(out, np.vstack([a[i : i + 1] @ b for i in range(6)]))
+
+    def test_product_under_the_cap_equals_one_call(self):
+        # the Gram's operands at dim 10, order 3: 130 sets, 16 outputs
+        block = np.random.default_rng(98).standard_normal((16, 130))
+        assert 130 * 16 * 130 < field_module._PRODUCT_MADDS
+        expected = block.T @ block.copy()
+        assert np.array_equal(field_module._product(block.T, block.copy()), expected)
+
+
 class TestEvaluateFlipped:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matches_full_evaluation(self, order):
