@@ -390,14 +390,12 @@ def mmse_estimate(
     # the residuals themselves: where the pairs cost more, or where the
     # expanded square's rounding could move a spread posterior's mean
     sq = np.zeros(1 << spec.dim)
-    lo = 0
-    for block in _enumerate_outputs(fld, masks):
+    for lo, block in _enumerate_outputs(fld, masks):
         block -= y[lo : lo + len(block), None]
         block *= block
         # a one-row block is added as it is: its sum would be a copy, at
         # dim 20 a fresh 8-MiB mapping per output
         sq += block[0] if len(block) == 1 else block.sum(axis=0)
-        lo += len(block)
     return _bit_means(sq, spec.dim, sigma_sq)[0]
 
 

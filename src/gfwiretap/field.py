@@ -339,12 +339,12 @@ def _gram_spectrum(field: GaussianField, pairs: tuple) -> np.ndarray:
 
 
 def _enumerate_outputs(field: GaussianField, masks: np.ndarray):
-    """Yield the outputs on every bipolar input, in blocks of rows.
+    """Yield the outputs on every bipolar input, as ``(lo, block)`` pairs.
 
     ``masks`` are the support's bit masks under a one-to-one map of input
     coordinates to pattern bits.  Each block is a ``(rows, 2**dim)`` array
-    of consecutive outputs, with ``rows = max(1, _BLOCK_FLOATS >> dim)``
-    (fewer in the last block).  Row ``o`` of the stacked blocks has entry
+    of the outputs from ``lo`` on, with ``rows = max(1, _BLOCK_FLOATS >>
+    dim)`` (fewer in the last block).  Row ``o - lo`` of a block has entry
     ``p`` equal to ``evaluate(field, s)[o]`` to rounding, for the input
     ``s`` that is +1 exactly at the coordinates whose bits ``p`` sets.
     Each block is freshly allocated, so callers may overwrite it; memory
@@ -359,7 +359,7 @@ def _enumerate_outputs(field: GaussianField, masks: np.ndarray):
         values[:, masks] = block
         values = _walsh(values, spec.dim)
         values *= field.scale
-        yield values
+        yield lo, values
 
 
 def covariance_probe(

@@ -55,9 +55,6 @@ _TAG_LEAK_NOISE = 6
 #: Memory guard for the leakage estimator's codeword table, and for its
 #: sample arrays (floats).
 _TABLE_BUDGET = 2**26
-#: Floats in the one buffer that every leakage scoring block's product is
-#: written into; a buffer allocated per block page-faults on every block.
-_SCORE_FLOATS = 2**15
 #: Largest distance ``W`` (nats) from a sample to its own codeword at which
 #: the scorer shifts by the own log-likelihood: shifted entries are at most
 #: ``W``, and ``e**600 * 2**20`` is far below the largest double.  Farther
@@ -288,10 +285,8 @@ def _codeword_table(fld: GaussianField, plan: BinningPlan) -> np.ndarray:
     idx = _support(fld.spec.dim, fld.spec.order)[0]
     masks = np.bitwise_xor.reduce(np.left_shift(1, np.argsort(plan.permutation))[idx], axis=1)
     codes = np.empty((fld.spec.n_out + 2, 1 << fld.spec.dim))
-    lo = 0
-    for block in _enumerate_outputs(fld, masks):
+    for lo, block in _enumerate_outputs(fld, masks):
         codes[lo : lo + len(block)] = block
-        lo += len(block)
     np.einsum("ij,ij->j", codes[:-2], codes[:-2], out=codes[-2])
     codes[-1] = 1.0
     return codes
@@ -307,7 +302,7 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
 
 def _score_rows(n: int, dim: int) -> int:
     """Samples per scoring block of :func:`_leakage_terms` (at least one)."""
-    return max(1, min(_SCORE_FLOATS >> dim, (_PRODUCT_MADDS - 1) // ((n + 2) << dim)))
+    return max(1, (_PRODUCT_MADDS - 1) // ((n + 2) << dim))
 
 
 def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
@@ -326,10 +321,11 @@ def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
     maximum instead, decided per sample, so no sample's terms depend on the
     others in its block.  The own-message log-sum-exp runs on the sample's
     ``2**k_tilde`` slice before the ``exp``.  A one-sample block is a gemv,
-    not a gemm, and rounds differently, by ~1e-15 nats a sample.  Memory
-    beyond ``codes`` and the samples is one block of at most ``2**15``
-    floats (one sample's row when ``2**dim`` is larger) and a few floats per
-    sample.
+    not a gemm, and rounds differently, by ~1e-15 nats a sample.  A block
+    holds as many samples as keep its product under ``_PRODUCT_MADDS``, so
+    memory beyond ``codes`` and the samples is one block of under
+    ``_PRODUCT_MADDS / (n + 2)`` floats (one sample's row when ``2**dim`` is
+    larger) and a few floats per sample.
     """
     dim = k + k_tilde
     n = len(codes) - 2
@@ -346,7 +342,6 @@ def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
     )
     far = w > _FAR_NATS
     any_far = far.any()
-    key_mask = (1 << k_tilde) - 1
     shift = np.zeros(len(ys))
     total = np.empty(len(ys))
     lp_joint = np.empty(len(ys))
@@ -363,8 +358,8 @@ def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
             shifted = buf[: len(pattern)]
             _product(obs[block], codes, out=shifted)
             rows = index[: len(pattern)]
+            lp_joint[block] = shifted[rows, pattern]
             own_msg = shifted.reshape(-1, 1 << k, 1 << k_tilde)[rows, pattern >> k_tilde]
-            lp_joint[block] = own_msg[rows, pattern & key_mask]
             lp_given_msg[block] = _logsumexp_rows(own_msg)
             if any_far and far[block].any():
                 shift[block] = np.where(far[block], shifted.max(axis=1), 0.0)

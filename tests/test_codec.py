@@ -268,12 +268,19 @@ from oracles import exact_posterior_mean
 
 
 def brute_force_mean(fld, y, sigma_sq):
-    """Posterior mean over every pattern, each scored by ``evaluate``."""
+    """Posterior mean over every pattern, each scored by ``evaluate``.
+
+    Residuals and weights are long doubles (80-bit on x86-64): a double
+    log-weight rounds by ~eps times its own size, which exceeds 1e-12 for y
+    far from every codeword.
+    """
     dim = fld.spec.dim
     rows = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) * 2.0 - 1.0
-    resid = y - np.array([evaluate(fld, u) for u in rows])
-    logw = -0.5 * np.einsum("ij,ij->i", resid, resid) / sigma_sq
-    return np.exp(logw - logsumexp(logw)) @ rows
+    outputs = np.array([evaluate(fld, u) for u in rows], dtype=np.longdouble)
+    resid = np.asarray(y, dtype=np.longdouble) - outputs
+    logw = np.einsum("ij,ij->i", resid, resid) / (-2.0 * sigma_sq)
+    weights = np.exp(logw - logw.max())
+    return (weights @ rows / weights.sum()).astype(float)
 
 
 def no_enumeration(*args, **kwargs):
@@ -575,23 +582,25 @@ class TestDecode:
 
 
 
-#: Decodes seeded fields at dims 10 to 14, builds a dim-10 codeword table,
-#: estimates the leakage at dim 14, whose scoring blocks are single samples,
-#: and runs a 40-trial dim-14 ``simulate``, then prints one digest of every
-#: result and of the data rows.
+#: Decodes seeded fields at dims 10 to 14, and order-5 fields at dims 13 and
+#: 14, which take the per-output route through the unsplit ``_walsh``; builds
+#: codeword tables at dims 10 and 14, estimates the leakage at dim 14, whose
+#: scoring blocks are single samples, and runs a 40-trial dim-14
+#: ``simulate``, then prints one digest of every result and of the data rows.
 _THREAD_DIGEST = """
 import contextlib
 import hashlib
 import io
 import numpy as np
-from gfwiretap import cli, simulate
+from gfwiretap import cli, field, simulate
 from gfwiretap.codec import CodecConfig, build_binning, mmse_estimate
 from gfwiretap.field import FieldSpec, evaluate, sample_field
 
 digest = hashlib.sha256()
-for dim in (10, 12, 13, 14):
+for dim, order in ((10, 3), (12, 3), (13, 3), (14, 3), (13, 5), (14, 5)):
+    assert (field._gram_pairs(dim, order) is None) == (order == 5)
     for seed in range(3):
-        fld = sample_field(FieldSpec(n_out=16, dim=dim, order=3, power=1.0, seed=seed))
+        fld = sample_field(FieldSpec(n_out=16, dim=dim, order=order, power=1.0, seed=seed))
         rng = np.random.default_rng(seed)
         s = rng.choice([-1.0, 1.0], dim)
         for sigma_sq in (0.01, 1.0):
@@ -602,6 +611,7 @@ digest.update(simulate._codeword_table(fld, build_binning(6, 4, 0)).tobytes())
 cfg = CodecConfig(n=16, k=7, k_tilde=7, sigma_b_sq=0.1, sigma_e_sq=1.0)
 assert simulate._score_rows(cfg.n, cfg.k_tot) == 1
 fld, plan = simulate._trial_field(cfg, 0), simulate._trial_plan(cfg, 0)
+digest.update(simulate._codeword_table(fld, plan).tobytes())
 digest.update(repr(simulate.estimate_leakage(cfg, fld, plan, 40)).encode())
 out = io.StringIO()
 line = "simulate --n 16 --k 10 --k-tilde 4 --sigma-b-sq 1 --sigma-e-sq 1 --trials 40"

@@ -320,11 +320,10 @@ class TestEnumerateOutputs:
         # a cap one float short of the next row leaves cap_rows rows per block
         cap = field_module._BLOCK_FLOATS if cap_rows is None else ((cap_rows + 1) << dim) - 1
         with mock.patch.object(field_module, "_BLOCK_FLOATS", cap):
-            blocks = list(field_module._enumerate_outputs(fld, masks))
+            offsets, blocks = zip(*field_module._enumerate_outputs(fld, masks))
         per_block = max(1, cap >> dim)
-        assert [len(b) for b in blocks] == [
-            min(per_block, n_out - lo) for lo in range(0, n_out, per_block)
-        ]
+        assert list(offsets) == list(range(0, n_out, per_block))
+        assert [len(b) for b in blocks] == [min(per_block, n_out - lo) for lo in offsets]
         values = np.vstack(blocks)
         assert values.shape == (n_out, 1 << dim)
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from gfwiretap import cli, codec, field, simulate
+from gfwiretap.channel import bin_size
 from gfwiretap.codec import CodecConfig, build_binning, random_key
 from gfwiretap.errors import BudgetError, NumericalError
 from gfwiretap.field import FieldSpec, sample_field
@@ -292,7 +294,7 @@ class TestLeakage:
 
     @pytest.mark.parametrize(
         "n,k,k_tilde,n_samples,per_block",
-        [(8, 6, 4, 65, 32), (4, 7, 8, 5, 1)],
+        [(8, 6, 4, 103, 51), (16, 7, 8, 5, 1)],
         ids=["trailing-one-row-block", "one-row-blocks"],
     )
     def test_single_row_blocks_match_per_sample_reference(
@@ -310,6 +312,45 @@ class TestLeakage:
         terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, 1.0))
         for i in range(n_samples):
             expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, 1.0)
+            assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(min_value=1, max_value=3),
+        dim=st.integers(min_value=2, max_value=11),
+        key=st.integers(min_value=0, max_value=5),
+        n=st.integers(min_value=1, max_value=64),
+        log_sigma_sq=st.floats(min_value=-3.0, max_value=2.0),
+        n_samples=st.integers(min_value=2, max_value=89),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # 51-sample blocks at dim 10 and n 8: exactly one, and one plus one sample
+    @example(order=3, dim=10, key=3, n=8, log_sigma_sq=0.0, n_samples=51, seed=1)
+    @example(order=3, dim=10, key=3, n=8, log_sigma_sq=0.0, n_samples=52, seed=2)
+    def test_table_and_terms_match_references_on_random_draws(
+        self, order, dim, key, n, log_sigma_sq, n_samples, seed
+    ):
+        # ``key`` picks one of the key lengths whose binning plan exists
+        key_lengths = [kt for kt in range(1, dim) if (kt - 1) * bin_size(dim - kt, kt) < dim]
+        k_tilde = key_lengths[key % len(key_lengths)]
+        k = dim - k_tilde
+        sigma_sq = 10.0**log_sigma_sq
+        fld = sample_field(FieldSpec(n_out=n, dim=dim, order=order, power=1.0, seed=seed))
+        plan = build_binning(k, k_tilde, seed)
+        codes = _codeword_table(fld, plan)
+        table = codeword_table_reference(fld, plan)
+        assert np.max(np.abs(codes[:n].T - table)) <= 1e-12 * max(1.0, np.max(np.abs(table)))
+
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, 1 << dim, n_samples)
+        ys = table[patterns] + rng.normal(0.0, math.sqrt(sigma_sq), size=(n_samples, n))
+        per_block = simulate._score_rows(n, dim)
+        if n_samples % per_block == 1:
+            event("one-row block")
+        event("partial last block" if n_samples % per_block else "whole blocks")
+        terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq))
+        for i in range(n_samples):
+            expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, sigma_sq)
             assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
 
     def test_far_and_near_samples_share_blocks(self):
@@ -334,7 +375,7 @@ class TestLeakage:
             assert gap.max() / (2.0 * sigma_sq) > 750.0
         w = np.sum((ys - table[patterns]) ** 2, axis=1) / (2.0 * sigma_sq)
         assert np.flatnonzero(w > simulate._FAR_NATS).tolist() == huge + swapped
-        assert simulate._score_rows(n, k + k_tilde) == 32
+        assert simulate._score_rows(n, k + k_tilde) == 51
 
         terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq))
         assert np.all(np.isfinite(terms))
@@ -361,11 +402,11 @@ class TestLeakage:
         assert np.array_equal(mixed[:, kept], near[:, kept])
 
     def test_scoring_memory_is_blocks_not_samples_by_codewords(self):
-        # at dim 15 a block is one sample's row of 2**15 floats; 64 samples
-        # by 2**14 own-message terms would be 2**20 floats, and 64 by 2**15
-        # log-likelihoods 2**21.  No binning plan has k_tilde > k + 1, so
-        # the score matrix is drawn directly.
-        n, k, k_tilde, n_samples = 4, 1, 14, 64
+        # at dim 15 and n 16 a block is one sample's row of 2**15 floats; 64
+        # samples by 2**14 own-message terms would be 2**20 floats, and 64 by
+        # 2**15 log-likelihoods 2**21.  No binning plan has k_tilde > k + 1,
+        # so the score matrix is drawn directly.
+        n, k, k_tilde, n_samples = 16, 1, 14, 64
         codewords = 1 << (k + k_tilde)
         rng = np.random.default_rng(32)
         codes = np.ones((n + 2, codewords))

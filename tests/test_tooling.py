@@ -127,6 +127,16 @@ def test_readme_command_parses(line, tmp_path):
     check_golden(command_golden(line), text)
 
 
+def test_every_golden_file_has_its_command_or_demo():
+    # a removed README command or demo must take its golden file with it
+    assert {p.name for p in (GOLDEN / "cli").iterdir()} == {
+        command_golden(line).name for line in readme_commands()
+    }
+    assert {p.name for p in (GOLDEN / "demos").iterdir()} == {
+        demo_golden(path).name for path in DEMOS
+    }
+
+
 def test_readme_python_blocks_run(capsys):
     # the "Library quickstart" block calls the public API by keyword
     text = (ROOT / "README.md").read_text()
