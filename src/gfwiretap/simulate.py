@@ -164,7 +164,12 @@ def transmit(x, sigma_sq: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"sigma_sq must be finite and >= 0, got {sigma_sq}")
     if sigma_sq == 0.0:
         return x
-    return x + rng.normal(0.0, math.sqrt(sigma_sq), size=x.shape)
+    # the values of x + rng.normal(0.0, sqrt(sigma_sq)), which draws
+    # 0.0 + scale * z, in one array
+    y = rng.standard_normal(x.shape)
+    y *= math.sqrt(sigma_sq)
+    y += x
+    return y
 
 
 def _trial_field(cfg: CodecConfig, trial_id: int) -> GaussianField:
@@ -305,62 +310,98 @@ def _score_rows(n: int, dim: int) -> int:
     return max(1, (_PRODUCT_MADDS - 1) // ((n + 2) << dim))
 
 
-def _leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq):
+def _observations(ys, sent, sigma_sq):
+    """Observation rows and distances of samples ``ys`` of codewords ``sent``.
+
+    Returns ``(obs, w)``: ``w[i] = |y_i - t_i|^2 / (2 sigma_sq)``, sample
+    ``i``'s distance ``W_i`` from its own codeword, and ``obs[i]`` the row
+    ``[2 inv y_i, -inv, W_i - inv |y_i|^2]`` with ``inv = 1 / (2 sigma_sq)``,
+    whose product with a column ``[t, |t|^2, 1]`` of :func:`_codeword_table`
+    is the log-likelihood of ``t`` less sample ``i``'s own, ``W_i - inv |y_i -
+    t|^2``.  The rows are written into one ``(N, n + 2)`` array, and the
+    residuals are formed in ``sent``, which is overwritten.
+    """
+    inv = 0.5 / sigma_sq
+    n = ys.shape[1]
+    np.subtract(ys, sent, out=sent)
+    w = inv * np.einsum("ij,ij->i", sent, sent)
+    obs = np.empty((len(ys), n + 2))
+    np.multiply(ys, 2.0 * inv, out=obs[:, :n])
+    obs[:, n] = -inv
+    norms = np.einsum("ij,ij->i", ys, ys)
+    norms *= inv
+    np.subtract(w, norms, out=obs[:, n + 1])
+    return obs, w
+
+
+def _leakage_terms(codes, patterns, obs, w, k, k_tilde):
     """Per-sample log-posterior ratios over n, as ``(leak, full, genie)``.
 
-    Sample ``i`` is the observation ``ys[i]`` of pattern ``patterns[i]``;
-    ``codes`` is the score matrix of :func:`_codeword_table`, whose column
-    ``(message << k_tilde) | key`` holds that pattern's codeword ``t``,
-    ``|t|^2`` and 1.  Each sample's log-likelihoods are shifted by its own
-    codeword's, ``-W_i`` with ``W_i = |y_i - t_{p_i}|^2 / (2 sigma_sq)``,
-    folded into the last entry of its observation row.  Each block of
-    samples is then one matrix product against ``codes`` into a reused
-    buffer, one in-place ``exp`` and one row sum: shifted entries are at
-    most ``W_i`` and the own entry is ~0, so no sum underflows, and none
-    overflows while ``W_i <= _FAR_NATS``.  A farther sample shifts by its row
-    maximum instead, decided per sample, so no sample's terms depend on the
-    others in its block.  The own-message log-sum-exp runs on the sample's
-    ``2**k_tilde`` slice before the ``exp``.  A one-sample block is a gemv,
-    not a gemm, and rounds differently, by ~1e-15 nats a sample.  A block
-    holds as many samples as keep its product under ``_PRODUCT_MADDS``, so
-    memory beyond ``codes`` and the samples is one block of under
-    ``_PRODUCT_MADDS / (n + 2)`` floats (one sample's row when ``2**dim`` is
-    larger) and a few floats per sample.
+    Sample ``i`` has observation row ``obs[i]`` and distance ``w[i]`` from
+    :func:`_observations` for pattern ``patterns[i]``; ``codes`` is the score
+    matrix of :func:`_codeword_table`, whose column ``(message << k_tilde) |
+    key`` holds that pattern's codeword ``t``, ``|t|^2`` and 1.  The product
+    of a row with ``codes`` is the sample's log-likelihoods shifted by its own
+    codeword's, ``-W_i``.  Each block of samples is one matrix product
+    against ``codes`` into a reused buffer, one in-place ``exp`` and one row
+    sum: shifted entries are at most ``W_i`` and the own entry is ~0, so no
+    sum underflows, and none overflows while ``W_i <= _FAR_NATS``.  A farther
+    sample shifts by its row maximum instead, decided per sample, so no
+    sample's terms depend on the others in its block.  Before the ``exp``,
+    each sample's own-message slice of ``2**k_tilde`` entries is copied into
+    a second reused buffer of one block's floats, ``2**k`` blocks of samples;
+    each time it fills, and after the last block, one log-sum-exp over its
+    rows gives the own-message terms, and its entry at the key's column the
+    own entry.  A one-sample
+    block is a gemv, not a gemm, and rounds differently, by ~1e-15 nats a
+    sample.  A block holds as many samples as keep its product under
+    ``_PRODUCT_MADDS``, so memory beyond ``codes`` and the samples is these
+    two buffers of under ``_PRODUCT_MADDS / (n + 2)`` floats each (one
+    sample's row when ``2**dim`` is larger) and a few floats per sample.
     """
     dim = k + k_tilde
     n = len(codes) - 2
-    inv = 0.5 / sigma_sq
-    resid = codes[:n].T[patterns]
-    np.subtract(ys, resid, out=resid)
-    w = inv * np.einsum("ij,ij->i", resid, resid)
-    del resid
-    # log-likelihood minus the sample's own, inv (2 y.t - |t|^2 - |y|^2) +
-    # W, as one product of the rows [2 inv y, -inv, W - inv |y|^2] against
-    # the columns [t, |t|^2, 1]
-    obs = np.column_stack(
-        [2.0 * inv * ys, np.full(len(ys), -inv), w - inv * np.einsum("ij,ij->i", ys, ys)]
-    )
+    n_samples = len(obs)
     far = w > _FAR_NATS
     any_far = far.any()
-    shift = np.zeros(len(ys))
-    total = np.empty(len(ys))
-    lp_joint = np.empty(len(ys))
-    lp_given_msg = np.empty(len(ys))
+    shift = np.zeros(n_samples)
+    total = np.empty(n_samples)
+    lp_joint = np.empty(n_samples)
+    lp_given_msg = np.empty(n_samples)
     step = _score_rows(n, dim)
-    buf = np.empty((min(step, len(ys)), 1 << dim))
-    index = np.arange(len(buf))
+    buf = np.empty((min(step, n_samples), 1 << dim))
+    # 2**k blocks' own-message slices, as many floats as one block, so the
+    # buffer fills at the end of a block
+    own = np.empty((min(step << k, n_samples), 1 << k_tilde))
+    # a block's sample i has its message's slice at row (i << k) + message
+    # of the block viewed as slices
+    first = np.arange(len(buf)) << k
+    filled = 0
     # at tiny noise the sums overflow; the caller's finiteness check
     # reports that, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, len(ys), step):
+        for start in range(0, n_samples, step):
             block = slice(start, start + step)
             pattern = patterns[block]
             shifted = buf[: len(pattern)]
             _product(obs[block], codes, out=shifted)
-            rows = index[: len(pattern)]
-            lp_joint[block] = shifted[rows, pattern]
-            own_msg = shifted.reshape(-1, 1 << k, 1 << k_tilde)[rows, pattern >> k_tilde]
-            lp_given_msg[block] = _logsumexp_rows(own_msg)
+            # mode "clip" writes straight into ``out``; "raise" buffers it
+            np.take(
+                shifted.reshape(-1, 1 << k_tilde),
+                first[: len(pattern)] + (pattern >> k_tilde),
+                axis=0,
+                out=own[filled : filled + len(pattern)],
+                mode="clip",
+            )
+            filled += len(pattern)
+            end = start + len(pattern)
+            if filled == len(own) or end == n_samples:
+                done = slice(end - filled, end)
+                slices = own[:filled]
+                keys = patterns[done] & ((1 << k_tilde) - 1)
+                lp_joint[done] = slices[np.arange(filled), keys]
+                lp_given_msg[done] = _logsumexp_rows(slices)
+                filled = 0
             if any_far and far[block].any():
                 shift[block] = np.where(far[block], shifted.max(axis=1), 0.0)
                 shifted -= shift[block, None]
@@ -387,8 +428,8 @@ def _check_leakage_size(cfg: CodecConfig, n_samples: int) -> None:
     # the n + 2 score matrix, and while it is filled the enumeration's
     # working set: the block being copied, the next block's coefficients and
     # two of its transform's products; per sample: three n-vectors at the
-    # peak (the codeword, the noise and their sum in transmit; then the
-    # sample, a scaled copy and its n + 2 observation row in the scorer), and
+    # peak, in _observations (the sent codeword, which becomes the residual,
+    # the observation drawn by transmit, and its n + 2 observation row), and
     # at most 18 floats of indices, distances, shifts, sums and terms
     block = min(cfg.n, max(1, _BLOCK_FLOATS >> dim)) << dim
     for what, floats in (
@@ -425,8 +466,11 @@ def estimate_leakage(
     rng_noise = _stream(cfg.noise_seed, 0, _TAG_LEAK_NOISE)
     inputs = rng_input.integers(0, np.tile([1 << k, 1 << k_tilde], n_samples))
     patterns = (inputs[0::2] << k_tilde) | inputs[1::2]
-    ys = transmit(codes[: cfg.n].T[patterns], cfg.sigma_e_sq, rng_noise)
-    leak, full, genie = _leakage_terms(codes, patterns, ys, k, k_tilde, cfg.sigma_e_sq)
+    sent = codes[: cfg.n].T[patterns]
+    ys = transmit(sent, cfg.sigma_e_sq, rng_noise)
+    obs, w = _observations(ys, sent, cfg.sigma_e_sq)
+    del ys, sent
+    leak, full, genie = _leakage_terms(codes, patterns, obs, w, k, k_tilde)
     # the scorer's expanded square loses ~eps |t|^2 / (2 sigma_e_sq) nats on
     # each sample's own entry, which overflows the exp at tiny noise
     if not np.isfinite([leak, full, genie]).all():

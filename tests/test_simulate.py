@@ -34,6 +34,32 @@ def small_cfg(**kw):
     return CodecConfig(**base)
 
 
+def score_samples(codes, patterns, ys, k, k_tilde, sigma_sq):
+    """``_leakage_terms`` of observations ``ys`` of ``patterns``, whose rows
+    are built as ``estimate_leakage`` builds them."""
+    obs, w = simulate._observations(ys, codes[:-2].T[patterns], sigma_sq)
+    return _leakage_terms(codes, patterns, obs, w, k, k_tilde)
+
+
+def scoring_peak(n, k, k_tilde, n_samples):
+    """Traced peak bytes of scoring ``n_samples`` noisy samples against a
+    score matrix of ``2**(k + k_tilde)`` random codewords.  No binning plan
+    has ``k_tilde > k + 1``, so the matrix is drawn directly."""
+    codewords = 1 << (k + k_tilde)
+    rng = np.random.default_rng(32)
+    codes = np.ones((n + 2, codewords))
+    codes[:n] = rng.normal(size=(codewords, n)).T
+    codes[n] = np.sum(codes[:n] ** 2, axis=0)
+    patterns = rng.integers(0, codewords, n_samples)
+    ys = codes[:n].T[patterns] + rng.normal(size=(n_samples, n))
+    tracemalloc.start()
+    try:
+        score_samples(codes, patterns, ys, k, k_tilde, 1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTransmit:
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(0)
@@ -57,6 +83,17 @@ class TestTransmit:
     def test_negative_variance(self):
         with pytest.raises(ValueError):
             transmit(np.ones(3), -1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma_sq", [1e-6, 0.37, 1.0, 100.0])
+    @pytest.mark.parametrize("shape", [(1000,), (40, 25)], ids=["1d", "2d"])
+    def test_values_are_those_of_a_normal_draw(self, shape, sigma_sq):
+        # the noise is drawn in place from standard_normal; numpy's normal
+        # returns loc + scale * z of the same stream
+        x = np.random.default_rng(5).normal(size=shape)
+        kept = x.copy()
+        noise = np.random.default_rng(6).normal(0.0, math.sqrt(sigma_sq), size=x.shape)
+        assert np.array_equal(transmit(x, sigma_sq, np.random.default_rng(6)), x + noise)
+        assert np.array_equal(x, kept)
 
 
 class TestRunTrial:
@@ -249,7 +286,7 @@ class TestLeakage:
             diff = table[2 * msg : 2 * msg + 2] - ys[i]
             row = -0.5 * np.einsum("ij,ij->i", diff, diff)
             direct[i] = (row[key] - (float(logsumexp(row)) - math.log(2.0))) / cfg.n
-        _, _, genie = _leakage_terms(codes, patterns, ys, 1, 1, 1.0)
+        _, _, genie = score_samples(codes, patterns, ys, 1, 1, 1.0)
         # the block scorer expands |t - y|^2 into a matrix product, so it
         # agrees with the direct differences to rounding, not bit for bit
         assert np.max(np.abs(genie - direct)) <= 1e-12
@@ -294,8 +331,10 @@ class TestLeakage:
 
     @pytest.mark.parametrize(
         "n,k,k_tilde,n_samples,per_block",
-        [(8, 6, 4, 103, 51), (16, 7, 8, 5, 1)],
-        ids=["trailing-one-row-block", "one-row-blocks"],
+        # at dim 12 and n 64 the own-message buffer holds 2**k = 64 one-row
+        # blocks: 213 samples fill it three times and end 21 into a fourth
+        [(8, 6, 4, 103, 51), (16, 7, 8, 5, 1), (64, 6, 6, 213, 1)],
+        ids=["trailing-one-row-block", "one-row-blocks", "own-message-flushes"],
     )
     def test_single_row_blocks_match_per_sample_reference(
         self, n, k, k_tilde, n_samples, per_block
@@ -309,7 +348,7 @@ class TestLeakage:
         rng = np.random.default_rng(34)
         patterns = rng.integers(0, 1 << cfg.k_tot, n_samples)
         ys = table[patterns] + rng.normal(size=(n_samples, n))
-        terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, 1.0))
+        terms = np.array(score_samples(codes, patterns, ys, k, k_tilde, 1.0))
         for i in range(n_samples):
             expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, 1.0)
             assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
@@ -327,6 +366,9 @@ class TestLeakage:
     # 51-sample blocks at dim 10 and n 8: exactly one, and one plus one sample
     @example(order=3, dim=10, key=3, n=8, log_sigma_sq=0.0, n_samples=51, seed=1)
     @example(order=3, dim=10, key=3, n=8, log_sigma_sq=0.0, n_samples=52, seed=2)
+    # 3-sample blocks at dim 11 and n 64 with k 5: the own-message buffer
+    # holds 96 samples, so 200 flush at 96, 192 and the end
+    @example(order=3, dim=11, key=4, n=64, log_sigma_sq=0.0, n_samples=200, seed=3)
     def test_table_and_terms_match_references_on_random_draws(
         self, order, dim, key, n, log_sigma_sq, n_samples, seed
     ):
@@ -348,10 +390,32 @@ class TestLeakage:
         if n_samples % per_block == 1:
             event("one-row block")
         event("partial last block" if n_samples % per_block else "whole blocks")
-        terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq))
+        if n_samples > per_block << k:
+            event("several own-message flushes")
+        terms = np.array(score_samples(codes, patterns, ys, k, k_tilde, sigma_sq))
         for i in range(n_samples):
             expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, sigma_sq)
             assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
+
+    @pytest.mark.parametrize(
+        "n,k,k_tilde,prefix,n_samples",
+        [(64, 6, 6, 128, 213), (16, 6, 4, 1792, 2000)],
+        ids=["one-row-blocks", "leakage-scan-blocks"],
+    )
+    def test_flush_aligned_prefix_scores_as_in_a_longer_run(
+        self, n, k, k_tilde, prefix, n_samples
+    ):
+        # the prefix ends where the own-message buffer is flushed, so alone
+        # it is scored in the same blocks and flushes as in the longer run
+        assert prefix % (simulate._score_rows(n, k + k_tilde) << k) == 0
+        cfg = small_cfg(n=n, k=k, k_tilde=k_tilde)
+        codes = _codeword_table(_trial_field(cfg, 0), _trial_plan(cfg, 0))
+        rng = np.random.default_rng(36)
+        patterns = rng.integers(0, 1 << cfg.k_tot, n_samples)
+        ys = codes[:n].T[patterns] + rng.normal(size=(n_samples, n))
+        whole = np.array(score_samples(codes, patterns, ys, k, k_tilde, 1.0))
+        alone = np.array(score_samples(codes, patterns[:prefix], ys[:prefix], k, k_tilde, 1.0))
+        assert np.array_equal(alone, whole[:, :prefix])
 
     def test_far_and_near_samples_share_blocks(self):
         # samples past _FAR_NATS from their codewords, in blocks of near
@@ -377,7 +441,7 @@ class TestLeakage:
         assert np.flatnonzero(w > simulate._FAR_NATS).tolist() == huge + swapped
         assert simulate._score_rows(n, k + k_tilde) == 51
 
-        terms = np.array(_leakage_terms(codes, patterns, ys, k, k_tilde, sigma_sq))
+        terms = np.array(score_samples(codes, patterns, ys, k, k_tilde, sigma_sq))
         assert np.all(np.isfinite(terms))
         for i in range(n_samples):
             expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, sigma_sq)
@@ -392,11 +456,11 @@ class TestLeakage:
         rng = np.random.default_rng(33)
         patterns = rng.integers(0, 1 << cfg.k_tot, 70)
         noise = rng.normal(size=(70, cfg.n))
-        near = np.array(_leakage_terms(codes, patterns, table[patterns] + noise, 6, 4, 1.0))
+        near = np.array(score_samples(codes, patterns, table[patterns] + noise, 6, 4, 1.0))
         huge = [0, 5, 31, 32, 69]
         noise[huge] *= 20.0
         assert np.all(np.sum(noise[huge] ** 2, axis=1) / 2.0 > simulate._FAR_NATS)
-        mixed = np.array(_leakage_terms(codes, patterns, table[patterns] + noise, 6, 4, 1.0))
+        mixed = np.array(score_samples(codes, patterns, table[patterns] + noise, 6, 4, 1.0))
         kept = np.ones(70, dtype=bool)
         kept[huge] = False
         assert np.array_equal(mixed[:, kept], near[:, kept])
@@ -404,25 +468,25 @@ class TestLeakage:
     def test_scoring_memory_is_blocks_not_samples_by_codewords(self):
         # at dim 15 and n 16 a block is one sample's row of 2**15 floats; 64
         # samples by 2**14 own-message terms would be 2**20 floats, and 64 by
-        # 2**15 log-likelihoods 2**21.  No binning plan has k_tilde > k + 1,
-        # so the score matrix is drawn directly.
+        # 2**15 log-likelihoods 2**21
         n, k, k_tilde, n_samples = 16, 1, 14, 64
         codewords = 1 << (k + k_tilde)
-        rng = np.random.default_rng(32)
-        codes = np.ones((n + 2, codewords))
-        codes[:n] = rng.normal(size=(codewords, n)).T
-        codes[n] = np.sum(codes[:n] ** 2, axis=0)
-        patterns = rng.integers(0, codewords, n_samples)
-        ys = codes[:n].T[patterns] + rng.normal(size=(n_samples, n))
-        tracemalloc.start()
-        try:
-            _leakage_terms(codes, patterns, ys, k, k_tilde, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = scoring_peak(n, k, k_tilde, n_samples)
         assert simulate._score_rows(n, k + k_tilde) == 1
-        # the block and its own-message slice, and the per-sample rows and
+        # the block and the own-message buffer, and the per-sample rows and
         # terms: nothing per codeword beside the caller's score matrix
+        bound = 2 * codewords + n_samples * (n + 8) * 4
+        assert peak <= 8 * bound, (peak, 8 * bound)
+        assert bound < n_samples << k_tilde
+
+    def test_own_message_buffer_is_one_block_not_samples_by_slices(self):
+        # at dim 15 and n 16 a block is one sample, and the own-message
+        # buffer holds 2**k = 128 samples' slices of 2**8: one block's
+        # floats, where 600 samples' slices would be 600 * 2**8
+        n, k, k_tilde, n_samples = 16, 7, 8, 600
+        codewords = 1 << (k + k_tilde)
+        peak = scoring_peak(n, k, k_tilde, n_samples)
+        assert simulate._score_rows(n, k + k_tilde) == 1
         bound = 2 * codewords + n_samples * (n + 8) * 4
         assert peak <= 8 * bound, (peak, 8 * bound)
         assert bound < n_samples << k_tilde
