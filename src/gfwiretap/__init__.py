@@ -10,7 +10,6 @@ prediction against simulation.
 from ._version import __version__
 from .channel import (
     LOG2,
-    WiretapParams,
     awgn_capacity,
     bin_size,
     critical_rate_heuristic,

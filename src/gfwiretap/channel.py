@@ -1,13 +1,13 @@
 """Closed-form quantities of the Gaussian wiretap channel, and shared input rules.
 
 Rates named ``*_rate`` count binary symbols per channel use; capacities are
-in nats per channel use unless noted.  ``bits = nats / log 2``.
+in nats per channel use unless noted.  ``bits = nats / log 2``.  Every
+function checks its own inputs and refuses a bad one by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "LOG2",
-    "WiretapParams",
     "awgn_capacity",
     "secrecy_capacity",
     "key_length",
@@ -43,20 +42,6 @@ def _require_seed(name: str, value) -> None:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class WiretapParams:
-    """Average transmit power and the two receiver noise variances."""
-
-    power: float
-    sigma_b_sq: float
-    sigma_e_sq: float
-
-    def __post_init__(self):
-        _require_positive(
-            power=self.power, sigma_b_sq=self.sigma_b_sq, sigma_e_sq=self.sigma_e_sq
-        )
-
-
 def awgn_capacity(snr: float) -> float:
     """Capacity ``0.5 * log(1 + snr)`` of a real AWGN channel, in nats."""
     if not (math.isfinite(snr) and snr >= 0.0):
@@ -64,10 +49,12 @@ def awgn_capacity(snr: float) -> float:
     return 0.5 * math.log1p(snr)
 
 
-def secrecy_capacity(p: WiretapParams) -> float:
-    """``max(0, C(P/sigma_b^2) - C(P/sigma_e^2))`` in nats per channel use."""
-    c_bob = awgn_capacity(p.power / p.sigma_b_sq)
-    c_eve = awgn_capacity(p.power / p.sigma_e_sq)
+def secrecy_capacity(power: float, sigma_b_sq: float, sigma_e_sq: float) -> float:
+    """``max(0, C(P/sigma_b^2) - C(P/sigma_e^2))`` in nats per channel use,
+    ``P`` being the average transmit power."""
+    _require_positive(power=power, sigma_b_sq=sigma_b_sq, sigma_e_sq=sigma_e_sq)
+    c_bob = awgn_capacity(power / sigma_b_sq)
+    c_eve = awgn_capacity(power / sigma_e_sq)
     return max(0.0, c_bob - c_eve)
 
 

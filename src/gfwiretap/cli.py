@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from ._version import versions_line
-from .channel import LOG2, WiretapParams, critical_rate_heuristic, secrecy_capacity
+from .channel import LOG2, critical_rate_heuristic, secrecy_capacity
 from .codec import CodecConfig
 from .errors import BracketError, BudgetError, NumericalError
 from .field import FieldSpec, _check_budget, covariance_probe
@@ -207,8 +207,7 @@ def _cmd_simulate(args) -> int:
     if args.at_secrecy_capacity:
         if args.k is not None:
             raise UsageError("--k and --at-secrecy-capacity are mutually exclusive")
-        params = WiretapParams(args.power, args.sigma_b_sq, args.sigma_e_sq)
-        cap = secrecy_capacity(params)
+        cap = secrecy_capacity(args.power, args.sigma_b_sq, args.sigma_e_sq)
         if cap <= 0.0:
             raise UsageError(
                 "secrecy capacity is zero for these channels; cannot derive k"

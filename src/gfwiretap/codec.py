@@ -22,15 +22,17 @@ and one fast Walsh-Hadamard transform of that spectrum minus ``2 b`` gives
 every candidate's score: ``O(n sets**2 + 2**dim dim)`` work and ``O(sets**2 +
 2**dim)`` memory.  The expanded square cancels ``|y|**2`` against the summed
 squares, so its scores err by ~``eps sum|spectrum| / (2 sigma_sq)`` nats;
-where that, times the weight off the top candidate, exceeds ``_GRAM_TOL``,
-and wherever the pairs cost more, the residuals are summed directly over the
-blocks of outputs of ``field._enumerate_outputs`` at the support's cached
-bit masks, one transform per block.  The weights are exponentiated once
-against their maximum.  The coordinate means come from two small products:
-the weights, viewed as a ``(2**H, 2**L)`` matrix of the high ``H`` and low
-``L = ceil((k + k_tilde) / 2)`` pattern bits, are summed to their column and
-row marginals, and each marginal meets a ``(bits, 2**bits)`` table of
-signs.  Memory does not grow with ``n`` on either route.
+where that, times the weight off the top candidate, exceeds ``_GRAM_TOL``
+and also exceeds the direct residuals' own rounding, ~``eps`` times the top
+candidate's squared residual over ``2 sigma_sq``, and wherever the pairs
+cost more, the residuals are summed directly over the blocks of outputs of
+``field._enumerate_outputs`` at the support's cached bit masks, one
+transform per block.  The weights are exponentiated once against their
+maximum.  The coordinate means come from two small products: the weights,
+viewed as a ``(2**H, 2**L)`` matrix of the high ``H`` and low ``L = ceil((k
++ k_tilde) / 2)`` pattern bits, are summed to their column and row
+marginals, and each marginal meets a ``(bits, 2**bits)`` table of signs.
+Memory does not grow with ``n`` on either route.
 """
 
 from __future__ import annotations
@@ -238,8 +240,6 @@ def build_binning(k: int, k_tilde: int, perm_seed: int) -> BinningPlan:
     Each key symbol's position is drawn uniformly within its bin and the
     message symbols are scattered uniformly over the remaining positions.
     """
-    if k < 1 or k_tilde < 1:
-        raise ValueError(f"k and k_tilde must be >= 1, got {k}, {k_tilde}")
     width = bin_size(k, k_tilde)
     total = k + k_tilde
     if (k_tilde - 1) * width >= total:
@@ -321,10 +321,10 @@ def _bit_signs(bits: int) -> np.ndarray:
     return signs
 
 
-def _bit_means(sq: np.ndarray, dim: int, sigma_sq: float) -> tuple[np.ndarray, float]:
+def _bit_means(sq: np.ndarray, dim: int, sigma_sq: float) -> tuple[np.ndarray, float, float]:
     """Posterior means of the ``dim`` pattern bits from the squared residuals
-    ``sq``, known up to a constant and overwritten with the weights; and the
-    weights' total, the top weight being 1."""
+    ``sq``, known up to a constant and overwritten with the weights; the
+    weights' total, the top weight being 1; and the top log-weight."""
     # a subnormal sigma_sq overflows the scale to inf, and inf times a zero
     # residual is nan: refused below, without a warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,7 +346,7 @@ def _bit_means(sq: np.ndarray, dim: int, sigma_sq: float) -> tuple[np.ndarray, f
         [_bit_signs(low) @ low_marginal, _bit_signs(dim - low) @ high_marginal]
     )
     total = float(low_marginal.sum())
-    return np.clip(r / total, -1.0, 1.0), total
+    return np.clip(r / total, -1.0, 1.0), total, float(top)
 
 
 def mmse_estimate(
@@ -360,13 +360,14 @@ def mmse_estimate(
     less ``|y|**2``, is the fast Walsh-Hadamard transform of the field's
     Gram spectrum minus ``2 scale * y @ coeffs`` at the sets' masks (the
     Gram route), where its pairs cost less than one output's transform and
-    its rounding cannot move the mean by more than ~``_GRAM_TOL``; else the
-    residuals are summed directly over blocks of outputs.  The scores are
-    exponentiated once against their maximum; coordinate ``i`` of the
-    result is the signed sum of the weights over bit ``i`` of the pattern
-    integer, divided by their total.  Every coordinate of the result lies
-    in [-1, 1].  Raises :class:`NumericalError` when the log-weights have
-    no finite maximum, as when ``sigma_sq`` is subnormal.
+    its rounding cannot move the mean by more than ~``_GRAM_TOL`` or is no
+    larger than the direct residuals' own; else the residuals are summed
+    directly over blocks of outputs.  The scores are exponentiated once
+    against their maximum; coordinate ``i`` of the result is the signed sum
+    of the weights over bit ``i`` of the pattern integer, divided by their
+    total.  Every coordinate of the result lies in [-1, 1].  Raises
+    :class:`NumericalError` when the log-weights have no finite maximum, as
+    when ``sigma_sq`` is subnormal.
     """
     spec = fld.spec
     _require_positive(sigma_sq=sigma_sq)
@@ -384,11 +385,15 @@ def mmse_estimate(
         spectrum = _gram_spectrum(fld, pairs)
         spectrum[masks] -= (2.0 * fld.scale) * (y @ fld.coeffs)
         rounding = _EPS * float(np.abs(spectrum).sum()) * 0.5 / sigma_sq
-        r, total = _bit_means(_walsh(spectrum, spec.dim), spec.dim, sigma_sq)
-        if rounding * (1.0 - 1.0 / total) <= _GRAM_TOL:
+        r, total, top = _bit_means(_walsh(spectrum, spec.dim), spec.dim, sigma_sq)
+        # the direct residuals round by ~eps times the top candidate's own
+        # squared residual, |y|**2 + min(spectrum's transform), over 2 sigma_sq
+        if rounding * (1.0 - 1.0 / total) <= _GRAM_TOL or rounding <= _EPS * (
+            float(y @ y) * 0.5 / sigma_sq - top
+        ):
             return r
     # the residuals themselves: where the pairs cost more, or where the
-    # expanded square's rounding could move a spread posterior's mean
+    # expanded square's rounding could move a spread posterior's mean more
     sq = np.zeros(1 << spec.dim)
     for lo, block in _enumerate_outputs(fld, masks):
         block -= y[lo : lo + len(block), None]

@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .channel import LOG2
 from .errors import BracketError, NumericalError
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
 #: below 1e-18.  ``replica`` fits its scalar-channel table on this rule.
 RULE_STEP = 1.0 / 16.0
 RULE_HALF_WIDTH = 9.0
-
-_LOG2 = math.log(2.0)
 
 #: Relative part of ``_brent_root``'s tolerance: four machine epsilons.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
@@ -105,7 +104,7 @@ def log_cosh(x):
     np.exp(out, out=out)
     np.log1p(out, out=out)
     np.add(ax, out, out=out)
-    np.subtract(out, _LOG2, out=out)
+    np.subtract(out, LOG2, out=out)
     return out[()]
 
 

@@ -81,8 +81,9 @@ __all__ = [
     "locate_critical_rate",
 ]
 
-#: Overlaps this close to 0 or 1 are classified as the endpoint regimes.
-#: Classification only; raw minimizers are always reported.
+#: An overlap below this is in the zero regime: ``locate_critical_rate``
+#: requires it at the upper end of its bracket.  Raw minimizers are always
+#: reported.
 REGIME_CLAMP = 1e-9
 
 #: Spacing of the solver's energy grid on [0, 1] (1001 points).
@@ -111,28 +112,24 @@ class ReplicaConfig:
     """Parameters of one decoupled-setting evaluation.
 
     ``rate`` is the number of input symbols per channel use, ``order`` the
-    exponent of the covariance function ``power * u**order``.  The solver's
-    resolution is fixed: ``GRID_STEP`` and ``REFINE_TOL``.
+    exponent of the covariance function ``power * u**order``.  Only the rate
+    must be given: the package's defaults are ``sigma_sq = 0.1``, ``power =
+    1.0`` and ``order = 3``.  The solver's resolution is fixed:
+    ``GRID_STEP`` and ``REFINE_TOL``.
     """
 
     rate: float
-    sigma_sq: float
-    power: float
-    order: int
+    sigma_sq: float = 0.1
+    power: float = 1.0
+    order: int = 3
 
     def __post_init__(self):
         _require_positive(rate=self.rate, sigma_sq=self.sigma_sq, power=self.power)
         _require_order(self.order)
 
 
-def make_config(
-    rate: float,
-    sigma_sq: float = 0.1,
-    power: float = 1.0,
-    order: int = 3,
-) -> ReplicaConfig:
-    """ReplicaConfig with the package's default parameters."""
-    return ReplicaConfig(rate=rate, sigma_sq=sigma_sq, power=power, order=order)
+#: :class:`ReplicaConfig` under the name the README and demos call it by.
+make_config = ReplicaConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,15 +366,6 @@ def solve_overlap(cfg: ReplicaConfig) -> ReplicaSolution:
     )
 
 
-def classify_regime(m: float) -> int | None:
-    """1 for overlaps within REGIME_CLAMP of 1, 0 near 0, else None."""
-    if m > 1.0 - REGIME_CLAMP:
-        return 1
-    if m < REGIME_CLAMP:
-        return 0
-    return None
-
-
 def scan_rates(
     cfg_template: ReplicaConfig, rates: Iterable[float]
 ) -> list[tuple[float, ReplicaSolution]]:
@@ -421,7 +409,7 @@ def locate_critical_rate(
             f"overlap at rate {bracket_lo} is {sol_lo.m_star:.6f}, not in the "
             f"recovered regime; widen the bracket downward"
         )
-    if classify_regime(sol_hi.m_star) != 0:
+    if not sol_hi.m_star < REGIME_CLAMP:
         raise BracketError(
             f"overlap at rate {bracket_hi} is {sol_hi.m_star:.6g}, never reaching "
             f"the zero regime; no collapse transition exists on this bracket "

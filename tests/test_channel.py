@@ -5,7 +5,6 @@ import pytest
 
 from gfwiretap.channel import (
     LOG2,
-    WiretapParams,
     awgn_capacity,
     bin_size,
     critical_rate_heuristic,
@@ -43,35 +42,31 @@ class TestAwgnCapacity:
 
 class TestSecrecyCapacity:
     def test_classic_point(self):
-        p = WiretapParams(power=1.0, sigma_b_sq=0.1, sigma_e_sq=1.0)
-        assert secrecy_capacity(p) == pytest.approx(CS_P1_B01_E1, abs=1e-14)
+        assert secrecy_capacity(1.0, 0.1, 1.0) == pytest.approx(CS_P1_B01_E1, abs=1e-14)
 
     def test_symmetric_channels(self):
-        p = WiretapParams(power=2.0, sigma_b_sq=0.5, sigma_e_sq=0.5)
-        assert secrecy_capacity(p) == 0.0
+        assert secrecy_capacity(power=2.0, sigma_b_sq=0.5, sigma_e_sq=0.5) == 0.0
 
     def test_degraded_main_channel_clamps(self):
-        p = WiretapParams(power=1.0, sigma_b_sq=1.0, sigma_e_sq=0.1)
-        assert secrecy_capacity(p) == 0.0
+        assert secrecy_capacity(power=1.0, sigma_b_sq=1.0, sigma_e_sq=0.1) == 0.0
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             power, sb, se = rng.uniform(0.01, 10.0, size=3)
-            p = WiretapParams(power, sb, se)
-            cs = secrecy_capacity(p)
+            cs = secrecy_capacity(power, sb, se)
             assert cs >= 0.0
             if sb < se:
                 direct = awgn_capacity(power / sb) - awgn_capacity(power / se)
                 assert cs == direct
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            WiretapParams(power=0.0, sigma_b_sq=0.1, sigma_e_sq=1.0)
-        with pytest.raises(ValueError):
-            WiretapParams(power=1.0, sigma_b_sq=-0.1, sigma_e_sq=1.0)
-        with pytest.raises(ValueError):
-            WiretapParams(power=1.0, sigma_b_sq=0.1, sigma_e_sq=math.inf)
+        with pytest.raises(ValueError, match="power must be finite and > 0, got 0.0"):
+            secrecy_capacity(power=0.0, sigma_b_sq=0.1, sigma_e_sq=1.0)
+        with pytest.raises(ValueError, match="sigma_b_sq must be finite and > 0, got -0.1"):
+            secrecy_capacity(power=1.0, sigma_b_sq=-0.1, sigma_e_sq=1.0)
+        with pytest.raises(ValueError, match="sigma_e_sq must be finite and > 0, got inf"):
+            secrecy_capacity(power=1.0, sigma_b_sq=0.1, sigma_e_sq=math.inf)
 
 
 class TestKeyLength:

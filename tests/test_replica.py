@@ -620,7 +620,13 @@ class TestReferenceSolver:
         cfg = make_config(rate=rate, sigma_sq=sigma_sq, power=power, order=order)
         got = solve_overlap(cfg)
         ref = solve_overlap_reference(cfg, GRID_STEP, replica.REFINE_TOL)
-        assert replica.classify_regime(got.m_star) == replica.classify_regime(ref.m_star)
+
+        def regime(m):
+            # 1 within REGIME_CLAMP of 1, 0 within it of 0, else None
+            clamp = replica.REGIME_CLAMP
+            return 1 if m > 1.0 - clamp else 0 if m < clamp else None
+
+        assert regime(got.m_star) == regime(ref.m_star)
         assert got.tie_flag == ref.tie_flag
         assert len(got.interior_minima) == len(ref.interior_minima)
         assert abs(got.m_star - ref.m_star) <= 1e-6

@@ -60,6 +60,31 @@ def scoring_peak(n, k, k_tilde, n_samples):
         tracemalloc.stop()
 
 
+def check_random_leakage_draw(order, dim, k_tilde, n, sigma_sq, n_samples, seed):
+    """Check the codeword table and every sample's terms of one random draw
+    against the references, and record which block and flush paths ran."""
+    k = dim - k_tilde
+    fld = sample_field(FieldSpec(n_out=n, dim=dim, order=order, power=1.0, seed=seed))
+    plan = build_binning(k, k_tilde, seed)
+    codes = _codeword_table(fld, plan)
+    table = codeword_table_reference(fld, plan)
+    assert np.max(np.abs(codes[:n].T - table)) <= 1e-12 * max(1.0, np.max(np.abs(table)))
+
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(0, 1 << dim, n_samples)
+    ys = table[patterns] + rng.normal(0.0, math.sqrt(sigma_sq), size=(n_samples, n))
+    per_block = simulate._score_rows(n, dim)
+    if n_samples % per_block == 1:
+        event("one-row block")
+    event("partial last block" if n_samples % per_block else "whole blocks")
+    if n_samples > per_block << k:
+        event("several own-message flushes")
+    terms = np.array(score_samples(codes, patterns, ys, k, k_tilde, sigma_sq))
+    for i in range(n_samples):
+        expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, sigma_sq)
+        assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
+
+
 class TestTransmit:
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(0)
@@ -375,27 +400,27 @@ class TestLeakage:
         # ``key`` picks one of the key lengths whose binning plan exists
         key_lengths = [kt for kt in range(1, dim) if (kt - 1) * bin_size(dim - kt, kt) < dim]
         k_tilde = key_lengths[key % len(key_lengths)]
-        k = dim - k_tilde
-        sigma_sq = 10.0**log_sigma_sq
-        fld = sample_field(FieldSpec(n_out=n, dim=dim, order=order, power=1.0, seed=seed))
-        plan = build_binning(k, k_tilde, seed)
-        codes = _codeword_table(fld, plan)
-        table = codeword_table_reference(fld, plan)
-        assert np.max(np.abs(codes[:n].T - table)) <= 1e-12 * max(1.0, np.max(np.abs(table)))
+        check_random_leakage_draw(order, dim, k_tilde, n, 10.0**log_sigma_sq, n_samples, seed)
 
-        rng = np.random.default_rng(seed)
-        patterns = rng.integers(0, 1 << dim, n_samples)
-        ys = table[patterns] + rng.normal(0.0, math.sqrt(sigma_sq), size=(n_samples, n))
-        per_block = simulate._score_rows(n, dim)
-        if n_samples % per_block == 1:
-            event("one-row block")
-        event("partial last block" if n_samples % per_block else "whole blocks")
-        if n_samples > per_block << k:
-            event("several own-message flushes")
-        terms = np.array(score_samples(codes, patterns, ys, k, k_tilde, sigma_sq))
-        for i in range(n_samples):
-            expected = sample_leakage_terms(table, patterns[i], ys[i], k, k_tilde, sigma_sq)
-            assert np.max(np.abs(terms[:, i] - expected)) <= 1e-12, i
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(min_value=1, max_value=3),
+        dim=st.integers(min_value=10, max_value=11),
+        n=st.integers(min_value=48, max_value=64),
+        log_sigma_sq=st.floats(min_value=-3.0, max_value=2.0),
+        extra=st.integers(min_value=1, max_value=100),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_terms_match_reference_on_random_draws_past_the_buffer(
+        self, order, dim, n, log_sigma_sq, extra, seed
+    ):
+        # the own-message buffer holds 96 samples or more at every draw of
+        # the test above, which reaches dims 10-11 rarely; with the longest
+        # key (k = 5) and 48-64 outputs it holds 96-320, and ``extra``
+        # samples past it flush it at least twice
+        k_tilde = dim - 5
+        n_samples = (simulate._score_rows(n, dim) << 5) + extra
+        check_random_leakage_draw(order, dim, k_tilde, n, 10.0**log_sigma_sq, n_samples, seed)
 
     @pytest.mark.parametrize(
         "n,k,k_tilde,prefix,n_samples",

@@ -3,8 +3,9 @@ export lists, its version, its declared dependencies and its import
 footprint, and golden-output checks of the demos and README commands.
 
 No other test runs the demos or the README examples, so an API change they
-depend on would otherwise go unnoticed; a stale ``__all__`` entry fails only
-on a star import.
+depend on would otherwise go unnoticed.  A stale ``__all__`` entry, a
+top-level import of an unexported name, or a backticked ``module.name`` in
+the README or a docstring that no longer resolves fails here too.
 
 Each README command's output file and each demo's stdout is compared byte
 for byte with its copy under ``tests/golden/``, apart from the
@@ -18,6 +19,7 @@ change that moves values on purpose regenerates the files with
 
 import ast
 import contextlib
+import importlib
 import io
 import os
 import pathlib
@@ -40,6 +42,8 @@ GOLDEN = ROOT / "tests" / "golden"
 MODULES = ["gfwiretap"] + [
     f"gfwiretap.{info.name}" for info in pkgutil.iter_modules(gfwiretap.__path__)
 ]
+#: The modules the README and docstrings name as ``module.name``.
+QUALIFIERS = ("channel", "numerics", "replica", "field", "codec", "simulate", "cli")
 
 
 def demo_output(path) -> str:
@@ -82,6 +86,51 @@ def test_demo_runs(path):
 @pytest.mark.parametrize("module", MODULES)
 def test_star_import(module):
     exec(f"from {module} import *", {})
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_export_list_names_exist(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_package_imports_only_exported_names():
+    stray = []
+    for node in ast.parse(pathlib.Path(gfwiretap.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"gfwiretap.{node.module}")
+            # ``errors`` and ``_version`` keep no ``__all__``
+            exported = getattr(module, "__all__", None)
+            if exported is not None:
+                stray += [alias.name for alias in node.names if alias.name not in exported]
+    assert stray == []
+
+
+def docstrings() -> str:
+    """Every module, class and function docstring of the package."""
+    docs = []
+    for path in sorted((ROOT / "src" / "gfwiretap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                docs.append(ast.get_docstring(node, clean=False) or "")
+    return "\n".join(docs)
+
+
+def test_qualified_names_in_readme_and_docstrings_resolve():
+    # backticked ``module.name`` references to the package's modules
+    pattern = rf"`+((?:{'|'.join(QUALIFIERS)})(?:\.\w+)+)"
+    names = set(re.findall(pattern, (ROOT / "README.md").read_text() + docstrings()))
+    assert names
+    missing = []
+    for name in sorted(names):
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"gfwiretap.{module}")
+        for attr in path:
+            if not hasattr(obj, attr):
+                missing.append(name)
+                break
+            obj = getattr(obj, attr)
+    assert missing == []
 
 
 def readme_commands() -> list[str]:
